@@ -19,9 +19,9 @@ from .mechanisms import (GeneralLocalHash, GlhBatch, RandomizedResponse,
                          glh_sample_batch, read_records, rr_sample_batch,
                          write_records)
 from .pipeline import (DataError, ExperimentConfig, PipelineError,
-                       SynthesisSpec, _probe_population, run_experiment,
+                       _glh_bucket_count, _probe_population, run_experiment,
                        split_traces, synth_population, write_synth_checkins)
-from .probcore import make_rng, spawn_streams
+from .probcore import SUM_TOL, make_rng, spawn_streams
 
 
 class UsageError(Exception):
@@ -200,7 +200,9 @@ def _cmd_obfuscate(args) -> int:
 
 
 def _read_truth_csv(path, size: int) -> np.ndarray:
+    """symbol,p_true rows; symbols not listed have probability 0."""
     p = np.zeros(size)
+    seen = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -208,9 +210,19 @@ def _read_truth_csv(path, size: int) -> np.ndarray:
             raise DataError(f"expected header symbol,p_true, got {header}")
         for lineno, row in enumerate(reader, start=2):
             try:
-                p[int(row[0])] = float(row[1])
+                symbol, prob = int(row[0]), float(row[1])
             except (IndexError, ValueError) as exc:
                 raise DataError(f"bad truth row at line {lineno}") from exc
+            if not 0 <= symbol < size:
+                raise DataError(f"truth symbol {symbol} outside [0, {size}) at line {lineno}")
+            if symbol in seen:
+                raise DataError(f"duplicate truth symbol {symbol} at line {lineno}")
+            if not 0.0 <= prob <= 1.0:
+                raise DataError(f"truth probability {prob} outside [0, 1] at line {lineno}")
+            seen.add(symbol)
+            p[symbol] = prob
+    if abs(p.sum() - 1.0) > SUM_TOL:
+        raise DataError(f"truth probabilities sum to {p.sum():.12g}, not 1")
     return p
 
 
@@ -253,12 +265,7 @@ def _simulated_scores(args):
     cfg = _effective_config(args, knowledge=args.knowledge,
                             reid_trials=args.trials, pse_trials=args.trials)
     streams = spawn_streams(cfg.seed, 2)
-    spec = SynthesisSpec(n_users=cfg.n_users, size=cfg.size,
-                         zipf_exponent=cfg.zipf_exponent,
-                         concentration=cfg.concentration,
-                         support_size=cfg.support_size,
-                         train_len=cfg.train_len, eval_len=cfg.eval_len)
-    population, dataset = synth_population(spec, streams[0])
+    population, dataset = synth_population(cfg.synthesis_spec(), streams[0])
     train_ds, eval_ds = split_traces(dataset)
     source = eval_ds if cfg.knowledge == "max" else train_ds
     profiles = [reid.train_profile(t, cfg.size, owner=i)
@@ -275,7 +282,7 @@ def _simulated_scores(args):
     else:
         if args.epsilon is None:
             raise UsageError("glh requires --epsilon")
-        g = args.g or max(2, int(round(bounds.glh_utility_optimal_g(args.epsilon))))
+        g = _glh_bucket_count(args.g, args.epsilon)
         mech = GeneralLocalHash.with_production_family(args.epsilon, g, cfg.size)
     trials = cfg.reid_trials
     us, scores = reid.simulate_score_trials(probe_pop, mech, profiles, trials,
@@ -286,12 +293,7 @@ def _simulated_scores(args):
 def _cmd_reid(args) -> int:
     cfg, mech, us, scores = _simulated_scores(args)
     err = float((np.argmax(scores, axis=1) != us).mean())
-    rows = np.arange(us.size)
-    genuine = scores[rows, us]
-    mask = np.ones_like(scores, dtype=bool)
-    mask[rows, us] = False
-    impostor = scores[mask]
-    det = reid.far_frr_det(genuine, impostor)
+    det = reid.far_frr_det(*pse.split_scores(scores, us))
     payload = {"error_rate": err, "n": scores.shape[1], "trials": int(us.size),
                "mechanism": args.mechanism, "epsilon": args.epsilon,
                "config_hash": cfg.config_hash()}
@@ -340,11 +342,7 @@ def _cmd_pse(args) -> int:
         k = args.k if args.k is not None else pse.DEFAULT_K
     else:
         cfg, mech, us, scores = _simulated_scores(args)
-        rows = np.arange(us.size)
-        genuine = scores[rows, us]
-        mask = np.ones_like(scores, dtype=bool)
-        mask[rows, us] = False
-        sample = pse.ScoreSample(genuine, scores[mask])
+        sample = pse.ScoreSample(*pse.split_scores(scores, us))
         extra = {"mechanism": args.mechanism, "epsilon": args.epsilon,
                  "config_hash": cfg.config_hash()}
         k = args.k if args.k is not None else cfg.pse_k
@@ -386,11 +384,7 @@ def _cmd_synth(args) -> int:
                             concentration=args.concentration,
                             support_size=args.support_size,
                             train_len=args.train_len, eval_len=args.eval_len)
-    spec = SynthesisSpec(n_users=cfg.n_users, size=cfg.size,
-                         zipf_exponent=cfg.zipf_exponent,
-                         concentration=cfg.concentration,
-                         support_size=cfg.support_size,
-                         train_len=cfg.train_len, eval_len=cfg.eval_len)
+    spec = cfg.synthesis_spec()
     rng = make_rng(cfg.seed)
     _, dataset = synth_population(spec, rng)
     os.makedirs(args.out, exist_ok=True)

@@ -18,10 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.special import ndtri
 
-from .mechanisms import GlhBatch, ObfuscatedRecord, RrBatch
-
-# cells of the (descriptor, symbol) hash table evaluated per chunk
-_GLH_CHUNK_CELLS = 4 * 10 ** 6
+from .mechanisms import GlhBatch, ObfuscatedRecord, RrBatch, glh_match_chunks
 
 
 @dataclass(frozen=True)
@@ -84,23 +81,12 @@ def _glh_columns(records) -> GlhBatch:
 
 
 def glh_counts(batch: GlhBatch, size: int) -> np.ndarray:
-    """c(x) = number of records whose hash sends x to the reported bucket.
-
-    Records are scanned in bounded chunks: each chunk evaluates its hashes
-    on every symbol at once and compares against the reported buckets, so
-    memory stays flat in both the record count and the bucket count.
-    """
+    """c(x) = number of records whose hash sends x to the reported bucket."""
     if np.any((batch.ys < 1) | (batch.ys > batch.g)):
         raise ValueError("bucket outside [1, g]")
-    xs = np.arange(size, dtype=np.int64)
     counts = np.zeros(size, dtype=np.int64)
-    n = len(batch)
-    chunk = max(1, _GLH_CHUNK_CELLS // max(size, 1))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        hv = ((batch.a[lo:hi, None] * xs[None, :] + batch.b[lo:hi, None])
-              % batch.prime) % batch.g + 1
-        counts += (hv == batch.ys[lo:hi, None]).sum(axis=0)
+    for _, _, mask in glh_match_chunks(batch, size):
+        counts += mask.sum(axis=0)
     return counts.astype(np.float64)
 
 

@@ -285,6 +285,8 @@ class ExperimentConfig:
         object.__setattr__(self, "g_sweep", tuple(int(g) for g in self.g_sweep))
         if any(p < 1 for p in self.phis):
             raise ValueError("phi values must be >= 1")
+        if self.glh_g is not None and self.glh_g < 2:
+            raise ValueError("glh_g must be >= 2")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -305,6 +307,13 @@ class ExperimentConfig:
             return cls(**raw)
         except (TypeError, ValueError) as exc:
             raise DataError(f"bad config: {exc}") from exc
+
+    def synthesis_spec(self) -> SynthesisSpec:
+        return SynthesisSpec(n_users=self.n_users, size=self.size,
+                             zipf_exponent=self.zipf_exponent,
+                             concentration=self.concentration,
+                             support_size=self.support_size,
+                             train_len=self.train_len, eval_len=self.eval_len)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -332,9 +341,10 @@ def _write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
-def _glh_bucket_count(config: ExperimentConfig, epsilon: float) -> int:
-    if config.glh_g is not None:
-        return max(2, int(config.glh_g))
+def _glh_bucket_count(glh_g: Optional[int], epsilon: float) -> int:
+    """The requested bucket count, else the utility-optimal one (at least 2)."""
+    if glh_g is not None:
+        return glh_g
     return max(2, int(round(bounds.glh_utility_optimal_g(epsilon))))
 
 
@@ -398,12 +408,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
         if config.checkins_path:
             ds = ingest_checkins(config.checkins_path, config.min_events)
             return None, ds
-        spec = SynthesisSpec(n_users=config.n_users, size=config.size,
-                             zipf_exponent=config.zipf_exponent,
-                             concentration=config.concentration,
-                             support_size=config.support_size,
-                             train_len=config.train_len, eval_len=config.eval_len)
-        return synth_population(spec, next(stream_iter))
+        return synth_population(config.synthesis_spec(), next(stream_iter))
 
     population, dataset = run_stage("dataset", stage_dataset)
     size = dataset.alphabet.size
@@ -423,7 +428,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
     def stage_bounds():
         rows = []
         for eps in config.epsilons:
-            g = _glh_bucket_count(config, eps)
+            g = _glh_bucket_count(config.glh_g, eps)
             rep = bounds.bound_report(n=n, size=size, epsilon=eps, g=g)
             fano = rep.fano
             rows.append([tag, seed, eps, g, rep.theta_rr, rep.alpha_ldp, rep.alpha_rr,
@@ -445,7 +450,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
         def one_point(i):
             eps = config.epsilons[i]
             rng = point_streams[i]
-            g = _glh_bucket_count(config, eps)
+            g = _glh_bucket_count(config.glh_g, eps)
             out = []
             for mech_name in ("rr", "glh"):
                 if mech_name == "rr":
@@ -492,7 +497,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
         p_true = np.bincount(probes, minlength=size).astype(np.float64) / probes.size
         rows = []
         for eps in config.epsilons:
-            g = _glh_bucket_count(config, eps)
+            g = _glh_bucket_count(config.glh_g, eps)
             rr_batch = rr_sample_batch(RandomizedResponse(eps, size), probes, rng)
             est_rr = estimation.estimate_rr(rr_batch, eps, size)
             thr_rr = estimation.apply_significance_threshold(

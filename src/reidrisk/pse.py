@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .mechanisms import glh_match_chunks
 from .probcore import LN2, make_rng
 from .reid import simulate_score_trials
 
@@ -47,6 +48,19 @@ class ScoreSample:
         return self.genuine.size > 0 and self.impostor.size > 0
 
 
+def split_scores(scores: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(genuine, impostor) scores of a (trials, n) score matrix.
+
+    Row t is genuine at column us[t] (the true user's profile); every other
+    entry of the row is an impostor score. Impostors keep row-major order.
+    """
+    t = np.arange(us.size)
+    genuine = scores[t, us]
+    mask = np.ones_like(scores, dtype=bool)
+    mask[t, us] = False
+    return genuine, scores[mask]
+
+
 def harvest_scores(population, mechanism, profiles, trials: int,
                    rng: np.random.Generator, meta: Optional[dict] = None) -> ScoreSample:
     """Simulate releases and split every (release, profile) score by ownership.
@@ -56,11 +70,7 @@ def harvest_scores(population, mechanism, profiles, trials: int,
     and the sample is flagged unusable.
     """
     us, scores = simulate_score_trials(population, mechanism, profiles, trials, rng)
-    t = np.arange(trials)
-    genuine = scores[t, us]
-    mask = np.ones_like(scores, dtype=bool)
-    mask[t, us] = False
-    impostor = scores[mask]
+    genuine, impostor = split_scores(scores, us)
     info = {"trials": trials, "n_users": scores.shape[1]}
     if meta:
         info.update(meta)
@@ -72,15 +82,8 @@ def _sparse_scores(rows: np.ndarray, ys: np.ndarray, pi_floored: np.ndarray,
     """Score of claimant profile rows[i] against release i, one per record."""
     if batch is None:
         return np.log2(pi_floored[rows, ys])
-    size = pi_floored.shape[1]
-    xs = np.arange(size, dtype=np.int64)
     mass = np.empty(rows.size)
-    chunk = max(1, 4 * 10 ** 6 // max(size, 1))
-    for lo in range(0, rows.size, chunk):
-        hi = min(lo + chunk, rows.size)
-        hv = ((batch.a[lo:hi, None] * xs[None, :] + batch.b[lo:hi, None])
-              % batch.prime) % batch.g + 1
-        mask = hv == batch.ys[lo:hi, None]
+    for lo, hi, mask in glh_match_chunks(batch, pi_floored.shape[1]):
         mass[lo:hi] = (pi_floored[rows[lo:hi]] * mask).sum(axis=1)
     shrink = mechanism.mu - mechanism.off_bucket
     return np.log2(mechanism.off_bucket + shrink * mass)

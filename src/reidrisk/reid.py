@@ -19,7 +19,7 @@ import numpy as np
 
 from . import probcore
 from .mechanisms import (GeneralLocalHash, GlhBatch, MechanismKernel,
-                         RandomizedResponse, rr_sample_batch)
+                         RandomizedResponse, glh_match_chunks, rr_sample_batch)
 from .probcore import MarkovSource, PopulationModel, SingleDatum
 
 DEFAULT_FLOOR = 1e-8
@@ -172,15 +172,9 @@ def glh_single_datum_scores(pi_floored: np.ndarray, batch: GlhBatch,
     hash-choice factor is constant across users and dropped.
     """
     size = pi_floored.shape[1]
-    xs = np.arange(size, dtype=np.int64)
-    trials = len(batch)
-    masks = np.empty((size, trials), dtype=np.float64)
-    chunk = max(1, 4 * 10 ** 6 // max(size, 1))
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
-        hv = ((batch.a[lo:hi, None] * xs[None, :] + batch.b[lo:hi, None])
-              % batch.prime) % batch.g + 1
-        masks[:, lo:hi] = (hv == batch.ys[lo:hi, None]).T
+    masks = np.empty((size, len(batch)), dtype=np.float64)
+    for lo, hi, mask in glh_match_chunks(batch, size):
+        masks[:, lo:hi] = mask.T
     preimage_mass = pi_floored @ masks  # (n, trials)
     shrink = mech.mu - mech.off_bucket
     return np.log2(mech.off_bucket + shrink * preimage_mass).T
@@ -201,6 +195,15 @@ def _sample_users_and_data(population: PopulationModel, trials: int,
         hi = min(lo + chunk, trials)
         xs[lo:hi] = (draws[lo:hi, None] > cdfs[us[lo:hi]]).sum(axis=1)
     return us, xs
+
+
+def _kernel_sample(kernel: MechanismKernel, xs: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Release each symbol x through kernel column x by inverse-CDF sampling."""
+    cdfs = np.cumsum(kernel.matrix, axis=0)
+    cdfs[-1, :] = 1.0
+    draws = rng.random(xs.size)
+    return (draws[None, :] > cdfs[:, xs]).sum(axis=0).astype(np.int64)
 
 
 def simulate_score_trials(population: PopulationModel, mechanism,
@@ -234,11 +237,7 @@ def simulate_score_trials(population: PopulationModel, mechanism,
             batch = glh_sample_batch(mechanism, xs, rng)
             return us, glh_single_datum_scores(pi_floored, batch, mechanism)
         if isinstance(mechanism, MechanismKernel):
-            cdfs = np.cumsum(mechanism.matrix, axis=0)
-            cdfs[-1, :] = 1.0
-            draws = rng.random(trials)
-            ys = (draws[None, :] > cdfs[:, xs]).sum(axis=0).astype(np.int64)
-            return us, rr_single_datum_scores(floored_pi_matrix(profiles), ys)
+            return us, rr_single_datum_scores(pi_floored, _kernel_sample(mechanism, xs, rng))
         raise ValueError(f"unsupported mechanism {mechanism!r}")
 
     # trace-valued data: per-trial loop, symbol-wise obfuscation
@@ -259,10 +258,7 @@ def simulate_score_trials(population: PopulationModel, mechanism,
         elif isinstance(mechanism, RandomizedResponse):
             y_trace = rr_sample_batch(mechanism, x_trace, rng).ys
         elif isinstance(mechanism, MechanismKernel):
-            cdfs = np.cumsum(mechanism.matrix, axis=0)
-            cdfs[-1, :] = 1.0
-            draws = rng.random(x_trace.size)
-            y_trace = (draws[None, :] > cdfs[:, x_trace]).sum(axis=0).astype(np.int64)
+            y_trace = _kernel_sample(mechanism, x_trace, rng)
         else:
             raise ValueError(f"unsupported mechanism {mechanism!r}")
         us[t] = u

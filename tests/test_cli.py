@@ -10,7 +10,11 @@ import pytest
 
 from reidrisk import oracle
 from reidrisk.cli import main
+from reidrisk.mechanisms import next_prime_above
 from reidrisk.probcore import make_rng
+
+# a modulus past the int64-safe limit of about 3.037e9
+OVERFLOW_PRIME = next_prime_above(5 * 10 ** 9)
 
 
 def run(capsys, *argv):
@@ -85,6 +89,42 @@ class TestDataErrors:
                            "--mechanism", "rr", "--epsilon", "1", "--size", "4",
                            "--out", str(tmp_path / "o"))
         assert code == 2
+
+    @pytest.mark.parametrize("rows", [
+        "",
+        "0,0,5,13,4,1\n",
+        "0,13,5,13,4,1\n",
+        "0,3,-1,13,4,1\n",
+        "0,3,13,13,4,1\n",
+        "0,3,5,15,4,1\n",
+        "0,3,5,13,4,0\n",
+        "0,3,5,13,4,5\n",
+        f"0,{OVERFLOW_PRIME - 2},7,{OVERFLOW_PRIME},4,1\n",
+    ], ids=["header_only", "a_zero", "a_is_P", "b_negative", "b_is_P", "P_not_prime",
+            "y_zero", "y_above_g", "P_overflows_int64"])
+    def test_bad_glh_records_exit_2(self, capsys, tmp_path, rows):
+        p = tmp_path / "records.csv"
+        p.write_text("user_idx,a,b,P,g,y\n" + rows)
+        code, _, err = run(capsys, "estimate", "--records", str(p), "--epsilon", "1",
+                           "--size", "8", "--out", str(tmp_path / "o"))
+        assert code == 2 and "data error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("rows", [
+        "-1,0.7\n0,0.3\n",
+        "4,1.0\n",
+        "0,0.5\n0,0.5\n",
+        "0,0.5\n1,0.4\n",
+        "0,1.5\n1,-0.5\n",
+    ], ids=["negative_symbol", "symbol_is_size", "duplicate_symbol", "sum_below_1",
+            "probability_outside_0_1"])
+    def test_bad_truth_rows_exit_2(self, capsys, tmp_path, rows):
+        records = tmp_path / "records.csv"
+        records.write_text("user_idx,y\n0,0\n1,1\n2,2\n3,3\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("symbol,p_true\n" + rows)
+        code, _, err = run(capsys, "estimate", "--records", str(records), "--epsilon", "1",
+                           "--size", "4", "--truth", str(truth), "--out", str(tmp_path / "o"))
+        assert code == 2 and "data error" in err and "Traceback" not in err
 
     def test_bad_score_label_exits_2(self, capsys, tmp_path):
         p = tmp_path / "scores.csv"

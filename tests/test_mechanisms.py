@@ -21,7 +21,9 @@ from reidrisk.mechanisms import (
     RrBatch,
     _is_prime,
     glh_sample,
+    glh_match_chunks,
     glh_sample_batch,
+    hash_buckets,
     hash_eval,
     ldp_epsilon_of_kernel,
     mixture_kernel,
@@ -33,7 +35,10 @@ from reidrisk.mechanisms import (
     rr_sample_batch,
     write_records,
 )
-from reidrisk.probcore import make_rng
+from reidrisk.estimation import glh_counts
+from reidrisk.probcore import CategoricalDistribution, PopulationModel, make_rng
+from reidrisk.pse import harvest_scores_sparse
+from reidrisk.reid import floored_pi_matrix, glh_single_datum_scores, train_profile
 
 
 class TestRandomizedResponse:
@@ -171,6 +176,25 @@ class TestCarterWegman:
             CarterWegman(prime=12, g=4)
         with pytest.raises(ValueError):
             CarterWegman(prime=13, g=1)
+
+    def test_modulus_that_would_wrap_int64_is_refused(self):
+        # At P above about 3.037e9, a*x + b can pass 2^63: in int64 this
+        # input lands in bucket 2, while the exact bucket is 4.
+        with pytest.raises(ValueError):
+            CarterWegman.for_domain(5 * 10 ** 9, 4)
+        prime = next_prime_above(5 * 10 ** 9)
+        with pytest.raises(ValueError):
+            hash_buckets(prime - 2, 7, np.int64(5 * 10 ** 9 - 1), prime, 4)
+
+    def test_largest_admitted_modulus_hashes_exactly(self):
+        top = 3037000500  # largest P with (P-1)^2 + (P-1) < 2^63
+        assert (top - 1) ** 2 + (top - 1) < 2 ** 63 <= top ** 2 + top
+        prime = next(p for p in range(top, 0, -1) if _is_prime(p))
+        fam = CarterWegman(prime, g=5)
+        a, b, x = prime - 1, prime - 1, prime - 1
+        assert hash_eval(fam, (a, b), x) == ((a * x + b) % prime) % 5 + 1
+        with pytest.raises(ValueError):
+            CarterWegman(next_prime_above(top), g=5)
 
 
 class TestExhaustiveTable:
@@ -351,3 +375,78 @@ class TestRecordFiles:
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(ValueError):
             read_records(path)
+
+
+class TestHashMatchKernel:
+    """size = 1e5 gives 40 records per 4e6-cell chunk, so 101 records span
+    three chunks; every result is checked against CarterWegman.eval per record."""
+
+    SIZE, N = 10 ** 5, 101
+
+    @pytest.fixture(scope="class")
+    def mech(self):
+        return GeneralLocalHash.with_production_family(1.0, 4, self.SIZE)
+
+    @pytest.fixture(scope="class")
+    def batch(self, mech):
+        return glh_sample_batch(mech, make_rng(0).integers(0, self.SIZE, self.N), make_rng(1))
+
+    @pytest.fixture(scope="class")
+    def profiles(self):
+        rng = make_rng(2)
+        return [train_profile(rng.integers(0, self.SIZE, 5000), self.SIZE, owner=i)
+                for i in range(3)]
+
+    def brute_masks(self, batch):
+        fam = CarterWegman(batch.prime, batch.g)
+        xs = np.arange(self.SIZE)
+        return np.array([fam.eval((int(a), int(b)), xs) == y
+                         for a, b, y in zip(batch.a, batch.b, batch.ys)])
+
+    def brute_scores(self, batch, profiles, mech):
+        mass = floored_pi_matrix(profiles) @ self.brute_masks(batch).T.astype(np.float64)
+        return np.log2(mech.off_bucket + (mech.mu - mech.off_bucket) * mass).T
+
+    def test_chunks_tile_the_records(self, batch):
+        chunks = list(glh_match_chunks(batch, self.SIZE))
+        assert [(lo, hi) for lo, hi, _ in chunks] == [(0, 40), (40, 80), (80, 101)]
+        assert np.array_equal(np.vstack([m for _, _, m in chunks]), self.brute_masks(batch))
+
+    def test_glh_counts(self, batch):
+        want = self.brute_masks(batch).sum(axis=0)
+        assert np.array_equal(glh_counts(batch, self.SIZE), want)
+
+    def test_glh_single_datum_scores(self, batch, profiles, mech):
+        got = glh_single_datum_scores(floored_pi_matrix(profiles), batch, mech)
+        assert np.allclose(got, self.brute_scores(batch, profiles, mech), rtol=0, atol=1e-12)
+
+    def test_harvest_scores_sparse(self, monkeypatch, profiles, mech):
+        import reidrisk.mechanisms as mechanisms
+        import reidrisk.reid as reid
+
+        # record what the harvester releases and who released it
+        sample_batch, sample_users = mechanisms.glh_sample_batch, reid._sample_users_and_data
+        batches, owners = [], []
+
+        def capture_batch(*args, **kwargs):
+            batches.append(sample_batch(*args, **kwargs))
+            return batches[-1]
+
+        def capture_users(*args, **kwargs):
+            us, xs = sample_users(*args, **kwargs)
+            owners.append(us)
+            return us, xs
+
+        monkeypatch.setattr(mechanisms, "glh_sample_batch", capture_batch)
+        monkeypatch.setattr(reid, "_sample_users_and_data", capture_users)
+        uniform = CategoricalDistribution.uniform(self.SIZE)
+        pop = PopulationModel.single_datum(CategoricalDistribution.uniform(3), [uniform] * 3)
+        sample = harvest_scores_sparse(pop, mech, profiles, self.N, self.N, make_rng(3))
+
+        genuine = self.brute_scores(batches[0], profiles, mech)
+        assert np.allclose(sample.genuine, genuine[np.arange(self.N), owners[0]],
+                           rtol=0, atol=1e-12)
+        # each impostor score is the release scored against some other user
+        impostor = self.brute_scores(batches[1], profiles, mech)
+        for score, row, owner in zip(sample.impostor, impostor, owners[1]):
+            assert np.min(np.abs(np.delete(row, owner) - score)) <= 1e-12

@@ -203,6 +203,8 @@ class TestConfig:
             ExperimentConfig(phis=(0,))
         with pytest.raises(ValueError):
             ExperimentConfig(schema_version=2)
+        with pytest.raises(ValueError):
+            ExperimentConfig(glh_g=1)
 
     def test_from_file(self, tmp_path):
         p = tmp_path / "cfg.json"
