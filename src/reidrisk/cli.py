@@ -16,8 +16,8 @@ import numpy as np
 
 from . import bounds, estimation, oracle, pse, reid
 from .mechanisms import (GeneralLocalHash, GlhBatch, RandomizedResponse,
-                         glh_sample_batch, read_records, rr_sample_batch,
-                         write_records)
+                         _int64_column, glh_sample_batch, read_records,
+                         rr_sample_batch, write_records)
 from .pipeline import (DataError, ExperimentConfig, PipelineError,
                        _glh_bucket_count, _probe_population, run_experiment,
                        split_traces, synth_population, write_synth_checkins)
@@ -175,7 +175,7 @@ def _read_values_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 raise DataError(f"non-integer value at line {lineno}") from exc
     if not xs:
         raise DataError("no data rows")
-    return np.array(users, dtype=np.int64), np.array(xs, dtype=np.int64)
+    return _int64_column(users, "user_idx"), _int64_column(xs, "x")
 
 
 def _cmd_obfuscate(args) -> int:

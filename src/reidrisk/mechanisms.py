@@ -502,19 +502,28 @@ def write_records(path, user_idx: Sequence[int], batch: Union[RrBatch, GlhBatch]
                 w.writerow([int(u), int(a), int(b), batch.prime, batch.g, int(y)])
 
 
+def _int64_column(values, name: str) -> np.ndarray:
+    """A column of parsed integers as int64; a value beyond int64 is a data error."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"{name} value outside the 64-bit integer range") from exc
+
+
 def read_records(path) -> tuple[np.ndarray, Union[RrBatch, GlhBatch]]:
     """Read a record CSV back into column form; detects RR vs GLH by header.
 
-    A GLH file must hold at least one record and one (P, g) family with P
-    prime and overflow-safe, a in [1, P), b in [0, P) and y in [1, g].
+    Every value must fit in int64. A GLH file must hold at least one record
+    and one (P, g) family with P prime and overflow-safe, a in [1, P),
+    b in [0, P) and y in [1, g].
     """
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, None)
         if header == RR_HEADER:
             rows = [(int(u), int(y)) for u, y in r]
-            users = np.array([u for u, _ in rows], dtype=np.int64)
-            ys = np.array([y for _, y in rows], dtype=np.int64)
+            users = _int64_column([u for u, _ in rows], "user_idx")
+            ys = _int64_column([y for _, y in rows], "y")
             return users, RrBatch(ys=ys)
         if header == GLH_HEADER:
             users, aa, bb, pp, gg, ys = [], [], [], [], [], []
@@ -526,12 +535,14 @@ def read_records(path) -> tuple[np.ndarray, Union[RrBatch, GlhBatch]]:
             if len(set(pp)) > 1 or len(set(gg)) > 1:
                 raise ValueError("record file mixes hash families (varying P or g)")
             family = CarterWegman(pp[0], gg[0])  # P prime and overflow-safe, g >= 2
+            if family.g > np.iinfo(np.int64).max:
+                raise ValueError("g value outside the 64-bit integer range")
             if not (1 <= min(aa) and max(aa) < family.prime
                     and 0 <= min(bb) and max(bb) < family.prime):
                 raise ValueError("hash descriptor outside a in [1, P), b in [0, P)")
             if min(ys) < 1 or max(ys) > family.g:
                 raise ValueError("reported bucket outside [1, g]")
-            return (np.array(users, dtype=np.int64),
+            return (_int64_column(users, "user_idx"),
                     GlhBatch(a=np.array(aa, dtype=np.int64), b=np.array(bb, dtype=np.int64),
                              ys=np.array(ys, dtype=np.int64), prime=family.prime, g=family.g))
         raise ValueError(f"unrecognized record header: {header}")

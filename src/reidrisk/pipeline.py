@@ -298,9 +298,16 @@ class ExperimentConfig:
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
         for key, want in _CONFIG_FIELDS.items():
-            if key in raw and not isinstance(raw[key], want):
-                if want is float and isinstance(raw[key], int):
-                    raw[key] = float(raw[key])
+            if key not in raw:
+                continue
+            value = raw[key]
+            # JSON true/false pass isinstance(int), and no key takes a boolean
+            if isinstance(value, bool) or (
+                    isinstance(value, list) and any(isinstance(v, bool) for v in value)):
+                raise DataError(f"config key {key} has the wrong type")
+            if not isinstance(value, want):
+                if want is float and isinstance(value, int):
+                    raw[key] = float(value)
                 else:
                     raise DataError(f"config key {key} has the wrong type")
         try:

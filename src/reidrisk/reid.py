@@ -8,11 +8,21 @@ stored maximum-likelihood estimates stay exact and nothing is renormalized.
 Scores are log2-likelihoods: a monotone transform of the likelihood, so
 best-score decisions, error rates, and DET curves are unchanged while long
 traces cannot underflow.
+
+Trace releases are scored by `ProfileTable`, which packs every profile's
+nonzero visit and transition probabilities, as log2 values, into one table
+sorted by the key `src * size + dst`; the visit probabilities are the row of
+a virtual start state `src = size`. Scoring a release against all n profiles
+is one `searchsorted` of its keys, then one vectorised step per release
+symbol that adds each profile's term, or its own log2 floor where the key is
+absent. The terms are added in trace order, so every score is the same
+float64 sum as a per-symbol loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -55,8 +65,8 @@ class MarkovProfile:
     """Attacker-side user profile: visit frequencies and transition rows.
 
     `transitions` maps a source symbol to (destination array, probability
-    array); symbols never seen as a source simply have no row. The floor is
-    applied when a looked-up entry is zero or missing.
+    array), destinations sorted; symbols never seen as a source simply have
+    no row. The floor is applied when a looked-up entry is zero or missing.
     """
 
     owner: int
@@ -69,6 +79,8 @@ class MarkovProfile:
         if self.floor <= 0:
             raise ValueError("floor must be positive")
         pi = np.asarray(self.pi, dtype=np.float64)
+        if pi.shape != (self.size,):
+            raise ValueError("visit probabilities must cover the alphabet")
         if abs(pi.sum() - 1.0) > probcore.SUM_TOL:
             raise ValueError("visit probabilities must sum to 1")
         object.__setattr__(self, "pi", pi)
@@ -83,9 +95,21 @@ class MarkovProfile:
             return self.floor
         dsts, probs = row
         hit = np.searchsorted(dsts, dst)
-        if hit < dsts.size and dsts[hit] == dst:
+        if hit < dsts.size and dsts[hit] == dst and probs[hit] > 0:
             return float(probs[hit])
         return self.floor
+
+
+# Largest alphabet whose transition keys, the start row src = size included,
+# stay below 2**63: (size + 1) * size - 1 < 2**63.
+MAX_KEYED_ALPHABET = math.isqrt(2 ** 63 - 1)
+
+
+def _pair_keys(src, dst, size: int) -> np.ndarray:
+    """int64 keys src * size + dst, ordered like the pairs (src, dst)."""
+    if size > MAX_KEYED_ALPHABET:
+        raise ValueError(f"an alphabet of {size} symbols overflows int64 transition keys")
+    return np.asarray(src, dtype=np.int64) * size + np.asarray(dst, dtype=np.int64)
 
 
 def train_profile(trace, alphabet: Union[probcore.Alphabet, int],
@@ -100,26 +124,88 @@ def train_profile(trace, alphabet: Union[probcore.Alphabet, int],
     size = probcore._as_alphabet(alphabet).size
     if symbols.min() < 0 or symbols.max() >= size:
         raise ValueError("trace symbol outside alphabet")
-    pi = np.bincount(symbols, minlength=size).astype(np.float64) / symbols.size
     transitions: dict = {}
     if symbols.size > 1:
-        src, dst = symbols[:-1], symbols[1:]
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        for s in np.unique(src):
-            mask = src == s
-            dsts, counts = np.unique(dst[mask], return_counts=True)
-            transitions[int(s)] = (dsts, counts.astype(np.float64) / counts.sum())
+        keys, counts = np.unique(_pair_keys(symbols[:-1], symbols[1:], size),
+                                 return_counts=True)
+        srcs, dsts = np.divmod(keys, size)
+        starts = np.flatnonzero(np.diff(srcs, prepend=-1))
+        ends = np.append(starts[1:], keys.size)
+        probs = counts / np.repeat(np.add.reduceat(counts, starts), ends - starts)
+        transitions = {s: (dsts[lo:hi], probs[lo:hi])
+                       for s, lo, hi in zip(srcs[starts].tolist(), starts.tolist(),
+                                            ends.tolist())}
+    pi = np.bincount(symbols, minlength=size).astype(np.float64) / symbols.size
     return MarkovProfile(owner=owner, size=size, pi=pi, transitions=transitions, floor=floor)
+
+
+class ProfileTable:
+    """Every profile's positive log2 probabilities, packed for trace scoring.
+
+    Entries are sorted by key (`_pair_keys`; visit probabilities are the row
+    of the start state src = size), then by user. `keys` holds each distinct
+    key once and `starts[k]:starts[k + 1]` is its run of (user, log2 p)
+    entries. A profile without an entry for a key takes its own floor.
+    """
+
+    def __init__(self, profiles: Sequence[MarkovProfile]):
+        if not profiles:
+            raise ValueError("need at least one profile")
+        size = profiles[0].size
+        if any(p.size != size for p in profiles):
+            raise ValueError("profiles must share one alphabet")
+        row_src, row_user, rows = [], [], []
+        for user, prof in enumerate(profiles):
+            seen = prof.pi.nonzero()[0]
+            trans = prof.transitions
+            if trans and not (0 <= min(trans) and max(trans) < size):
+                raise ValueError("profile transition outside the alphabet")
+            row_src.append(size)
+            row_src.extend(trans)
+            row_user.extend([user] * (1 + len(trans)))
+            rows.append((seen, prof.pi[seen]))
+            rows.extend(trans.values())
+        lens = [len(dsts) for dsts, _ in rows]
+        if lens != [len(probs) for _, probs in rows]:
+            raise ValueError("transition row with unequal destination and probability counts")
+        src = np.repeat(np.array(row_src, dtype=np.int64), lens)
+        dst = np.concatenate([dsts for dsts, _ in rows]).astype(np.int64, copy=False)
+        prob = np.concatenate([probs for _, probs in rows]).astype(np.float64, copy=False)
+        if dst.min() < 0 or dst.max() >= size:
+            raise ValueError("profile transition outside the alphabet")
+        keep = prob > 0
+        keys = _pair_keys(src[keep], dst[keep], size)
+        order = np.argsort(keys, kind="stable")  # users stay ascending within a key
+        keys = keys[order]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        self.size = size
+        self.keys = keys[first]
+        self.starts = np.append(first, keys.size)
+        self.users = np.repeat(np.array(row_user), lens)[keep][order]
+        self.log_p = np.log2(prob[keep][order])
+        self.log_floor = np.log2([p.floor for p in profiles])
+
+    def scores(self, trace) -> np.ndarray:
+        """log2-likelihood of one release under every profile, shape (n,)."""
+        ys = _as_symbols(trace)
+        if ys.min() < 0 or ys.max() >= self.size:
+            raise ValueError("release symbol outside the alphabet")
+        wanted = _pair_keys(np.concatenate(([self.size], ys[:-1])), ys, self.size)
+        at = np.minimum(np.searchsorted(self.keys, wanted), self.keys.size - 1)
+        hits = self.keys[at] == wanted
+        total = np.zeros(self.log_floor.size)  # 0.0 + x == x: the sum stays exact
+        for hit, lo, hi in zip(hits.tolist(), self.starts[at].tolist(),
+                               self.starts[at + 1].tolist()):
+            term = self.log_floor.copy()
+            if hit:
+                term[self.users[lo:hi]] = self.log_p[lo:hi]
+            total += term
+        return total
 
 
 def log_likelihood(profile: MarkovProfile, trace) -> float:
     """log2 of the trace likelihood under the profile, floored entrywise."""
-    symbols = _as_symbols(trace)
-    total = np.log2(profile.initial_prob(symbols[0]))
-    for prev, cur in zip(symbols[:-1], symbols[1:]):
-        total += np.log2(profile.transition_prob(prev, cur))
-    return float(total)
+    return float(ProfileTable([profile]).scores(trace)[0])
 
 
 @dataclass(frozen=True)
@@ -138,9 +224,7 @@ class ScoreVector:
 
 
 def score_vector(trace, profiles: Sequence[MarkovProfile]) -> ScoreVector:
-    if not profiles:
-        raise ValueError("need at least one profile")
-    return ScoreVector(np.array([log_likelihood(p, trace) for p in profiles]))
+    return ScoreVector(ProfileTable(profiles).scores(trace))
 
 
 def best_score_decision(s: Union[ScoreVector, np.ndarray]) -> int:
@@ -154,8 +238,8 @@ def best_score_decision(s: Union[ScoreVector, np.ndarray]) -> int:
 def floored_pi_matrix(profiles: Sequence[MarkovProfile]) -> np.ndarray:
     """Stack per-user visit probabilities with the floor already applied."""
     mat = np.vstack([p.pi for p in profiles])
-    floor = profiles[0].floor
-    return np.where(mat > 0, mat, floor)
+    floors = np.array([[p.floor] for p in profiles])
+    return np.where(mat > 0, mat, floors)
 
 
 def rr_single_datum_scores(pi_floored: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -244,6 +328,7 @@ def simulate_score_trials(population: PopulationModel, mechanism,
     if isinstance(mechanism, GeneralLocalHash):
         raise ValueError("hashed releases of whole traces are not supported; "
                          "use single-datum populations for the hashed mechanism")
+    table = ProfileTable(profiles)
     scores = np.empty((trials, n))
     us = np.empty(trials, dtype=np.int64)
     for t in range(trials):
@@ -262,7 +347,7 @@ def simulate_score_trials(population: PopulationModel, mechanism,
         else:
             raise ValueError(f"unsupported mechanism {mechanism!r}")
         us[t] = u
-        scores[t] = score_vector(y_trace, profiles).scores
+        scores[t] = table.scores(y_trace)
     return us, scores
 
 

@@ -126,6 +126,35 @@ class TestDataErrors:
                            "--size", "4", "--truth", str(truth), "--out", str(tmp_path / "o"))
         assert code == 2 and "data error" in err and "Traceback" not in err
 
+    BEYOND_INT64 = "99999999999999999999999"
+
+    @pytest.mark.parametrize("name,text,argv", [
+        ("records.csv", f"user_idx,y\n{BEYOND_INT64},0\n", ["estimate", "--records"]),
+        ("records.csv", f"user_idx,a,b,P,g,y\n{BEYOND_INT64},3,5,13,4,1\n",
+         ["estimate", "--records"]),
+        ("records.csv", f"user_idx,a,b,P,g,y\n0,3,5,13,{BEYOND_INT64},1\n",
+         ["estimate", "--records"]),
+        ("values.csv", f"user_idx,x\n{BEYOND_INT64},0\n",
+         ["obfuscate", "--mechanism", "rr", "--input"]),
+    ], ids=["rr_records", "glh_records", "glh_g", "values"])
+    def test_integer_beyond_int64_exits_2(self, capsys, tmp_path, name, text, argv):
+        p = tmp_path / name
+        p.write_text(text)
+        code, _, err = run(capsys, *argv, str(p), "--epsilon", "1", "--size", "4",
+                           "--out", str(tmp_path / "o"))
+        assert code == 2 and "64-bit" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("config", [
+        {"n_users": True}, {"threshold_level": False}, {"glh_g": True},
+        {"epsilons": [1.0, True]},
+    ], ids=["int_key", "float_key", "optional_int_key", "list_element"])
+    def test_boolean_config_values_exit_2(self, capsys, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run(capsys, "reid", "--config", str(cfg), "--mechanism", "rr",
+                           "--epsilon", "1")
+        assert code == 2 and "wrong type" in err and "Traceback" not in err
+
     def test_bad_score_label_exits_2(self, capsys, tmp_path):
         p = tmp_path / "scores.csv"
         p.write_text("label,score\ng,1.0\nwhat,2.0\n")

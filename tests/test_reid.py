@@ -13,17 +13,25 @@ from reidrisk.mechanisms import (
     GlhBatch,
     MechanismKernel,
     RandomizedResponse,
+    rr_sample_batch,
 )
 from reidrisk.probcore import (
     CategoricalDistribution,
     MarkovSource,
     PopulationModel,
+    SingleDatum,
     make_rng,
+    sample,
+    sample_markov,
 )
 from reidrisk.reid import (
+    MAX_KEYED_ALPHABET,
     DetCurve,
     MarkovProfile,
+    ProfileTable,
     Trace,
+    _kernel_sample,
+    _pair_keys,
     best_score_decision,
     far_frr_det,
     floored_pi_matrix,
@@ -291,3 +299,163 @@ class TestDetCurve:
                 far=np.array([1.5, 0.0]),
                 frr=np.array([0.0, 1.0]),
             )
+
+
+def reference_log_likelihood(train, floor, release):
+    """log2 likelihood of a release from the raw counts of one training trace.
+
+    Each term is np.log2 of a count ratio (or of the floor), added in release
+    order, so the result is exactly the float64 sum the scorer must produce.
+    """
+    train = list(train)
+    first = train.count(release[0]) / len(train)
+    total = np.log2(first if first > 0 else floor)
+    pairs = list(zip(train[:-1], train[1:]))
+    for src, dst in zip(release[:-1], release[1:]):
+        out_of_src = sum(1 for s, _ in pairs if s == src)
+        hits = pairs.count((src, dst))
+        total += np.log2(hits / out_of_src if hits else floor)
+    return float(total)
+
+
+@st.composite
+def training_sets(draw):
+    """(size, training traces, per-profile floors) over a small alphabet.
+
+    Short traces leave sources and destinations unseen, and symbols never
+    visited give zero pi entries.
+    """
+    size = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 4))
+    traces = [draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8))
+              for _ in range(n)]
+    floors = [draw(st.sampled_from([1e-8, 1e-5, 0.03])) for _ in range(n)]
+    return size, traces, floors
+
+
+def trained(size, traces, floors):
+    return [train_profile(t, size, floor=f, owner=i)
+            for i, (t, f) in enumerate(zip(traces, floors))]
+
+
+def per_source_transitions(symbols):
+    """Transition rows built one source symbol at a time."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    src, dst = symbols[:-1], symbols[1:]
+    rows = {}
+    for s in sorted(set(src.tolist())):
+        dsts, counts = np.unique(dst[src == s], return_counts=True)
+        rows[s] = (dsts, counts.astype(np.float64) / counts.sum())
+    return rows
+
+
+class TestVectorisedTraining:
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 12).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=1, max_size=40))))
+    def test_matches_per_source_reference(self, case):
+        size, symbols = case
+        got = train_profile(symbols, size).transitions
+        want = per_source_transitions(symbols)
+        assert list(got) == list(want)
+        assert all(type(src) is int for src in got)
+        for src, (dsts, probs) in got.items():
+            assert dsts.dtype == np.int64 and np.all(np.diff(dsts) > 0)
+            assert np.array_equal(dsts, want[src][0])
+            assert probs.dtype == np.float64
+            assert probs.tobytes() == want[src][1].tobytes()
+
+
+class TestProfileTable:
+    @settings(deadline=None, max_examples=200)
+    @given(training_sets(), st.data())
+    def test_scores_match_per_symbol_reference(self, case, data):
+        size, traces, floors = case
+        profiles = trained(size, traces, floors)
+        release = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=6))
+        want = [reference_log_likelihood(t, f, release) for t, f in zip(traces, floors)]
+        assert score_vector(release, profiles).scores.tolist() == want
+        assert [log_likelihood(p, release) for p in profiles] == want
+
+    @settings(deadline=None, max_examples=60)
+    @given(training_sets(), st.integers(0, 2**32 - 1),
+           st.sampled_from(["none", "rr", "kernel"]))
+    def test_trial_scores_match_per_symbol_reference(self, case, seed, mech_name):
+        # Even users follow a chain (trace length 1 to 4), odd users emit one
+        # symbol, so the population is mixed and takes the trace path.
+        size, traces, floors = case
+        n = len(traces)
+        rng = make_rng(seed)
+        models = []
+        for i in range(n):
+            if i % 2 == 0:
+                models.append(MarkovSource(rng.dirichlet(np.ones(size)),
+                                           rng.dirichlet(np.ones(size), size=size),
+                                           trace_len=int(rng.integers(1, 5))))
+            else:
+                models.append(SingleDatum(CategoricalDistribution(size, rng.dirichlet(np.ones(size)))))
+        pop = PopulationModel(n, CategoricalDistribution(n, rng.dirichlet(np.ones(n))), models)
+        mech = {"none": None,
+                "rr": RandomizedResponse(1.0, size),
+                "kernel": MechanismKernel(size, size, rng.dirichlet(np.ones(size), size=size).T),
+                }[mech_name]
+        trials = 12
+        us, scores = simulate_score_trials(pop, mech, trained(size, traces, floors),
+                                           trials, make_rng(seed))
+        # replay the documented draw order: user, datum or trace, release
+        replay = make_rng(seed)
+        for t in range(trials):
+            u = sample(pop.prior, replay)
+            model = pop.models[u]
+            if isinstance(model, SingleDatum):
+                xs = np.array([sample(model.dist, replay)], dtype=np.int64)
+            else:
+                xs = sample_markov(model, replay)
+            if mech is None:
+                ys = xs
+            elif isinstance(mech, RandomizedResponse):
+                ys = rr_sample_batch(mech, xs, replay).ys
+            else:
+                ys = _kernel_sample(mech, xs, replay)
+            assert us[t] == u
+            want = [reference_log_likelihood(tr, f, ys.tolist()) for tr, f in zip(traces, floors)]
+            assert scores[t].tolist() == want
+
+    def test_zero_probability_entries_take_the_floor(self):
+        prof = MarkovProfile(owner=0, size=3, pi=np.array([0.5, 0.5, 0.0]),
+                             transitions={0: (np.array([0, 1]), np.array([0.0, 1.0]))},
+                             floor=0.25)
+        assert prof.transition_prob(0, 0) == 0.25
+        assert log_likelihood(prof, [0, 0, 1]) == -1.0 - 2.0 + 0.0
+        assert log_likelihood(prof, [2]) == -2.0
+
+    def test_rejects_inconsistent_input(self):
+        p2 = train_profile([0, 1], 2)
+        p3 = train_profile([0, 1], 3)
+        with pytest.raises(ValueError):
+            ProfileTable([p2, p3])
+        for release in ([2], [0, -1]):
+            with pytest.raises(ValueError):
+                score_vector(release, [p2])
+        with pytest.raises(ValueError):
+            MarkovProfile(owner=0, size=3, pi=np.array([0.5, 0.5]), transitions={})
+        for rows in ({2: (np.array([0]), np.array([1.0]))},
+                     {0: (np.array([2]), np.array([1.0]))},
+                     {0: (np.array([0, 1]), np.array([1.0]))}):
+            bad = MarkovProfile(owner=0, size=2, pi=np.array([0.5, 0.5]), transitions=rows)
+            with pytest.raises(ValueError):
+                ProfileTable([bad])
+
+    def test_pair_keys_stay_inside_int64(self):
+        # the largest key is the start row's last entry, (size + 1) * size - 1
+        top = MAX_KEYED_ALPHABET
+        key = _pair_keys([top], [top - 1], top)
+        assert int(key[0]) == (top + 1) * top - 1 < 2 ** 63
+        with pytest.raises(ValueError):
+            _pair_keys([0], [0], top + 1)
+
+    def test_floored_pi_matrix_uses_each_profiles_floor(self):
+        p0 = train_profile([0, 0], alphabet=2, floor=1e-3)
+        p1 = train_profile([1, 1], alphabet=2, floor=1e-5)
+        mat = floored_pi_matrix([p0, p1])
+        assert mat.tolist() == [[1.0, 1e-3], [1e-5, 1.0]]
