@@ -46,7 +46,7 @@ def pie_bound_ldp(epsilon: float, n: int, size: int) -> float:
     min(eps*log2 e, eps^2*log2 e, log2 n, log2 |X|) bits; holds for every
     mechanism meeting the budget and every population of n users.
     """
-    if epsilon < 0 or n < 1 or size < 1:
+    if not epsilon >= 0 or n < 1 or size < 1:
         raise ValueError("need epsilon >= 0, n >= 1, size >= 1")
     return min(epsilon * LOG2E, epsilon * epsilon * LOG2E, math.log2(n), math.log2(size))
 
@@ -158,7 +158,7 @@ def glh_utility_optimal_g(epsilon: float) -> float:
 
     Provided for comparison sweeps only; nothing in this package depends on it.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     return math.exp(epsilon) + 1.0
 

@@ -18,9 +18,9 @@ from . import bounds, estimation, oracle, pse, reid
 from .mechanisms import (GeneralLocalHash, GlhBatch, RandomizedResponse,
                          _int64_column, glh_sample_batch, read_records,
                          rr_sample_batch, write_records)
-from .pipeline import (DataError, ExperimentConfig, PipelineError,
-                       _glh_bucket_count, _probe_population, run_experiment,
-                       split_traces, synth_population, write_synth_checkins)
+from .pipeline import (DataError, ExperimentConfig, PipelineError, _write_csv,
+                       attack_mechanism, attack_setup, run_experiment,
+                       synth_population, write_synth_checkins)
 from .probcore import SUM_TOL, make_rng, spawn_streams
 
 
@@ -260,38 +260,23 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _simulated_scores(args):
-    """Shared synth + attack setup for the reid and pse subcommands."""
+def _attack(args):
+    """Config, attack setup, mechanism (`--g`, else `glh_g`) and stream for reid and pse."""
     cfg = _effective_config(args, knowledge=args.knowledge,
                             reid_trials=args.trials, pse_trials=args.trials)
-    streams = spawn_streams(cfg.seed, 2)
-    population, dataset = synth_population(cfg.synthesis_spec(), streams[0])
-    train_ds, eval_ds = split_traces(dataset)
-    source = eval_ds if cfg.knowledge == "max" else train_ds
-    profiles = [reid.train_profile(t, cfg.size, owner=i)
-                for i, t in enumerate(source.traces)]
-    probes = np.array([t[0] for t in eval_ds.traces], dtype=np.int64)
-    probe_pop = _probe_population(probes, cfg.size)
-
-    if args.mechanism == "none":
-        mech = None
-    elif args.mechanism == "rr":
-        if args.epsilon is None:
-            raise UsageError("rr requires --epsilon")
-        mech = RandomizedResponse(args.epsilon, cfg.size)
-    else:
-        if args.epsilon is None:
-            raise UsageError("glh requires --epsilon")
-        g = _glh_bucket_count(args.g, args.epsilon)
-        mech = GeneralLocalHash.with_production_family(args.epsilon, g, cfg.size)
-    trials = cfg.reid_trials
-    us, scores = reid.simulate_score_trials(probe_pop, mech, profiles, trials,
-                                            streams[1])
-    return cfg, mech, us, scores
+    if args.mechanism != "none" and args.epsilon is None:
+        raise UsageError(f"{args.mechanism} requires --epsilon")
+    streams = iter(spawn_streams(cfg.seed, 2))
+    setup = attack_setup(cfg, streams)
+    g = args.g if args.g is not None else cfg.glh_g
+    mech = attack_mechanism(args.mechanism, args.epsilon, setup.size, g)
+    return cfg, setup, mech, next(streams)
 
 
 def _cmd_reid(args) -> int:
-    cfg, mech, us, scores = _simulated_scores(args)
+    cfg, setup, mech, rng = _attack(args)
+    us, scores = reid.simulate_score_trials(setup.probe_pop, mech, setup.profiles,
+                                            cfg.reid_trials, rng)
     err = float((np.argmax(scores, axis=1) != us).mean())
     det = reid.far_frr_det(*pse.split_scores(scores, us))
     payload = {"error_rate": err, "n": scores.shape[1], "trials": int(us.size),
@@ -299,12 +284,8 @@ def _cmd_reid(args) -> int:
                "config_hash": cfg.config_hash()}
     _emit_json(payload, args.out, "reid.json")
     if args.out:
-        path = os.path.join(args.out, "det.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["threshold", "far", "frr"])
-            for t, fa, fr in zip(det.thresholds, det.far, det.frr):
-                w.writerow([f"{t:.12g}", f"{fa:.12g}", f"{fr:.12g}"])
+        _write_csv(os.path.join(args.out, "det.csv"), ["threshold", "far", "frr"],
+                   zip(det.thresholds, det.far, det.frr))
     return 0
 
 
@@ -341,8 +322,9 @@ def _cmd_pse(args) -> int:
         extra = {}
         k = args.k if args.k is not None else pse.DEFAULT_K
     else:
-        cfg, mech, us, scores = _simulated_scores(args)
-        sample = pse.ScoreSample(*pse.split_scores(scores, us))
+        cfg, setup, mech, rng = _attack(args)
+        sample = pse.harvest_scores(setup.probe_pop, mech, setup.profiles,
+                                    cfg.pse_trials, rng)
         extra = {"mechanism": args.mechanism, "epsilon": args.epsilon,
                  "config_hash": cfg.config_hash()}
         k = args.k if args.k is not None else cfg.pse_k

@@ -64,7 +64,7 @@ def _keep_leak(epsilon: float, k: int) -> tuple[float, float, float]:
     elsewhere, shrink = keep - leak. Computed via t = e^(-eps) so eps may be
     arbitrarily large (math.inf gives a pass-through channel).
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     t = np.exp(-float(epsilon))
     denom = 1.0 + (k - 1) * t
@@ -83,7 +83,7 @@ class RandomizedResponse:
     def __post_init__(self):
         if self.size < 2:
             raise ValueError("randomized response needs an alphabet of size >= 2")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be >= 0")
 
     @property
@@ -359,7 +359,7 @@ class GeneralLocalHash:
     def __post_init__(self):
         if self.g < 2:
             raise ValueError("need at least two buckets")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be >= 0")
         if self.family.g != self.g:
             raise ValueError("family bucket count disagrees with g")

@@ -19,7 +19,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -283,10 +283,18 @@ class ExperimentConfig:
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "phis", tuple(int(p) for p in self.phis))
         object.__setattr__(self, "g_sweep", tuple(int(g) for g in self.g_sweep))
+        if not all(e >= 0 for e in self.epsilons):
+            raise ValueError("epsilons must be >= 0")
         if any(p < 1 for p in self.phis):
             raise ValueError("phi values must be >= 1")
         if self.glh_g is not None and self.glh_g < 2:
             raise ValueError("glh_g must be >= 2")
+        if any(g < 2 for g in self.g_sweep):
+            raise ValueError("g_sweep values must be >= 2")
+        if not 0 < self.threshold_level < 1:
+            raise ValueError("threshold_level must lie in (0, 1)")
+        if not 0 < self.theta_for_g_sweep < 1:
+            raise ValueError("theta_for_g_sweep must lie in (0, 1)")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -340,7 +348,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -360,6 +368,52 @@ def _probe_population(probes: np.ndarray, size: int) -> PopulationModel:
     n = probes.size
     dists = [CategoricalDistribution.point_mass(size, int(x)) for x in probes]
     return PopulationModel.single_datum(CategoricalDistribution.uniform(n), dists)
+
+
+def attack_mechanism(name: str, epsilon: float, size: int, glh_g: Optional[int] = None):
+    """Mechanism `none`, `rr` or `glh` at epsilon; GLH has glh_g buckets, else the optimal g."""
+    if name == "none":
+        return None
+    if name == "rr":
+        return RandomizedResponse(epsilon, size)
+    if name == "glh":
+        return GeneralLocalHash.with_production_family(
+            epsilon, _glh_bucket_count(glh_g, epsilon), size)
+    raise ValueError(f"unknown mechanism {name!r}")
+
+
+@dataclass(frozen=True)
+class AttackSetup:
+    """What the profile matcher attacks: one profile and one probe datum per user."""
+
+    size: int
+    profiles: list
+    probes: np.ndarray
+    probe_pop: PopulationModel
+
+
+def attack_setup(config: ExperimentConfig, rngs: Iterator[np.random.Generator],
+                 run_stage=lambda name, fn: fn()) -> AttackSetup:
+    """Dataset, split, knowledge-selected profiles, probes and probe population.
+
+    The dataset is `checkins_path` when set, else synthetic from the next
+    stream of rngs. Each probe is the first evaluation event. The dataset,
+    split and profile steps run as `run_stage(name, fn)`.
+    """
+    def dataset():
+        if config.checkins_path:
+            return ingest_checkins(config.checkins_path, config.min_events)
+        return synth_population(config.synthesis_spec(), next(rngs))[1]
+
+    data = run_stage("dataset", dataset)
+    size = data.alphabet.size
+    train_ds, eval_ds = run_stage("split", lambda: split_traces(data))
+    source = eval_ds if config.knowledge == "max" else train_ds
+    profiles = run_stage("profiles", lambda: [reid.train_profile(t, size, owner=i)
+                                              for i, t in enumerate(source.traces)])
+    probes = np.array([t[0] for t in eval_ds.traces], dtype=np.int64)
+    return AttackSetup(size=size, profiles=profiles, probes=probes,
+                       probe_pop=_probe_population(probes, size))
 
 
 @dataclass
@@ -407,29 +461,10 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
         with open(path, "rb") as fh:
             files[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
 
-    streams = probcore.spawn_streams(seed, 4 + 2 * len(config.epsilons) + len(config.g_sweep))
-    stream_iter = iter(streams)
-
-    # stage: dataset
-    def stage_dataset():
-        if config.checkins_path:
-            ds = ingest_checkins(config.checkins_path, config.min_events)
-            return None, ds
-        return synth_population(config.synthesis_spec(), next(stream_iter))
-
-    population, dataset = run_stage("dataset", stage_dataset)
-    size = dataset.alphabet.size
-    n = dataset.n_users
-
-    train_ds, eval_ds = run_stage("split", lambda: split_traces(dataset))
-    probes = np.array([t[0] for t in eval_ds.traces], dtype=np.int64)
-
-    def stage_profiles():
-        source = eval_ds if config.knowledge == "max" else train_ds
-        return [reid.train_profile(t, size, owner=i) for i, t in enumerate(source.traces)]
-
-    profiles = run_stage("profiles", stage_profiles)
-    probe_pop = _probe_population(probes, size)
+    stream_iter = iter(probcore.spawn_streams(
+        seed, 4 + 2 * len(config.epsilons) + len(config.g_sweep)))
+    setup = attack_setup(config, stream_iter, run_stage)
+    n, size, probes = len(setup.profiles), setup.size, setup.probes
 
     # stage: closed-form bound sweep
     def stage_bounds():
@@ -460,18 +495,14 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
             g = _glh_bucket_count(config.glh_g, eps)
             out = []
             for mech_name in ("rr", "glh"):
-                if mech_name == "rr":
-                    mech = RandomizedResponse(eps, size)
-                    alpha = bounds.pie_bound_rr(eps, n, size)
-                else:
-                    mech = GeneralLocalHash.with_production_family(eps, g, size)
-                    alpha = bounds.pie_bound_glh(eps, g, n, size)
-                sample = pse.harvest_scores(probe_pop, mech, profiles,
+                mech = attack_mechanism(mech_name, eps, size, g)
+                alpha = (bounds.pie_bound_rr(eps, n, size) if mech_name == "rr"
+                         else bounds.pie_bound_glh(eps, g, n, size))
+                sample = pse.harvest_scores(setup.probe_pop, mech, setup.profiles,
                                             config.pse_trials, rng)
                 est = pse.pse_estimate(sample, k=config.pse_k, jitter_seed=seed)
-                err_us, err_scores = reid.simulate_score_trials(
-                    probe_pop, mech, profiles, config.reid_trials, rng)
-                err = float((np.argmax(err_scores, axis=1) != err_us).mean())
+                err = reid.identification_error_rate(setup.probe_pop, mech, setup.profiles,
+                                                     config.reid_trials, rng)
                 fano_ldp = bounds.fano_lower_bound(
                     bounds.pie_bound_ldp(eps, n, size), n=n).value
                 fano_mech = bounds.fano_lower_bound(alpha, n=n).value

@@ -12,14 +12,14 @@ oracle module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .mechanisms import glh_match_chunks
-from .probcore import LN2, make_rng
-from .reid import simulate_score_trials
+from .probcore import LN2, SingleDatum, make_rng
+from .reid import claimant_scores, floored_pi_matrix, sample_releases, simulate_score_trials
 
 DEFAULT_K = 5
 
@@ -77,18 +77,6 @@ def harvest_scores(population, mechanism, profiles, trials: int,
     return ScoreSample(genuine=genuine, impostor=impostor, meta=info)
 
 
-def _sparse_scores(rows: np.ndarray, ys: np.ndarray, pi_floored: np.ndarray,
-                   batch, mechanism) -> np.ndarray:
-    """Score of claimant profile rows[i] against release i, one per record."""
-    if batch is None:
-        return np.log2(pi_floored[rows, ys])
-    mass = np.empty(rows.size)
-    for lo, hi, mask in glh_match_chunks(batch, pi_floored.shape[1]):
-        mass[lo:hi] = (pi_floored[rows[lo:hi]] * mask).sum(axis=1)
-    shrink = mechanism.mu - mechanism.off_bucket
-    return np.log2(mechanism.off_bucket + shrink * mass)
-
-
 def harvest_scores_sparse(population, mechanism, profiles, n_genuine: int,
                           n_impostor: int, rng: np.random.Generator,
                           meta: Optional[dict] = None) -> ScoreSample:
@@ -101,10 +89,6 @@ def harvest_scores_sparse(population, mechanism, profiles, n_genuine: int,
     millions (needed to resolve bounds of a few millibits). Single-datum
     populations only.
     """
-    from .mechanisms import GeneralLocalHash, RandomizedResponse, glh_sample_batch, rr_sample_batch
-    from .probcore import SingleDatum
-    from .reid import _sample_users_and_data, floored_pi_matrix
-
     n = population.n
     if n < 2:
         raise ValueError("need at least two users for impostor scores")
@@ -113,23 +97,11 @@ def harvest_scores_sparse(population, mechanism, profiles, n_genuine: int,
     if n_genuine < 1 or n_impostor < 1:
         raise ValueError("need positive sample counts")
     pi_floored = floored_pi_matrix(profiles)
-
-    def release(count):
-        us, xs = _sample_users_and_data(population, count, rng)
-        if mechanism is None:
-            return us, xs, None
-        if isinstance(mechanism, RandomizedResponse):
-            return us, rr_sample_batch(mechanism, xs, rng).ys, None
-        if isinstance(mechanism, GeneralLocalHash):
-            batch = glh_sample_batch(mechanism, xs, rng)
-            return us, batch.ys, batch
-        raise ValueError(f"unsupported mechanism {mechanism!r}")
-
-    us, ys, batch = release(n_genuine)
-    genuine = _sparse_scores(us, ys, pi_floored, batch, mechanism)
-    us_i, ys_i, batch_i = release(n_impostor)
+    us, released = sample_releases(population, mechanism, n_genuine, rng)
+    genuine = claimant_scores(pi_floored, us, released, mechanism)
+    us_i, released_i = sample_releases(population, mechanism, n_impostor, rng)
     claim = (us_i + 1 + rng.integers(0, n - 1, n_impostor)) % n
-    impostor = _sparse_scores(claim, ys_i, pi_floored, batch_i, mechanism)
+    impostor = claimant_scores(pi_floored, claim, released_i, mechanism)
     info = {"n_genuine": int(n_genuine), "n_impostor": int(n_impostor),
             "n_users": int(n)}
     if meta:
@@ -219,6 +191,8 @@ def knn_kl_estimate(p_samples, q_samples, k: int = DEFAULT_K,
         raise ValueError("zero nearest-neighbor distance survived jitter; "
                          "samples are too degenerate to estimate")
     raw_nats = float(np.mean(np.log(nu / rho))) + float(np.log(n_q / (n_p - 1)))
+    if not math.isfinite(raw_nats):
+        raise ValueError("scores span too wide a range for a finite float64 estimate")
     raw_bits = raw_nats / LN2
     return KnnKlEstimate(bits=max(raw_bits, 0.0), raw_bits=raw_bits,
                          k=k, n_p=n_p, n_q=n_q)

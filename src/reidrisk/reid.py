@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from . import probcore
 from .mechanisms import (GeneralLocalHash, GlhBatch, MechanismKernel,
-                         RandomizedResponse, glh_match_chunks, rr_sample_batch)
+                         RandomizedResponse, glh_match_chunks, glh_sample_batch,
+                         rr_sample_batch)
 from .probcore import MarkovSource, PopulationModel, SingleDatum
 
 DEFAULT_FLOOR = 1e-8
@@ -259,26 +260,23 @@ def glh_single_datum_scores(pi_floored: np.ndarray, batch: GlhBatch,
     masks = np.empty((size, len(batch)), dtype=np.float64)
     for lo, hi, mask in glh_match_chunks(batch, size):
         masks[:, lo:hi] = mask.T
-    preimage_mass = pi_floored @ masks  # (n, trials)
-    shrink = mech.mu - mech.off_bucket
-    return np.log2(mech.off_bucket + shrink * preimage_mass).T
+    return _glh_log_likelihood(mech, pi_floored @ masks).T  # (n, trials) -> (trials, n)
 
 
-def _sample_users_and_data(population: PopulationModel, trials: int,
-                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (user, single datum) draws for single-datum populations."""
-    us = probcore.sample(population.prior, rng, trials)
-    cond = population.conditional_matrix()
-    cdfs = np.cumsum(cond, axis=1)
-    cdfs[:, -1] = 1.0
-    draws = rng.random(trials)
-    xs = np.empty(trials, dtype=np.int64)
-    size = cdfs.shape[1]
-    chunk = max(1, 4 * 10 ** 6 // max(size, 1))
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
-        xs[lo:hi] = (draws[lo:hi, None] > cdfs[us[lo:hi]]).sum(axis=1)
-    return us, xs
+def claimant_scores(pi_floored: np.ndarray, rows: np.ndarray, released,
+                    mech) -> np.ndarray:
+    """Score of profile rows[i] against single-datum release i, as `release` returned it."""
+    if not isinstance(released, GlhBatch):
+        return np.log2(pi_floored[rows, released])
+    mass = np.empty(rows.size)
+    for lo, hi, mask in glh_match_chunks(released, pi_floored.shape[1]):
+        mass[lo:hi] = (pi_floored[rows[lo:hi]] * mask).sum(axis=1)
+    return _glh_log_likelihood(mech, mass)
+
+
+def _glh_log_likelihood(mech: GeneralLocalHash, preimage_mass: np.ndarray) -> np.ndarray:
+    """log2 of the chance of a hashed bucket: off_bucket + shrink * preimage mass."""
+    return np.log2(mech.off_bucket + (mech.mu - mech.off_bucket) * preimage_mass)
 
 
 def _kernel_sample(kernel: MechanismKernel, xs: np.ndarray,
@@ -290,39 +288,60 @@ def _kernel_sample(kernel: MechanismKernel, xs: np.ndarray,
     return (draws[None, :] > cdfs[:, xs]).sum(axis=0).astype(np.int64)
 
 
+def release(mechanism, xs: np.ndarray, rng: np.random.Generator):
+    """Release xs through None (as is), RR, GLH (a `GlhBatch`) or a square MechanismKernel."""
+    if mechanism is None:
+        return xs
+    if isinstance(mechanism, RandomizedResponse):
+        return rr_sample_batch(mechanism, xs, rng).ys
+    if isinstance(mechanism, GeneralLocalHash):
+        return glh_sample_batch(mechanism, xs, rng)
+    if isinstance(mechanism, MechanismKernel):
+        return _kernel_sample(mechanism, xs, rng)
+    raise ValueError(f"unsupported mechanism {mechanism!r}")
+
+
+def sample_releases(population: PopulationModel, mechanism, count: int,
+                    rng: np.random.Generator) -> tuple:
+    """Vectorized (user, released datum) draws for single-datum populations.
+
+    Users come from the prior, their data by inverse CDF, releases from `release`.
+    """
+    us = probcore.sample(population.prior, rng, count)
+    cond = population.conditional_matrix()
+    cdfs = np.cumsum(cond, axis=1)
+    cdfs[:, -1] = 1.0
+    draws = rng.random(count)
+    xs = np.empty(count, dtype=np.int64)
+    size = cdfs.shape[1]
+    chunk = max(1, 4 * 10 ** 6 // max(size, 1))
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
+        xs[lo:hi] = (draws[lo:hi, None] > cdfs[us[lo:hi]]).sum(axis=1)
+    return us, release(mechanism, xs, rng)
+
+
 def simulate_score_trials(population: PopulationModel, mechanism,
                           profiles: Sequence[MarkovProfile], trials: int,
                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw (user, datum, release) triples and score each release.
 
     Returns (true_users, scores) with scores of shape (trials, n). The
-    mechanism may be None (release the datum as is), a RandomizedResponse,
-    a GeneralLocalHash (single-datum populations only), or any square
-    MechanismKernel over the data alphabet.
+    mechanism is anything `release` takes; the hashed one needs a
+    single-datum population.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     n = population.n
     if len(profiles) != n:
         raise ValueError("need one profile per user")
-    all_single = all(isinstance(m, SingleDatum) for m in population.models)
 
-    if all_single:
-        us, xs = _sample_users_and_data(population, trials, rng)
+    if all(isinstance(m, SingleDatum) for m in population.models):
+        us, released = sample_releases(population, mechanism, trials, rng)
         pi_floored = floored_pi_matrix(profiles)
-        if mechanism is None:
-            return us, rr_single_datum_scores(pi_floored, xs)
-        if isinstance(mechanism, RandomizedResponse):
-            ys = rr_sample_batch(mechanism, xs, rng).ys
-            return us, rr_single_datum_scores(pi_floored, ys)
-        if isinstance(mechanism, GeneralLocalHash):
-            from .mechanisms import glh_sample_batch
-
-            batch = glh_sample_batch(mechanism, xs, rng)
-            return us, glh_single_datum_scores(pi_floored, batch, mechanism)
-        if isinstance(mechanism, MechanismKernel):
-            return us, rr_single_datum_scores(pi_floored, _kernel_sample(mechanism, xs, rng))
-        raise ValueError(f"unsupported mechanism {mechanism!r}")
+        if isinstance(released, GlhBatch):
+            return us, glh_single_datum_scores(pi_floored, released, mechanism)
+        return us, rr_single_datum_scores(pi_floored, released)
 
     # trace-valued data: per-trial loop, symbol-wise obfuscation
     if isinstance(mechanism, GeneralLocalHash):
@@ -338,16 +357,8 @@ def simulate_score_trials(population: PopulationModel, mechanism,
             x_trace = np.array([probcore.sample(model.dist, rng)], dtype=np.int64)
         else:
             x_trace = probcore.sample_markov(model, rng)
-        if mechanism is None:
-            y_trace = x_trace
-        elif isinstance(mechanism, RandomizedResponse):
-            y_trace = rr_sample_batch(mechanism, x_trace, rng).ys
-        elif isinstance(mechanism, MechanismKernel):
-            y_trace = _kernel_sample(mechanism, x_trace, rng)
-        else:
-            raise ValueError(f"unsupported mechanism {mechanism!r}")
         us[t] = u
-        scores[t] = table.scores(y_trace)
+        scores[t] = table.scores(release(mechanism, x_trace, rng))
     return us, scores
 
 

@@ -1,16 +1,23 @@
 """End-to-end tests of the command line front end: exit codes, JSON shapes,
 file outputs, and the obfuscate -> estimate and synth -> simulate chains."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from reidrisk import oracle
 from reidrisk.cli import main
 from reidrisk.mechanisms import next_prime_above
+from reidrisk.pipeline import ExperimentConfig
 from reidrisk.probcore import make_rng
 
 # a modulus past the int64-safe limit of about 3.037e9
@@ -154,6 +161,34 @@ class TestDataErrors:
         code, _, err = run(capsys, "reid", "--config", str(cfg), "--mechanism", "rr",
                            "--epsilon", "1")
         assert code == 2 and "wrong type" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--n", "10", "--size", "4"],
+        ["reid", "--mechanism", "rr"],
+        ["obfuscate", "--mechanism", "rr", "--size", "4"],
+        ["obfuscate", "--mechanism", "glh", "--size", "4", "--g", "3"],
+    ], ids=["bounds", "reid", "obfuscate_rr", "obfuscate_glh"])
+    def test_nan_epsilon_exits_2(self, capsys, tmp_path, argv):
+        if argv[0] == "obfuscate":
+            p = tmp_path / "values.csv"
+            p.write_text("user_idx,x\n0,1\n1,3\n")
+            argv = argv + ["--input", str(p), "--out", str(tmp_path / "o")]
+        code, out, err = run(capsys, *argv, "--epsilon", "nan")
+        assert code == 2 and "epsilon" in err and "Traceback" not in err
+        assert out == "" and not (tmp_path / "o").exists()
+
+    def test_nan_epsilon_in_config_refused_at_load_inf_kept(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"epsilons": [1.0, NaN]}')  # Python's json reads NaN
+        out = tmp_path / "run"
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert code == 2 and "bad config" in err and "epsilons" in err
+        assert not out.exists()  # refused before any stage ran
+        cfg.write_text('{"epsilons": [Infinity]}')
+        assert ExperimentConfig.from_file(cfg).epsilons == (math.inf,)
+        code, text, _ = run(capsys, "bounds", "--n", "10", "--size", "4",
+                            "--epsilon", "inf")
+        assert code == 0 and json.loads(text)["theta_rr"] == 1.0
 
     def test_bad_score_label_exits_2(self, capsys, tmp_path):
         p = tmp_path / "scores.csv"
@@ -303,6 +338,46 @@ class TestAttackCommands:
         assert payload["pse_bits"] >= 0.0
         assert len(payload["convergence"]["points"]) == 3
 
+    def test_pse_draws_pse_trials(self, capsys, tiny_config):
+        code, text, _ = run(capsys, "pse", "--config", tiny_config,
+                            "--mechanism", "rr", "--epsilon", "1.0")
+        assert code == 0
+        payload = json.loads(text)
+        # tiny_config sets reid_trials 80 and pse_trials 120; n = 25 users
+        assert payload["n_genuine"] == 120 and payload["n_impostor"] == 120 * 24
+
+    def test_reid_attacks_the_configured_checkins(self, capsys, tmp_path, tiny_config):
+        data = tmp_path / "checkins.csv"
+        rows = ["user_id,timestamp,poi_id"]
+        for u in range(9):
+            events = 12 if u < 7 else 3  # the last two fall below min_events
+            rows += [f"user{u},{t},poi{(u * t) % 5}" for t in range(events)]
+        data.write_text("\n".join(rows) + "\n")
+        cfg = json.loads(pathlib.Path(tiny_config).read_text())
+        cfg.update(checkins_path=str(data), min_events=10)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, text, _ = run(capsys, "reid", "--config", str(cfg_path),
+                            "--mechanism", "rr", "--epsilon", "1.0")
+        assert code == 0
+        assert json.loads(text)["n"] == 7
+
+    def test_reid_uses_config_glh_g_unless_g_is_given(self, capsys, tmp_path, tiny_config):
+        def det_for(glh_g, *flags):
+            cfg = json.loads(pathlib.Path(tiny_config).read_text())
+            cfg["glh_g"] = glh_g
+            cfg_path = tmp_path / f"cfg{glh_g}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            out = tmp_path / f"o{glh_g}{''.join(flags)}"
+            code, _, _ = run(capsys, "reid", "--config", str(cfg_path), "--mechanism",
+                             "glh", "--epsilon", "2.0", "--out", str(out), *flags)
+            assert code == 0
+            return (out / "det.csv").read_text()
+
+        two = det_for(2)
+        assert two != det_for(64)
+        assert det_for(64, "--g", "2") == two
+
     def test_pse_from_score_file(self, capsys, tmp_path):
         rng = make_rng(5)
         p = tmp_path / "scores.csv"
@@ -354,3 +429,205 @@ class TestSynthSimulate:
         users = {l.split(",")[0] for l in lines[1:]}
         assert len(users) == 8
         assert len(lines) - 1 == 8 * 12
+
+
+# Reader property tests: whatever a CSV or config file holds, the CLI answers
+# with exit 0, 1 or 2, never lets a traceback through, and prints strict JSON.
+
+_FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                        HealthCheck.too_slow])
+
+# junk for one corrupted cell: edge integers and floats, odd text
+_CELL = st.one_of(
+    st.integers(-2, 14).map(str),
+    st.sampled_from(["", " 1", "1.5", "nan", "inf", "-inf", "1e308", "-1e308", "0x10",
+                     "2147483659", "9223372036854775807", "-9223372036854775809",
+                     "99999999999999999999999", "g", "i", '"', '"1,2"', "\x00", "٣"]),
+    st.text(max_size=4))
+
+
+@st.composite
+def _csv_text(draw, header, rows):
+    """A CSV file of `rows`; half the files are clean, the rest carry corruptions.
+
+    A corrupted file may have a wrong header, and each of its rows may have
+    one cell replaced by junk, or one cell too many or too few.
+    """
+    clean = draw(st.booleans())
+    lines = [header if clean else draw(st.sampled_from(
+        [header, header, header.upper(), header + ",extra", ""]))]
+    for cells in draw(rows):
+        cells = [str(c) for c in cells]
+        fault = 0 if clean else draw(st.integers(0, 5))
+        if fault == 1:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_CELL)
+        elif fault == 2:
+            cells.pop()
+        elif fault == 3:
+            cells.append(draw(_CELL))
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
+
+
+def _rows(*fields):
+    return st.lists(st.tuples(*fields), max_size=10)
+
+
+_SYMBOL = st.integers(0, 3)  # the alphabet of every fuzzed command has 4 symbols
+_USER = st.integers(0, 40)
+
+
+def _glh_rows(prime, g):
+    return _rows(_USER, st.integers(1, prime - 1), st.integers(0, prime - 1),
+                 st.just(prime), st.just(g), st.integers(1, g))
+
+
+_GLH_FAMILY = st.tuples(st.sampled_from([7, 13, 2147483659]), st.integers(2, 5))
+
+
+@st.composite
+def _truth_text(draw):
+    symbols = draw(st.lists(_SYMBOL, min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(symbols), max_size=len(symbols)))
+    rows = [(s, repr(w / sum(weights))) for s, w in zip(symbols, weights)]
+    return draw(_csv_text("symbol,p_true", st.just(rows)))
+
+
+_SCORE = st.one_of(st.floats(-20, 20), st.floats(allow_nan=False, allow_infinity=False))
+_CHECKINS = _rows(st.sampled_from("abcd"),
+                  st.one_of(st.integers(0, 30), st.floats(0, 30), st.sampled_from(["t1", "t2"])),
+                  st.sampled_from("wxyz"))
+
+
+def _fresh(tmp_path):
+    """A new directory per example; truncating a file costs ~50 ms on some file systems."""
+    return pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} printed where JSON was promised")
+
+
+def _exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and argv[0] in ("reid", "pse"):
+        return json.loads(out.getvalue(), parse_constant=_reject_constant)
+    return None
+
+
+_CONFIG_VALUE = {
+    "seed": st.integers(0, 5), "threads": st.integers(0, 2),
+    "n_users": st.integers(0, 12), "size": st.integers(1, 12),
+    "zipf_exponent": st.floats(0, 3), "concentration": st.floats(0, 3),
+    "support_size": st.integers(1, 6), "train_len": st.integers(0, 6),
+    "eval_len": st.integers(0, 6), "min_events": st.integers(0, 3),
+    "checkins_path": st.sampled_from([None, None, "missing.csv", "."]),
+    "epsilons": st.lists(st.floats(0, 5), max_size=2), "glh_g": st.integers(1, 6),
+    "knowledge": st.sampled_from(["partial", "max"]),
+    "reid_trials": st.integers(0, 12), "pse_trials": st.integers(0, 12),
+    "pse_k": st.integers(0, 4), "threshold_level": st.floats(0, 1),
+    "phis": st.lists(st.integers(0, 12), max_size=2), "theta_for_g_sweep": st.floats(0, 1),
+    "g_sweep": st.lists(st.integers(1, 6), max_size=2), "beta_min": st.floats(0, 1),
+}
+_ODD_VALUE = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.lists(st.integers()),
+                       st.sampled_from([-1, 0, 1.5, math.nan, math.inf, "partial"]))
+
+
+@st.composite
+def _config_text(draw):
+    config = draw(st.fixed_dictionaries({}, optional=_CONFIG_VALUE))
+    fault = draw(st.integers(0, 4))
+    if fault == 1:
+        config[draw(st.sampled_from(sorted(_CONFIG_VALUE)))] = draw(_ODD_VALUE)
+    elif fault == 2:
+        config[draw(st.text(max_size=3))] = 1
+    elif fault == 3:
+        config = draw(st.lists(st.integers(), max_size=2))
+    text = json.dumps(config)
+    return text[:-1] if fault == 4 else text
+
+
+class TestReaderProperties:
+    @_FUZZ
+    @given(text=_csv_text("user_idx,x", _rows(_USER, _SYMBOL)),
+           mech=st.sampled_from(["rr", "glh"]))
+    def test_values(self, tmp_path, text, mech):
+        tmp_path = _fresh(tmp_path)
+        p = tmp_path / "values.csv"
+        p.write_text(text)
+        _exits_cleanly(["obfuscate", "--input", p, "--mechanism", mech, "--epsilon", 1,
+                        "--size", 4, "--g", 3, "--out", tmp_path / "o"])
+
+    @_FUZZ
+    @given(text=st.one_of(
+        _csv_text("user_idx,y", _rows(_USER, _SYMBOL)),
+        _GLH_FAMILY.flatmap(lambda fam: _csv_text("user_idx,a,b,P,g,y", _glh_rows(*fam)))))
+    def test_records(self, tmp_path, text):
+        tmp_path = _fresh(tmp_path)
+        p = tmp_path / "records.csv"
+        p.write_text(text)
+        _exits_cleanly(["estimate", "--records", p, "--epsilon", 1, "--size", 4,
+                        "--out", tmp_path / "o"])
+
+    @_FUZZ
+    @given(text=_truth_text())
+    def test_truth(self, tmp_path, text):
+        tmp_path = _fresh(tmp_path)
+        records = tmp_path / "records.csv"
+        records.write_text("user_idx,y\n0,0\n1,1\n2,3\n")
+        p = tmp_path / "truth.csv"
+        p.write_text(text)
+        _exits_cleanly(["estimate", "--records", records, "--epsilon", 1, "--size", 4,
+                        "--truth", p, "--out", tmp_path / "o"])
+
+    @_FUZZ
+    @example(text="label,score\ng,0.0\ng,1.7976931347800486e+308\ni,0.0\n")
+    @given(text=_csv_text("label,score", _rows(
+        st.sampled_from(["g", "i", "genuine", "impostor"]), _SCORE)))
+    def test_scores(self, tmp_path, text):
+        tmp_path = _fresh(tmp_path)
+        p = tmp_path / "scores.csv"
+        p.write_text(text)
+        _exits_cleanly(["pse", "--scores", p, "--k", 1])
+
+    @_FUZZ
+    @given(text=_csv_text("user_id,timestamp,poi_id", _CHECKINS),
+           min_events=st.integers(0, 3), mech=st.sampled_from(["rr", "glh", "none"]))
+    def test_checkins(self, tmp_path, text, min_events, mech):
+        tmp_path = _fresh(tmp_path)
+        p = tmp_path / "checkins.csv"
+        p.write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checkins_path": str(p), "min_events": min_events,
+                                   "reid_trials": 5}))
+        payload = _exits_cleanly(["reid", "--config", cfg, "--mechanism", mech,
+                                  "--epsilon", 1])
+        if payload is not None:
+            assert payload["n"] <= 4  # the attack ran on the file's users a..d
+
+    @_FUZZ
+    @example(text='{"n_users": 6, "size": 6, "support_size": 3, "reid_trials": 3, '
+                  '"pse_trials": 7, "pse_k": 1}', cmd="pse", mech="rr")
+    @given(text=_config_text(), cmd=st.sampled_from(["reid", "pse"]),
+           mech=st.sampled_from(["rr", "glh", "none"]))
+    def test_config(self, tmp_path, text, cmd, mech):
+        tmp_path = _fresh(tmp_path)
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        payload = _exits_cleanly([cmd, "--config", p, "--mechanism", mech, "--epsilon", 1])
+        if payload is not None:  # the config's population and trial counts apply
+            config = json.loads(text)
+            if cmd == "reid":
+                assert payload["n"] == config.get("n_users", 200)
+                assert payload["trials"] == config.get("reid_trials", 500)
+            else:
+                assert payload["n_genuine"] == config.get("pse_trials", 500)

@@ -421,11 +421,11 @@ class TestHashMatchKernel:
         assert np.allclose(got, self.brute_scores(batch, profiles, mech), rtol=0, atol=1e-12)
 
     def test_harvest_scores_sparse(self, monkeypatch, profiles, mech):
-        import reidrisk.mechanisms as mechanisms
+        import reidrisk.pse as pse
         import reidrisk.reid as reid
 
         # record what the harvester releases and who released it
-        sample_batch, sample_users = mechanisms.glh_sample_batch, reid._sample_users_and_data
+        sample_batch, sample_users = reid.glh_sample_batch, pse.sample_releases
         batches, owners = [], []
 
         def capture_batch(*args, **kwargs):
@@ -433,12 +433,12 @@ class TestHashMatchKernel:
             return batches[-1]
 
         def capture_users(*args, **kwargs):
-            us, xs = sample_users(*args, **kwargs)
+            us, released = sample_users(*args, **kwargs)
             owners.append(us)
-            return us, xs
+            return us, released
 
-        monkeypatch.setattr(mechanisms, "glh_sample_batch", capture_batch)
-        monkeypatch.setattr(reid, "_sample_users_and_data", capture_users)
+        monkeypatch.setattr(reid, "glh_sample_batch", capture_batch)
+        monkeypatch.setattr(pse, "sample_releases", capture_users)
         uniform = CategoricalDistribution.uniform(self.SIZE)
         pop = PopulationModel.single_datum(CategoricalDistribution.uniform(3), [uniform] * 3)
         sample = harvest_scores_sparse(pop, mech, profiles, self.N, self.N, make_rng(3))

@@ -228,6 +228,18 @@ class TestConfig:
         with pytest.raises(DataError, match="flat JSON object"):
             ExperimentConfig.from_file(p)
 
+    @pytest.mark.parametrize("config", [
+        {"g_sweep": [4, 1]}, {"threshold_level": 0}, {"threshold_level": 1.0},
+        {"theta_for_g_sweep": 0.0}, {"theta_for_g_sweep": 1.5},
+    ], ids=["g_sweep_below_2", "threshold_level_0", "threshold_level_1",
+            "theta_for_g_sweep_0", "theta_for_g_sweep_above_1"])
+    def test_from_file_rejects_late_failing_values(self, tmp_path, config):
+        # refused at load; otherwise only a utility stage, after the attack, would notice
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        with pytest.raises(DataError, match=f"bad config: {next(iter(config))}"):
+            ExperimentConfig.from_file(p)
+
     def test_from_file_wraps_value_errors(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"knowledge": "full"}))
