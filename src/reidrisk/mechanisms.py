@@ -25,6 +25,9 @@ from .probcore import SUM_TOL, Alphabet, _as_alphabet
 # smallest prime above 2^31; default modulus for the pairwise hash family
 PRODUCTION_PRIME = 2147483659
 
+# largest bucket count: g and g + 1, the bound of the uniform bucket draw, fit int64
+MAX_BUCKETS = 2 ** 63 - 1
+
 
 class MechanismKernel:
     """Column-stochastic channel matrix Q with Q[y, x] = P(output y | input x)."""
@@ -357,8 +360,9 @@ class GeneralLocalHash:
     family: HashFamily
 
     def __post_init__(self):
-        if self.g < 2:
-            raise ValueError("need at least two buckets")
+        if not 2 <= self.g <= MAX_BUCKETS:
+            raise ValueError(f"need between 2 and {MAX_BUCKETS} buckets, got {self.g}")
+        object.__setattr__(self, "g", int(self.g))
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be >= 0")
         if self.family.g != self.g:

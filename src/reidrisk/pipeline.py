@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +25,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import bounds, estimation, probcore, pse, reid
-from .mechanisms import GeneralLocalHash, RandomizedResponse, glh_sample_batch, rr_sample_batch
+from .mechanisms import (MAX_BUCKETS, GeneralLocalHash, RandomizedResponse, glh_sample_batch,
+                         rr_sample_batch)
 from .probcore import (Alphabet, CategoricalDistribution, MarkovSource,
                        PopulationModel)
 
@@ -74,8 +76,8 @@ def ingest_checkins(path, min_events: int = 10) -> TraceDataset:
 
     Events are ordered by timestamp per user (stable on ties, so duplicate
     timestamps keep input order); users with fewer than min_events events
-    are dropped and counted in the provenance. Any malformed row aborts the
-    ingest with its line number.
+    are dropped and counted in the provenance. Any malformed row, or a NaN
+    timestamp, aborts the ingest with its line number.
     """
     per_user: dict = {}
     with open(path, newline="") as fh:
@@ -91,6 +93,8 @@ def ingest_checkins(path, min_events: int = 10) -> TraceDataset:
                 key = (0, float(ts), "")
             except ValueError:
                 key = (1, 0.0, ts)
+            if math.isnan(key[1]):
+                raise DataError(f"NaN timestamp at line {lineno}")
             per_user.setdefault(user, []).append((key, poi))
     kept = {u: evs for u, evs in per_user.items() if len(evs) >= min_events}
     dropped = len(per_user) - len(kept)
@@ -206,14 +210,14 @@ def _simulate_chains(pis: np.ndarray, trans: np.ndarray, supports: np.ndarray,
     out = np.empty((n, length), dtype=np.int64)
     cdf0 = np.cumsum(pis, axis=1)
     cdf0[:, -1] = 1.0
-    state = (rng.random(n)[:, None] > cdf0).sum(axis=1)
+    state = (cdf0 <= rng.random(n)[:, None]).sum(axis=1)
     out[:, 0] = state
     cdfs = np.cumsum(trans, axis=2)
     cdfs[:, :, -1] = 1.0
     rows = np.arange(n)
     for t in range(1, length):
         cur = cdfs[rows, state]
-        state = (rng.random(n)[:, None] > cur).sum(axis=1)
+        state = (cur <= rng.random(n)[:, None]).sum(axis=1)
         out[:, t] = state
     return [supports[i][out[i]] for i in range(n)]
 
@@ -357,10 +361,20 @@ def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def _glh_bucket_count(glh_g: Optional[int], epsilon: float) -> int:
-    """The requested bucket count, else the utility-optimal one (at least 2)."""
-    if glh_g is not None:
-        return glh_g
-    return max(2, int(round(bounds.glh_utility_optimal_g(epsilon))))
+    """The requested bucket count, else the utility-optimal one (at least 2).
+
+    A count above `MAX_BUCKETS` is refused, as is an optimal one e^epsilon + 1
+    that overflows float64 (epsilon from about 710, or infinite).
+    """
+    g = glh_g
+    if g is None:
+        try:
+            g = max(2, int(round(bounds.glh_utility_optimal_g(epsilon))))
+        except OverflowError:
+            g = math.inf
+    if g > MAX_BUCKETS:
+        raise ValueError(f"{g} hash buckets (epsilon {epsilon}) exceed the limit {MAX_BUCKETS}")
+    return g
 
 
 def _probe_population(probes: np.ndarray, size: int) -> PopulationModel:

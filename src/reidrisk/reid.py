@@ -9,14 +9,15 @@ Scores are log2-likelihoods: a monotone transform of the likelihood, so
 best-score decisions, error rates, and DET curves are unchanged while long
 traces cannot underflow.
 
-Trace releases are scored by `ProfileTable`, which packs every profile's
-nonzero visit and transition probabilities, as log2 values, into one table
-sorted by the key `src * size + dst`; the visit probabilities are the row of
-a virtual start state `src = size`. Scoring a release against all n profiles
-is one `searchsorted` of its keys, then one vectorised step per release
-symbol that adds each profile's term, or its own log2 floor where the key is
-absent. The terms are added in trace order, so every score is the same
-float64 sum as a per-symbol loop.
+A `MarkovProfile` is one sorted table: its int64 keys `src * size + dst`
+and their probabilities, with the visit frequencies as the row of a virtual
+start state `src = size`. `ProfileTable` concatenates the tables of all n
+profiles, keeps the positive entries as log2 values and sorts them by key,
+then by user. Scoring a release against all n profiles is one `searchsorted`
+of its keys, then one vectorised step per release symbol that adds each
+profile's term, or its own log2 floor where the key is absent. The terms
+are added in trace order, so every score is the same float64 sum as a
+per-symbol loop.
 """
 
 from __future__ import annotations
@@ -63,41 +64,59 @@ def _as_symbols(trace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MarkovProfile:
-    """Attacker-side user profile: visit frequencies and transition rows.
+    """Attacker-side user profile: visit frequencies and transition rows in one table.
 
-    `transitions` maps a source symbol to (destination array, probability
-    array), destinations sorted; symbols never seen as a source simply have
-    no row. The floor is applied when a looked-up entry is zero or missing.
+    `keys` are strictly increasing `_pair_keys` and `probs` their
+    probabilities; the visit frequencies are the row of the start state
+    src = size, and symbols never seen as a source simply have no row. The
+    floor is applied when a looked-up entry is zero or missing.
     """
 
     owner: int
     size: int
-    pi: np.ndarray
-    transitions: dict
+    keys: np.ndarray
+    probs: np.ndarray
     floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
-        if self.floor <= 0:
+        if not self.floor > 0:
             raise ValueError("floor must be positive")
-        pi = np.asarray(self.pi, dtype=np.float64)
-        if pi.shape != (self.size,):
-            raise ValueError("visit probabilities must cover the alphabet")
-        if abs(pi.sum() - 1.0) > probcore.SUM_TOL:
+        if not 0 < self.size <= MAX_KEYED_ALPHABET:
+            raise ValueError(f"alphabet size {self.size} outside [1, {MAX_KEYED_ALPHABET}]")
+        keys = np.asarray(self.keys, dtype=np.int64)
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if keys.ndim != 1 or keys.shape != probs.shape:
+            raise ValueError("keys and probabilities must be 1-d and of one length")
+        if (keys[1:] <= keys[:-1]).any():
+            raise ValueError("keys must be strictly increasing")
+        visits = self.size * self.size
+        if keys.size and (keys[0] < 0 or keys[-1] >= visits + self.size):
+            raise ValueError("profile entry outside the alphabet")
+        if abs(probs[keys.searchsorted(visits):].sum() - 1.0) > probcore.SUM_TOL:
             raise ValueError("visit probabilities must sum to 1")
-        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "probs", probs)
+
+    @property
+    def pi(self) -> np.ndarray:
+        """Dense visit frequencies: the start row, zero where unvisited."""
+        visits = self.size * self.size
+        at = self.keys.searchsorted(visits)
+        pi = np.zeros(self.size)
+        pi[self.keys[at:] - visits] = self.probs[at:]
+        return pi
 
     def initial_prob(self, symbol: int) -> float:
-        v = self.pi[symbol]
-        return float(v) if v > 0 else self.floor
+        return self.transition_prob(self.size, symbol)
 
     def transition_prob(self, src: int, dst: int) -> float:
-        row = self.transitions.get(int(src))
-        if row is None:
-            return self.floor
-        dsts, probs = row
-        hit = np.searchsorted(dsts, dst)
-        if hit < dsts.size and dsts[hit] == dst and probs[hit] > 0:
-            return float(probs[hit])
+        """Stored p(src -> dst), src = size being the start state; else the floor."""
+        if not (0 <= src <= self.size and 0 <= dst < self.size):
+            raise ValueError("symbol outside the alphabet")
+        key = src * self.size + dst
+        at = self.keys.searchsorted(key)
+        if at < self.keys.size and self.keys[at] == key and self.probs[at] > 0:
+            return float(self.probs[at])
         return self.floor
 
 
@@ -117,73 +136,51 @@ def train_profile(trace, alphabet: Union[probcore.Alphabet, int],
                   floor: float = DEFAULT_FLOOR, owner: int = 0) -> MarkovProfile:
     """Count-and-normalize profile training.
 
-    pi is the empirical symbol frequency of the trace; each transition row is
-    count(a -> b) / count(a -> anything). Rows without observations are left
-    absent and resolved by the floor at lookup.
+    pi is the empirical symbol frequency of the trace (the start row, whose
+    total is the trace length); each transition row is count(a -> b) /
+    count(a -> anything). Rows without observations are left absent.
     """
     symbols = _as_symbols(trace)
     size = probcore._as_alphabet(alphabet).size
     if symbols.min() < 0 or symbols.max() >= size:
         raise ValueError("trace symbol outside alphabet")
-    transitions: dict = {}
-    if symbols.size > 1:
-        keys, counts = np.unique(_pair_keys(symbols[:-1], symbols[1:], size),
-                                 return_counts=True)
-        srcs, dsts = np.divmod(keys, size)
-        starts = np.flatnonzero(np.diff(srcs, prepend=-1))
-        ends = np.append(starts[1:], keys.size)
-        probs = counts / np.repeat(np.add.reduceat(counts, starts), ends - starts)
-        transitions = {s: (dsts[lo:hi], probs[lo:hi])
-                       for s, lo, hi in zip(srcs[starts].tolist(), starts.tolist(),
-                                            ends.tolist())}
-    pi = np.bincount(symbols, minlength=size).astype(np.float64) / symbols.size
-    return MarkovProfile(owner=owner, size=size, pi=pi, transitions=transitions, floor=floor)
+    keys, counts = np.unique(np.concatenate((_pair_keys(symbols[:-1], symbols[1:], size),
+                                             _pair_keys(size, symbols, size))),
+                             return_counts=True)
+    starts = np.flatnonzero(np.diff(keys // size, prepend=-1))
+    probs = counts / np.repeat(np.add.reduceat(counts, starts), np.diff(starts, append=keys.size))
+    return MarkovProfile(owner=owner, size=size, keys=keys, probs=probs, floor=floor)
+
+
+def _stacked(profiles: Sequence[MarkovProfile]) -> tuple:
+    """Shared alphabet size and the (user, key, probability) entries of all profiles."""
+    sizes = {p.size for p in profiles}
+    if len(sizes) != 1:
+        raise ValueError("need at least one profile, all over one alphabet")
+    users = np.repeat(np.arange(len(profiles)), [p.keys.size for p in profiles])
+    return (sizes.pop(), users, np.concatenate([p.keys for p in profiles]),
+            np.concatenate([p.probs for p in profiles]))
 
 
 class ProfileTable:
     """Every profile's positive log2 probabilities, packed for trace scoring.
 
-    Entries are sorted by key (`_pair_keys`; visit probabilities are the row
-    of the start state src = size), then by user. `keys` holds each distinct
-    key once and `starts[k]:starts[k + 1]` is its run of (user, log2 p)
-    entries. A profile without an entry for a key takes its own floor.
+    Entries are sorted by key, then by user. `keys` holds each distinct key
+    once and `starts[k]:starts[k + 1]` is its run of (user, log2 p) entries.
+    A profile without an entry for a key takes its own floor.
     """
 
     def __init__(self, profiles: Sequence[MarkovProfile]):
-        if not profiles:
-            raise ValueError("need at least one profile")
-        size = profiles[0].size
-        if any(p.size != size for p in profiles):
-            raise ValueError("profiles must share one alphabet")
-        row_src, row_user, rows = [], [], []
-        for user, prof in enumerate(profiles):
-            seen = prof.pi.nonzero()[0]
-            trans = prof.transitions
-            if trans and not (0 <= min(trans) and max(trans) < size):
-                raise ValueError("profile transition outside the alphabet")
-            row_src.append(size)
-            row_src.extend(trans)
-            row_user.extend([user] * (1 + len(trans)))
-            rows.append((seen, prof.pi[seen]))
-            rows.extend(trans.values())
-        lens = [len(dsts) for dsts, _ in rows]
-        if lens != [len(probs) for _, probs in rows]:
-            raise ValueError("transition row with unequal destination and probability counts")
-        src = np.repeat(np.array(row_src, dtype=np.int64), lens)
-        dst = np.concatenate([dsts for dsts, _ in rows]).astype(np.int64, copy=False)
-        prob = np.concatenate([probs for _, probs in rows]).astype(np.float64, copy=False)
-        if dst.min() < 0 or dst.max() >= size:
-            raise ValueError("profile transition outside the alphabet")
-        keep = prob > 0
-        keys = _pair_keys(src[keep], dst[keep], size)
-        order = np.argsort(keys, kind="stable")  # users stay ascending within a key
+        size, users, keys, probs = _stacked(profiles)
+        keep = np.flatnonzero(probs > 0)
+        order = keep[np.argsort(keys[keep], kind="stable")]  # users stay ascending within a key
         keys = keys[order]
         first = np.flatnonzero(np.diff(keys, prepend=-1))
         self.size = size
         self.keys = keys[first]
         self.starts = np.append(first, keys.size)
-        self.users = np.repeat(np.array(row_user), lens)[keep][order]
-        self.log_p = np.log2(prob[keep][order])
+        self.users = users[order]
+        self.log_p = np.log2(probs[order])
         self.log_floor = np.log2([p.floor for p in profiles])
 
     def scores(self, trace) -> np.ndarray:
@@ -237,10 +234,12 @@ def best_score_decision(s: Union[ScoreVector, np.ndarray]) -> int:
 
 
 def floored_pi_matrix(profiles: Sequence[MarkovProfile]) -> np.ndarray:
-    """Stack per-user visit probabilities with the floor already applied."""
-    mat = np.vstack([p.pi for p in profiles])
-    floors = np.array([[p.floor] for p in profiles])
-    return np.where(mat > 0, mat, floors)
+    """Per-user visit probabilities, shape (n, size), each profile's floor applied."""
+    size, users, keys, probs = _stacked(profiles)
+    visit = (keys >= size * size) & (probs > 0)
+    mat = np.repeat(np.array([[p.floor] for p in profiles]), size, axis=1)
+    mat[users[visit], keys[visit] - size * size] = probs[visit]
+    return mat
 
 
 def rr_single_datum_scores(pi_floored: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -285,7 +284,7 @@ def _kernel_sample(kernel: MechanismKernel, xs: np.ndarray,
     cdfs = np.cumsum(kernel.matrix, axis=0)
     cdfs[-1, :] = 1.0
     draws = rng.random(xs.size)
-    return (draws[None, :] > cdfs[:, xs]).sum(axis=0).astype(np.int64)
+    return (cdfs[:, xs] <= draws[None, :]).sum(axis=0).astype(np.int64)
 
 
 def release(mechanism, xs: np.ndarray, rng: np.random.Generator):
@@ -317,7 +316,7 @@ def sample_releases(population: PopulationModel, mechanism, count: int,
     chunk = max(1, 4 * 10 ** 6 // max(size, 1))
     for lo in range(0, count, chunk):
         hi = min(lo + chunk, count)
-        xs[lo:hi] = (draws[lo:hi, None] > cdfs[us[lo:hi]]).sum(axis=1)
+        xs[lo:hi] = (cdfs[us[lo:hi]] <= draws[lo:hi, None]).sum(axis=1)
     return us, release(mechanism, xs, rng)
 
 

@@ -190,6 +190,54 @@ class TestDataErrors:
                             "--epsilon", "inf")
         assert code == 0 and json.loads(text)["theta_rr"] == 1.0
 
+    @pytest.mark.parametrize("argv", [
+        [cmd, "--mechanism", "glh", "--epsilon", eps]
+        for cmd in ("reid", "pse") for eps in ("44", "inf", "710")
+    ] + [
+        [cmd, "--mechanism", "glh", "--epsilon", "1", "--g", str(10 ** 20)]
+        for cmd in ("reid", "pse", "obfuscate")
+    ], ids=["reid_eps44", "reid_eps_inf", "reid_eps710", "pse_eps44", "pse_eps_inf",
+            "pse_eps710", "reid_g", "pse_g", "obfuscate_g"])
+    def test_bucket_count_beyond_int64_exits_2(self, capsys, tmp_path, tiny_config, argv):
+        if argv[0] == "obfuscate":
+            p = tmp_path / "values.csv"
+            p.write_text("user_idx,x\n0,1\n1,3\n")
+            argv = argv + ["--size", "4", "--input", str(p), "--out", str(tmp_path / "o")]
+        else:
+            argv = argv + ["--config", tiny_config]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "buckets" in err and "Traceback" not in err
+        assert out == "" and not (tmp_path / "o").exists()
+
+    def test_largest_bucket_count_round_trips(self, capsys, tmp_path):
+        # g = 2**63 - 1: the uniform bucket draw's exclusive bound g + 1 is 2**63
+        g = 2 ** 63 - 1
+        p = tmp_path / "values.csv"
+        p.write_text("user_idx,x\n" + "".join(f"{i},{i % 4}\n" for i in range(40)))
+        code, text, _ = run(capsys, "obfuscate", "--mechanism", "glh", "--epsilon", "0.5",
+                            "--g", str(g), "--size", "4", "--input", str(p), "--seed", "1",
+                            "--out", str(tmp_path / "rec"))
+        assert code == 0
+        rows = [l.split(",") for l in open(text.strip()).read().split()[1:]]
+        assert {int(r[4]) for r in rows} == {g}
+        assert all(1 <= int(r[5]) <= g for r in rows)
+        assert any(int(r[5]) > 2 ** 62 for r in rows)  # some uniform draws span the range
+        code, _, _ = run(capsys, "estimate", "--records", text.strip(), "--epsilon", "0.5",
+                         "--size", "4", "--out", str(tmp_path / "est"))
+        assert code == 0
+
+    def test_nan_checkin_timestamp_exits_2(self, capsys, tmp_path, tiny_config):
+        data = tmp_path / "checkins.csv"
+        data.write_text("user_id,timestamp,poi_id\nu,3,c\nu,nan,x\nu,1,a\nu,2,b\n")
+        cfg = json.loads(pathlib.Path(tiny_config).read_text())
+        cfg.update(checkins_path=str(data), min_events=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "reid", "--config", str(cfg_path),
+                             "--mechanism", "rr", "--epsilon", "1.0")
+        assert code == 2 and "NaN timestamp at line 3" in err and "Traceback" not in err
+        assert out == ""
+
     def test_bad_score_label_exits_2(self, capsys, tmp_path):
         p = tmp_path / "scores.csv"
         p.write_text("label,score\ng,1.0\nwhat,2.0\n")

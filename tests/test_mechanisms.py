@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reidrisk.mechanisms import (
+    MAX_BUCKETS,
     PRODUCTION_PRIME,
     CarterWegman,
     ExhaustiveTable,
@@ -249,6 +250,21 @@ class TestGeneralLocalHash:
     def test_family_bucket_count_must_agree(self):
         with pytest.raises(ValueError):
             GeneralLocalHash(1.0, 8, CarterWegman(13, 4))
+
+    def test_bucket_count_beyond_int64_refused(self):
+        with pytest.raises(ValueError, match="buckets"):
+            GeneralLocalHash(1.0, MAX_BUCKETS + 1, CarterWegman(13, MAX_BUCKETS + 1))
+        with pytest.raises(ValueError, match="buckets"):
+            GeneralLocalHash.with_production_family(1.0, 10 ** 20, domain_size=8)
+
+    def test_largest_bucket_count_samples(self):
+        # an int64 g is kept as a Python int, so g + 1 = 2**63 still bounds the uniform draw
+        m = GeneralLocalHash.with_production_family(0.0, np.int64(MAX_BUCKETS), domain_size=8)
+        assert type(m.g) is int
+        rec = glh_sample(m, 3, make_rng(2))
+        batch = glh_sample_batch(m, np.arange(8), make_rng(2))
+        assert 1 <= rec.y <= MAX_BUCKETS
+        assert np.all((batch.ys >= 1) & (batch.ys <= MAX_BUCKETS))
 
     def test_sample_record_fields(self):
         m = GeneralLocalHash.with_production_family(1.0, 4, domain_size=100)

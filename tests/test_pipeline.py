@@ -80,6 +80,13 @@ class TestIngest:
         with pytest.raises(DataError, match="line 3"):
             ingest_checkins(p)
 
+    def test_nan_timestamp_rejected_with_line_number(self, tmp_path):
+        # a NaN key breaks the sort: 3,c / nan,x / 1,a / 2,b came out as c,x,a,b
+        p = tmp_path / "c.csv"
+        write_csv(p, [("u", 3, "c"), ("u", "nan", "x"), ("u", 1, "a"), ("u", 2, "b")])
+        with pytest.raises(DataError, match="NaN timestamp at line 3"):
+            ingest_checkins(p, min_events=1)
+
     def test_empty_fields_rejected(self, tmp_path):
         p = tmp_path / "c.csv"
         write_csv(p, [("u", 0, "")])

@@ -250,6 +250,14 @@ class TestMarkovSource:
         # Deterministic alternation mapped through the support.
         assert np.array_equal(trace, [10, 99, 10, 99, 10, 99])
 
+    def test_sample_markov_refuses_a_zero_mass_row(self):
+        # state 1 is entered but has no outgoing transitions
+        m = MarkovSource(np.array([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), trace_len=3)
+        with pytest.raises(ValueError, match="no outgoing transitions from state 1"):
+            sample_markov(m, make_rng(0))
+        assert sample_markov(MarkovSource(m.initial, m.transitions, trace_len=2),
+                             make_rng(0)).tolist() == [0, 1]
+
     def test_support_length_mismatch(self):
         with pytest.raises(ValueError):
             MarkovSource(np.array([1.0, 0.0]), np.eye(2), trace_len=2, support=np.array([1]))

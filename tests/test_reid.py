@@ -15,6 +15,7 @@ from reidrisk.mechanisms import (
     RandomizedResponse,
     rr_sample_batch,
 )
+from reidrisk.pipeline import _simulate_chains
 from reidrisk.probcore import (
     CategoricalDistribution,
     MarkovSource,
@@ -39,6 +40,7 @@ from reidrisk.reid import (
     identification_error_rate,
     log_likelihood,
     rr_single_datum_scores,
+    sample_releases,
     score_vector,
     simulate_score_trials,
     train_profile,
@@ -76,7 +78,7 @@ class TestProfileTraining:
 
     def test_single_symbol_trace_has_no_transitions(self):
         prof = train_profile([1], alphabet=2)
-        assert prof.transitions == {}
+        assert prof.keys.tolist() == [2 * 2 + 1]  # the start row's entry for symbol 1 only
         assert prof.initial_prob(1) == 1.0
 
     def test_out_of_alphabet_rejected(self):
@@ -89,20 +91,37 @@ class TestProfileTraining:
         assert np.array_equal(a.pi, b.pi)
 
     def test_profile_validation(self):
+        # size 2: transition keys 0..3, start row keys 4 and 5
         with pytest.raises(ValueError):
-            MarkovProfile(owner=0, size=2, pi=np.array([0.7, 0.7]), transitions={})
+            MarkovProfile(owner=0, size=2, keys=[4, 5], probs=[0.7, 0.7])
         with pytest.raises(ValueError):
-            MarkovProfile(owner=0, size=2, pi=np.array([0.5, 0.5]), transitions={}, floor=0.0)
+            MarkovProfile(owner=0, size=2, keys=[4, 5], probs=[0.5, 0.5], floor=0.0)
+        for keys, probs in (([-1, 4, 5], [1.0, 0.5, 0.5]),  # key below the table
+                            ([4, 5, 6], [0.5, 0.5, 1.0]),  # key past the start row
+                            ([5, 4], [0.5, 0.5]),  # decreasing keys
+                            ([0, 0, 4, 5], [0.5, 0.5, 0.5, 0.5]),  # repeated key
+                            ([0, 4, 5], [1.0, 0.5]),  # fewer probabilities than keys
+                            ([[4, 5]], [[0.5, 0.5]]),  # not 1-d
+                            ([0, 1], [0.5, 0.5]),  # no start row
+                            ([0, 4], [1.0, 0.5])):  # start row sums to 0.5
+            with pytest.raises(ValueError):
+                MarkovProfile(owner=0, size=2, keys=keys, probs=probs)
+
+    def test_lookup_rejects_symbols_outside_the_alphabet(self):
+        prof = train_profile([0, 1], alphabet=2)
+        assert prof.transition_prob(2, 1) == prof.initial_prob(1) == 0.5  # src 2: the start state
+        for src, dst in ((3, 0), (-1, 0), (0, 2), (0, -1)):
+            with pytest.raises(ValueError):
+                prof.transition_prob(src, dst)
+        for symbol in (2, -1):
+            with pytest.raises(ValueError):
+                prof.initial_prob(symbol)
 
 
 class TestLogLikelihood:
     def test_hand_computed_chain(self):
-        prof = MarkovProfile(
-            owner=0,
-            size=2,
-            pi=np.array([0.5, 0.5]),
-            transitions={0: (np.array([0, 1]), np.array([0.5, 0.25]))},
-        )
+        # T(0,0) = 0.5, T(0,1) = 0.25 (keys 0, 1); pi = (0.5, 0.5) (keys 4, 5)
+        prof = MarkovProfile(owner=0, size=2, keys=[0, 1, 4, 5], probs=[0.5, 0.25, 0.5, 0.5])
         # log2 0.5 + log2 T(0,0) + log2 T(0,1) = -1 - 1 - 2
         assert log_likelihood(prof, [0, 0, 1]) == -4.0
 
@@ -349,21 +368,57 @@ def per_source_transitions(symbols):
     return rows
 
 
+def visit_frequencies(symbols, size):
+    """Dense empirical symbol frequencies of a trace."""
+    return np.bincount(np.asarray(symbols), minlength=size).astype(np.float64) / len(symbols)
+
+
 class TestVectorisedTraining:
     @settings(deadline=None, max_examples=200)
     @given(st.integers(1, 12).flatmap(
         lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=1, max_size=40))))
     def test_matches_per_source_reference(self, case):
         size, symbols = case
-        got = train_profile(symbols, size).transitions
+        prof = train_profile(symbols, size)
+        assert prof.keys.dtype == np.int64 and np.all(np.diff(prof.keys) > 0)
+        assert prof.probs.dtype == np.float64
+        srcs, dsts = np.divmod(prof.keys, size)
         want = per_source_transitions(symbols)
-        assert list(got) == list(want)
-        assert all(type(src) is int for src in got)
-        for src, (dsts, probs) in got.items():
-            assert dsts.dtype == np.int64 and np.all(np.diff(dsts) > 0)
-            assert np.array_equal(dsts, want[src][0])
-            assert probs.dtype == np.float64
-            assert probs.tobytes() == want[src][1].tobytes()
+        assert sorted(set(srcs[srcs < size].tolist())) == list(want)
+        for src, (want_dsts, want_probs) in want.items():
+            assert np.array_equal(dsts[srcs == src], want_dsts)
+            assert prof.probs[srcs == src].tobytes() == want_probs.tobytes()
+        freqs = visit_frequencies(symbols, size)
+        visited = np.flatnonzero(freqs)
+        assert np.array_equal(dsts[srcs == size], visited)
+        assert prof.probs[srcs == size].tobytes() == freqs[visited].tobytes()
+        assert prof.pi.tobytes() == freqs.tobytes()
+
+
+class ZeroDraws:
+    """Generator stub whose uniform draws are all exactly 0.0."""
+
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+class TestSamplersSkipZeroProbabilitySymbols:
+    """A draw of exactly 0.0 must not land on a leading zero-probability symbol."""
+
+    def test_single_datum_draws(self):
+        us, released = sample_releases(point_mass_population([3, 5], 8), None, 4, ZeroDraws())
+        assert us.tolist() == [0, 0, 0, 0]
+        assert released.tolist() == [3, 3, 3, 3]
+
+    def test_kernel_release(self):
+        assert _kernel_sample(MechanismKernel(4, 4, np.eye(4)), np.array([1, 2, 3]),
+                              ZeroDraws()).tolist() == [1, 2, 3]
+
+    def test_lockstep_chains(self):
+        pis = np.array([[0.0, 1.0, 0.0]])
+        trans = np.array([[[0.0, 0.5, 0.5]] * 3])
+        traces = _simulate_chains(pis, trans, np.array([[10, 11, 12]]), 3, ZeroDraws())
+        assert traces[0].tolist() == [11, 11, 11]
 
 
 class TestProfileTable:
@@ -422,12 +477,13 @@ class TestProfileTable:
             assert scores[t].tolist() == want
 
     def test_zero_probability_entries_take_the_floor(self):
-        prof = MarkovProfile(owner=0, size=3, pi=np.array([0.5, 0.5, 0.0]),
-                             transitions={0: (np.array([0, 1]), np.array([0.0, 1.0]))},
-                             floor=0.25)
+        # T(0,0) = 0, T(0,1) = 1 (keys 0, 1); pi = (0.5, 0.5, 0) (keys 9, 10, 11)
+        prof = MarkovProfile(owner=0, size=3, keys=[0, 1, 9, 10, 11],
+                             probs=[0.0, 1.0, 0.5, 0.5, 0.0], floor=0.25)
         assert prof.transition_prob(0, 0) == 0.25
         assert log_likelihood(prof, [0, 0, 1]) == -1.0 - 2.0 + 0.0
         assert log_likelihood(prof, [2]) == -2.0
+        assert floored_pi_matrix([prof]).tolist() == [[0.5, 0.5, 0.25]]
 
     def test_rejects_inconsistent_input(self):
         p2 = train_profile([0, 1], 2)
@@ -438,13 +494,12 @@ class TestProfileTable:
             with pytest.raises(ValueError):
                 score_vector(release, [p2])
         with pytest.raises(ValueError):
-            MarkovProfile(owner=0, size=3, pi=np.array([0.5, 0.5]), transitions={})
-        for rows in ({2: (np.array([0]), np.array([1.0]))},
-                     {0: (np.array([2]), np.array([1.0]))},
-                     {0: (np.array([0, 1]), np.array([1.0]))}):
-            bad = MarkovProfile(owner=0, size=2, pi=np.array([0.5, 0.5]), transitions=rows)
+            MarkovProfile(owner=0, size=3, keys=[9, 10], probs=[0.5])
+        # a row outside the alphabet, then a ragged row: the constructor refuses both
+        for keys, probs in (([6, 7, 8], [1.0, 0.5, 0.5]),
+                            ([0, 1, 4, 5], [1.0, 0.5, 0.5])):
             with pytest.raises(ValueError):
-                ProfileTable([bad])
+                MarkovProfile(owner=0, size=2, keys=keys, probs=probs)
 
     def test_pair_keys_stay_inside_int64(self):
         # the largest key is the start row's last entry, (size + 1) * size - 1
