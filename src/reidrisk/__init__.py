@@ -19,12 +19,10 @@ from .estimation import (FrequencyEstimate, UtilityReport,
                          glh_null_variance, l2_and_relative_error,
                          rr_null_variance)
 from .mechanisms import (PRODUCTION_PRIME, CarterWegman, ExhaustiveTable,
-                         GeneralLocalHash, GlhBatch, LdpBudget,
-                         MechanismKernel, MixtureMechanism, ObfuscatedRecord,
-                         RandomizedResponse, RrBatch, glh_sample,
-                         glh_sample_batch, ldp_epsilon_of_kernel,
+                         GeneralLocalHash, GlhBatch, MechanismKernel,
+                         RandomizedResponse, RrBatch, glh_sample_batch,
                          mixture_kernel, postprocess, read_records, rr_kernel,
-                         rr_sample, rr_sample_batch, write_records)
+                         rr_sample_batch, write_records)
 from .oracle import (BoundViolationReport, SmallInstance, exact_bayes_error,
                      exact_composed_pie, exact_pie, exact_pie_glh, exact_pse,
                      random_small_instance, verify_bound_suite)
@@ -39,8 +37,8 @@ from .probcore import (Alphabet, CategoricalDistribution, JointDistribution,
 from .pse import (ConvergenceReport, KnnKlEstimate, ScoreSample,
                   convergence_probe, harvest_scores, harvest_scores_sparse,
                   knn_kl_estimate, pse_estimate)
-from .reid import (DetCurve, MarkovProfile, Trace, best_score_decision,
-                   far_frr_det, identification_error_rate, log_likelihood,
-                   score_vector, simulate_score_trials, train_profile)
+from .reid import (DetCurve, MarkovProfile, far_frr_det,
+                   identification_error_rate, log_likelihood,
+                   simulate_score_trials, train_profile)
 
 __version__ = "0.1.0"

@@ -13,12 +13,12 @@ stable e^(-eps) form, together with the bucket-count limit law.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.special import ndtri
 
-from .mechanisms import GlhBatch, ObfuscatedRecord, RrBatch, glh_match_chunks
+from .mechanisms import GlhBatch, RrBatch, _keep_leak, glh_match_chunks
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,8 @@ class FrequencyEstimate:
     threshold: Optional[float] = None
 
 
-def _rr_counts(records, size: int) -> tuple[np.ndarray, int]:
-    if isinstance(records, RrBatch):
-        ys = records.ys
-    elif isinstance(records, np.ndarray):
-        ys = records
-    else:
-        ys = np.array([r.y for r in records], dtype=np.int64)
+def _rr_counts(records: Union[RrBatch, np.ndarray], size: int) -> tuple[np.ndarray, int]:
+    ys = records.ys if isinstance(records, RrBatch) else np.asarray(records)
     if ys.size == 0:
         raise ValueError("need at least one record")
     if ys.min() < 0 or ys.max() >= size:
@@ -47,37 +42,19 @@ def _rr_counts(records, size: int) -> tuple[np.ndarray, int]:
     return np.bincount(ys, minlength=size).astype(np.float64), int(ys.size)
 
 
-def estimate_rr(records, epsilon: float, size: int) -> FrequencyEstimate:
-    """Debias randomized-response records.
+def estimate_rr(records: Union[RrBatch, np.ndarray], epsilon: float,
+                size: int) -> FrequencyEstimate:
+    """Debias randomized-response records, an `RrBatch` or an int array of symbols.
 
     p_hat(x) = (c(x)/n - leak) / (keep - leak). epsilon = 0 makes the channel
     non-invertible and is rejected; math.inf passes counts through exactly.
     """
     if epsilon == 0:
         raise ValueError("epsilon = 0 leaves the channel non-invertible (keep = leak)")
-    from .mechanisms import _keep_leak
-
     keep, leak, shrink = _keep_leak(epsilon, size)
     counts, n = _rr_counts(records, size)
     p_hat = (counts / n - leak) / shrink
     return FrequencyEstimate(size=size, p_hat=p_hat, counts=counts, n=n)
-
-
-def _glh_columns(records) -> GlhBatch:
-    if isinstance(records, GlhBatch):
-        return records
-    a, b, ys, primes, gs = [], [], [], set(), set()
-    for r in records:
-        if not isinstance(r, ObfuscatedRecord) or not r.is_hashed:
-            raise ValueError("expected hashed records")
-        if len(r.descriptor) != 2:
-            raise ValueError("estimation requires pairwise hash descriptors")
-        a.append(r.descriptor[0]); b.append(r.descriptor[1]); ys.append(r.y)
-        primes.add(r.prime); gs.add(r.g)
-    if len(primes) != 1 or len(gs) != 1:
-        raise ValueError("records mix hash families")
-    return GlhBatch(a=np.array(a, dtype=np.int64), b=np.array(b, dtype=np.int64),
-                    ys=np.array(ys, dtype=np.int64), prime=primes.pop(), g=gs.pop())
 
 
 def glh_counts(batch: GlhBatch, size: int) -> np.ndarray:
@@ -90,11 +67,10 @@ def glh_counts(batch: GlhBatch, size: int) -> np.ndarray:
     return counts.astype(np.float64)
 
 
-def estimate_glh(records, epsilon: float, size: int) -> FrequencyEstimate:
+def estimate_glh(batch: GlhBatch, epsilon: float, size: int) -> FrequencyEstimate:
     """Debias hashed records: p_hat(x) = (c(x)/n - 1/g) / (keep - 1/g)."""
     if epsilon == 0:
         raise ValueError("epsilon = 0 leaves the channel non-invertible")
-    batch = _glh_columns(records)
     g = batch.g
     if g < 2:
         raise ValueError("bucket count must be >= 2")

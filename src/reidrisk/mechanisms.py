@@ -126,25 +126,6 @@ def rr_kernel(epsilon: float, alphabet: Union[Alphabet, int]) -> MechanismKernel
 
 
 @dataclass(frozen=True)
-class ObfuscatedRecord:
-    """One released datum: a symbol for RR, or a (hash descriptor, bucket) pair.
-
-    For hashed records `descriptor` is (a, b) for the pairwise family (the
-    modulus and bucket count live in `prime`/`g`) or an integer table index
-    for the exhaustive family. Buckets are 1-based.
-    """
-
-    y: int
-    descriptor: Optional[tuple] = None
-    prime: Optional[int] = None
-    g: Optional[int] = None
-
-    @property
-    def is_hashed(self) -> bool:
-        return self.descriptor is not None
-
-
-@dataclass(frozen=True)
 class RrBatch:
     """Column form of many RR records."""
 
@@ -163,15 +144,6 @@ class GlhBatch:
 
     def __len__(self):
         return len(self.ys)
-
-
-def rr_sample(mech: RandomizedResponse, x: int, rng: np.random.Generator) -> ObfuscatedRecord:
-    """Obfuscate one symbol: emit x with probability theta, else uniform."""
-    if not (0 <= x < mech.size):
-        raise ValueError(f"symbol {x} outside alphabet of size {mech.size}")
-    if rng.random() < mech.theta:
-        return ObfuscatedRecord(y=int(x))
-    return ObfuscatedRecord(y=int(rng.integers(mech.size)))
 
 
 def rr_sample_batch(mech: RandomizedResponse, xs: np.ndarray, rng: np.random.Generator) -> RrBatch:
@@ -288,22 +260,10 @@ class CarterWegman:
             return cls(PRODUCTION_PRIME, g)
         return cls(next_prime_above(domain_size), g)
 
-    def sample_descriptor(self, rng: np.random.Generator) -> tuple[int, int]:
-        return int(rng.integers(1, self.prime)), int(rng.integers(0, self.prime))
-
     def sample_descriptors(self, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         a = rng.integers(1, self.prime, size=count, dtype=np.int64)
         b = rng.integers(0, self.prime, size=count, dtype=np.int64)
         return a, b
-
-    def eval(self, descriptor: tuple[int, int], x) -> np.ndarray:
-        a, b = descriptor
-        if not (1 <= a < self.prime and 0 <= b < self.prime):
-            raise ValueError("invalid hash descriptor")
-        return hash_buckets(a, b, np.asarray(x, dtype=np.int64), self.prime, self.g)
-
-    def descriptor_count(self) -> int:
-        return (self.prime - 1) * self.prime
 
 
 class ExhaustiveTable:
@@ -326,15 +286,6 @@ class ExhaustiveTable:
         self.g = int(g)
         self.count = int(count)
 
-    def sample_descriptor(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.count))
-
-    def eval(self, descriptor: int, x) -> np.ndarray:
-        if not (0 <= descriptor < self.count):
-            raise ValueError("invalid table index")
-        x = np.asarray(x, dtype=np.int64)
-        return (descriptor // self.g ** x) % self.g + 1
-
     def all_tables(self) -> np.ndarray:
         """Dense (count, domain) matrix of every member's bucket values."""
         idx = np.arange(self.count)[:, None]
@@ -342,24 +293,17 @@ class ExhaustiveTable:
         return (idx // powers) % self.g + 1
 
 
-HashFamily = Union[CarterWegman, ExhaustiveTable]
-
-
-def hash_eval(family: HashFamily, descriptor, x):
-    """Bucket of symbol x under the family member named by descriptor (1-based)."""
-    out = family.eval(descriptor, x)
-    return int(out) if np.ndim(x) == 0 else out
-
-
 @dataclass(frozen=True)
 class GeneralLocalHash:
-    """Hash into g buckets with a random family member, then randomize buckets."""
+    """Hash into g buckets with a random Carter-Wegman member, then randomize buckets."""
 
     epsilon: float
     g: int
-    family: HashFamily
+    family: CarterWegman
 
     def __post_init__(self):
+        if not isinstance(self.family, CarterWegman):
+            raise ValueError("hashed obfuscation needs the pairwise (Carter-Wegman) family")
         if not 2 <= self.g <= MAX_BUCKETS:
             raise ValueError(f"need between 2 and {MAX_BUCKETS} buckets, got {self.g}")
         object.__setattr__(self, "g", int(self.g))
@@ -397,23 +341,8 @@ class GeneralLocalHash:
         return rr_kernel(self.epsilon, self.g)
 
 
-def glh_sample(mech: GeneralLocalHash, x: int, rng: np.random.Generator) -> ObfuscatedRecord:
-    """Draw a family member, hash x, and randomize the bucket."""
-    desc = mech.family.sample_descriptor(rng)
-    z = hash_eval(mech.family, desc, int(x))
-    if rng.random() < mech.theta_bucket:
-        y = z
-    else:
-        y = int(rng.integers(1, mech.g + 1))
-    if isinstance(mech.family, CarterWegman):
-        return ObfuscatedRecord(y=y, descriptor=desc, prime=mech.family.prime, g=mech.g)
-    return ObfuscatedRecord(y=y, descriptor=(desc,), g=mech.g)
-
-
 def glh_sample_batch(mech: GeneralLocalHash, xs: np.ndarray, rng: np.random.Generator) -> GlhBatch:
     """Vectorized hashed obfuscation; one fresh family member per record."""
-    if not isinstance(mech.family, CarterWegman):
-        raise ValueError("batch sampling requires the pairwise family")
     xs = np.asarray(xs, dtype=np.int64)
     a, b = mech.family.sample_descriptors(xs.size, rng)
     z = hash_buckets(a, b, xs, mech.family.prime, mech.g)
@@ -421,44 +350,6 @@ def glh_sample_batch(mech: GeneralLocalHash, xs: np.ndarray, rng: np.random.Gene
     uniform = rng.integers(1, mech.g + 1, size=xs.size)
     return GlhBatch(a=a, b=b, ys=np.where(keep, z, uniform),
                     prime=mech.family.prime, g=mech.g)
-
-
-@dataclass(frozen=True)
-class LdpBudget:
-    """Smallest epsilon for which a kernel satisfies the local-privacy ratio.
-
-    `value` is None when no finite epsilon exists (some output has zero
-    probability under one input but not another); this is the explicit
-    unbounded variant, never a sentinel float.
-    """
-
-    value: Optional[float]
-
-    @property
-    def unbounded(self) -> bool:
-        return self.value is None
-
-    @classmethod
-    def finite(cls, v: float) -> "LdpBudget":
-        return cls(float(v))
-
-    @classmethod
-    def infinite(cls) -> "LdpBudget":
-        return cls(None)
-
-
-def ldp_epsilon_of_kernel(k: MechanismKernel) -> LdpBudget:
-    """Audit a channel: max over outputs y of ln(max_x Q(y|x) / min_x Q(y|x))."""
-    worst = 0.0
-    for row in k.matrix:
-        top = row.max()
-        if top == 0:
-            continue
-        low = row.min()
-        if low == 0:
-            return LdpBudget.infinite()
-        worst = max(worst, float(np.log(top / low)))
-    return LdpBudget.finite(worst)
 
 
 def postprocess(k: MechanismKernel, channel: MechanismKernel) -> MechanismKernel:
@@ -475,16 +366,6 @@ def mixture_kernel(w: float, q1: MechanismKernel, q2: MechanismKernel) -> Mechan
     if (q1.input_size, q1.output_size) != (q2.input_size, q2.output_size):
         raise ValueError("mixture components must share alphabets")
     return MechanismKernel(q1.input_size, q1.output_size, w * q1.matrix + (1.0 - w) * q2.matrix)
-
-
-@dataclass(frozen=True)
-class MixtureMechanism:
-    weight: float
-    first: MechanismKernel
-    second: MechanismKernel
-
-    def kernel(self) -> MechanismKernel:
-        return mixture_kernel(self.weight, self.first, self.second)
 
 
 RR_HEADER = ["user_idx", "y"]

@@ -206,14 +206,11 @@ def synth_population(spec: SynthesisSpec, rng: np.random.Generator
 def _simulate_chains(pis: np.ndarray, trans: np.ndarray, supports: np.ndarray,
                      length: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Step every user's chain in lockstep; returns traces in global symbols."""
-    n, k = pis.shape
+    n = pis.shape[0]
     out = np.empty((n, length), dtype=np.int64)
-    cdf0 = np.cumsum(pis, axis=1)
-    cdf0[:, -1] = 1.0
-    state = (cdf0 <= rng.random(n)[:, None]).sum(axis=1)
+    state = (probcore.cdf_table(pis) <= rng.random(n)[:, None]).sum(axis=1)
     out[:, 0] = state
-    cdfs = np.cumsum(trans, axis=2)
-    cdfs[:, :, -1] = 1.0
+    cdfs = probcore.cdf_table(trans)
     rows = np.arange(n)
     for t in range(1, length):
         cur = cdfs[rows, state]

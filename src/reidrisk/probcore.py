@@ -327,10 +327,28 @@ def mutual_information(j: JointDistribution) -> float:
     return max(val, 0.0)
 
 
+def cdf_table(p: np.ndarray, mass: Optional[np.ndarray] = None) -> np.ndarray:
+    """Cumulative sums of p along its last axis, for inverse-CDF draws u in [0, 1).
+
+    Each row is divided by its `mass` when given (rows of zero mass are left
+    as they are), then set to 1.0 from its last positive entry on. Counting
+    the entries <= u then lands on a symbol of positive probability only:
+    rounding can leave the sum of the positive entries below 1, and forcing
+    just the final entry would send a draw in that gap to a trailing
+    zero-probability symbol.
+    """
+    cdf = np.cumsum(p, axis=-1)
+    if mass is not None:
+        np.divide(cdf, mass, out=cdf, where=mass > 0)
+    size = p.shape[-1]
+    last = size - 1 - np.argmax(p[..., ::-1] > 0, axis=-1)
+    cdf[np.arange(size) >= last[..., None]] = 1.0
+    return cdf
+
+
 def sample(d: CategoricalDistribution, rng: np.random.Generator, size: Optional[int] = None):
     """Draw symbol indices from d; deterministic for a fixed seeded stream."""
-    cdf = np.cumsum(d.p)
-    cdf[-1] = 1.0
+    cdf = cdf_table(d.p)
     if size is None:
         return int(np.searchsorted(cdf, rng.random(), side="right"))
     return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64)
@@ -338,11 +356,9 @@ def sample(d: CategoricalDistribution, rng: np.random.Generator, size: Optional[
 
 def sample_markov(model: MarkovSource, rng: np.random.Generator) -> np.ndarray:
     """Simulate one trace from a per-user chain, mapped through its support."""
-    k = model.initial.size
-    cdf0 = np.cumsum(model.initial)
-    cdf0[-1] = 1.0
-    cdfs = np.cumsum(model.transitions, axis=1)
+    cdf0 = cdf_table(model.initial)
     row_mass = model.transitions.sum(axis=1)
+    cdfs = cdf_table(model.transitions, row_mass[:, None])
     out = np.empty(model.trace_len, dtype=np.int64)
     state = int(np.searchsorted(cdf0, rng.random(), side="right"))
     out[0] = state
@@ -350,8 +366,7 @@ def sample_markov(model: MarkovSource, rng: np.random.Generator) -> np.ndarray:
     for t in range(1, model.trace_len):
         if row_mass[state] == 0:
             raise ValueError(f"chain has no outgoing transitions from state {state}")
-        state = int(np.searchsorted(cdfs[state] / row_mass[state], draws[t - 1], side="right"))
-        state = min(state, k - 1)
+        state = int(np.searchsorted(cdfs[state], draws[t - 1], side="right"))
         out[t] = state
     if model.support is not None:
         return model.support[out]

@@ -32,30 +32,12 @@ from . import probcore
 from .mechanisms import (GeneralLocalHash, GlhBatch, MechanismKernel,
                          RandomizedResponse, glh_match_chunks, glh_sample_batch,
                          rr_sample_batch)
-from .probcore import MarkovSource, PopulationModel, SingleDatum
+from .probcore import PopulationModel, SingleDatum
 
 DEFAULT_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Ordered symbol sequence from one user."""
-
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.symbols, dtype=np.int64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("trace must be a non-empty 1-d symbol sequence")
-        object.__setattr__(self, "symbols", arr)
-
-    def __len__(self):
-        return len(self.symbols)
-
-
 def _as_symbols(trace) -> np.ndarray:
-    if isinstance(trace, Trace):
-        return trace.symbols
     arr = np.asarray(trace, dtype=np.int64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("trace must be a non-empty 1-d symbol sequence")
@@ -206,33 +188,6 @@ def log_likelihood(profile: MarkovProfile, trace) -> float:
     return float(ProfileTable([profile]).scores(trace)[0])
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Similarity of one release against every enrolled profile."""
-
-    scores: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.scores, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("score vector must be non-empty")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("scores must be finite")
-        object.__setattr__(self, "scores", arr)
-
-
-def score_vector(trace, profiles: Sequence[MarkovProfile]) -> ScoreVector:
-    return ScoreVector(ProfileTable(profiles).scores(trace))
-
-
-def best_score_decision(s: Union[ScoreVector, np.ndarray]) -> int:
-    """Index of the highest score; ties go to the lowest index."""
-    arr = s.scores if isinstance(s, ScoreVector) else np.asarray(s)
-    if arr.size < 1:
-        raise ValueError("empty score vector")
-    return int(np.argmax(arr))
-
-
 def floored_pi_matrix(profiles: Sequence[MarkovProfile]) -> np.ndarray:
     """Per-user visit probabilities, shape (n, size), each profile's floor applied."""
     size, users, keys, probs = _stacked(profiles)
@@ -281,10 +236,9 @@ def _glh_log_likelihood(mech: GeneralLocalHash, preimage_mass: np.ndarray) -> np
 def _kernel_sample(kernel: MechanismKernel, xs: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
     """Release each symbol x through kernel column x by inverse-CDF sampling."""
-    cdfs = np.cumsum(kernel.matrix, axis=0)
-    cdfs[-1, :] = 1.0
+    cdfs = probcore.cdf_table(kernel.matrix.T)
     draws = rng.random(xs.size)
-    return (cdfs[:, xs] <= draws[None, :]).sum(axis=0).astype(np.int64)
+    return (cdfs[xs] <= draws[:, None]).sum(axis=1).astype(np.int64)
 
 
 def release(mechanism, xs: np.ndarray, rng: np.random.Generator):
@@ -308,8 +262,7 @@ def sample_releases(population: PopulationModel, mechanism, count: int,
     """
     us = probcore.sample(population.prior, rng, count)
     cond = population.conditional_matrix()
-    cdfs = np.cumsum(cond, axis=1)
-    cdfs[:, -1] = 1.0
+    cdfs = probcore.cdf_table(cond)
     draws = rng.random(count)
     xs = np.empty(count, dtype=np.int64)
     size = cdfs.shape[1]

@@ -15,24 +15,18 @@ from reidrisk.mechanisms import (
     ExhaustiveTable,
     GeneralLocalHash,
     GlhBatch,
-    LdpBudget,
     MechanismKernel,
-    MixtureMechanism,
     RandomizedResponse,
     RrBatch,
     _is_prime,
-    glh_sample,
     glh_match_chunks,
     glh_sample_batch,
     hash_buckets,
-    hash_eval,
-    ldp_epsilon_of_kernel,
     mixture_kernel,
     next_prime_above,
     postprocess,
     read_records,
     rr_kernel,
-    rr_sample,
     rr_sample_batch,
     write_records,
 )
@@ -40,6 +34,11 @@ from reidrisk.estimation import glh_counts
 from reidrisk.probcore import CategoricalDistribution, PopulationModel, make_rng
 from reidrisk.pse import harvest_scores_sparse
 from reidrisk.reid import floored_pi_matrix, glh_single_datum_scores, train_profile
+
+
+def row_ratios(k: MechanismKernel) -> np.ndarray:
+    """max_x Q(y|x) / min_x Q(y|x) for every output y: e^eps for an eps-LDP channel."""
+    return k.matrix.max(axis=1) / k.matrix.min(axis=1)
 
 
 class TestRandomizedResponse:
@@ -84,9 +83,8 @@ class TestRandomizedResponse:
     @settings(deadline=None, max_examples=60)
     @given(st.floats(0.01, 20.0), st.integers(2, 64))
     def test_kernel_privacy_audit_is_tight(self, eps, size):
-        budget = ldp_epsilon_of_kernel(rr_kernel(eps, size))
-        assert not budget.unbounded
-        assert math.isclose(budget.value, eps, rel_tol=1e-9)
+        # every output's likelihood ratio is exactly e^eps, so the kernel is eps-LDP and no less
+        assert np.allclose(row_ratios(rr_kernel(eps, size)), math.exp(eps), rtol=1e-9, atol=0)
 
     def test_sample_batch_matches_kernel_distribution(self):
         m = RandomizedResponse(epsilon=1.0, size=4)
@@ -98,23 +96,15 @@ class TestRandomizedResponse:
 
     def test_sample_single_record(self):
         m = RandomizedResponse(epsilon=1.0, size=4)
-        rec = rr_sample(m, 1, make_rng(0))
-        assert 0 <= rec.y < 4 and not rec.is_hashed
+        batch = rr_sample_batch(m, np.array([1]), make_rng(0))
+        assert isinstance(batch, RrBatch) and batch.ys.shape == (1,)
+        assert 0 <= batch.ys[0] < 4
 
     def test_sample_rejects_out_of_alphabet(self):
         m = RandomizedResponse(epsilon=1.0, size=4)
-        with pytest.raises(ValueError):
-            rr_sample(m, 4, make_rng(0))
-        with pytest.raises(ValueError):
-            rr_sample_batch(m, np.array([0, 9]), make_rng(0))
-
-    def test_batch_and_scalar_agree_in_law(self):
-        # Same keep/uniform construction: scalar path frequencies match batch.
-        m = RandomizedResponse(epsilon=math.log(3.0), size=3)
-        ys = np.array([rr_sample(m, 0, r).y for r in
-                       (make_rng(s) for s in range(4000))])
-        freq = np.bincount(ys, minlength=3) / ys.size
-        assert np.max(np.abs(freq - m.kernel().matrix[:, 0])) < 0.03
+        for xs in ([4], [0, 9], [-1]):
+            with pytest.raises(ValueError):
+                rr_sample_batch(m, np.array(xs), make_rng(0))
 
 
 class TestPrimes:
@@ -143,25 +133,25 @@ class TestCarterWegman:
         assert fam.prime > PRODUCTION_PRIME + 10 and _is_prime(fam.prime)
 
     def test_eval_formula(self):
-        fam = CarterWegman(prime=13, g=4)
-        # h(x) = (((a x + b) mod 13) mod 4) + 1
-        assert hash_eval(fam, (3, 5), 7) == ((3 * 7 + 5) % 13) % 4 + 1
-        arr = fam.eval((3, 5), np.arange(13))
+        # h(x) = (((a x + b) mod 13) mod 4) + 1, for a scalar and broadcast over x
+        assert hash_buckets(3, 5, 7, 13, 4) == ((3 * 7 + 5) % 13) % 4 + 1
+        arr = hash_buckets(3, 5, np.arange(13), 13, 4)
+        assert arr.tolist() == [((3 * x + 5) % 13) % 4 + 1 for x in range(13)]
         assert arr.min() >= 1 and arr.max() <= 4
 
-    def test_invalid_descriptor_rejected(self):
-        fam = CarterWegman(prime=13, g=4)
-        with pytest.raises(ValueError):
-            fam.eval((0, 5), 1)  # a must be nonzero
-        with pytest.raises(ValueError):
-            fam.eval((3, 13), 1)  # b out of range
+    def test_invalid_descriptor_rejected(self, tmp_path):
+        # a record file is the one way descriptors enter from outside
+        path = tmp_path / "bad.csv"
+        for a, b in ((0, 5), (13, 5), (3, 13), (3, -1)):  # a in [1, P), b in [0, P)
+            path.write_text(f"user_idx,a,b,P,g,y\n0,{a},{b},13,4,1\n")
+            with pytest.raises(ValueError, match="descriptor"):
+                read_records(path)
 
     def test_descriptor_sampling_ranges(self):
         fam = CarterWegman(prime=13, g=4)
         a, b = fam.sample_descriptors(5000, make_rng(1))
         assert a.min() >= 1 and a.max() < 13
         assert b.min() >= 0 and b.max() < 13
-        assert fam.descriptor_count() == 12 * 13
 
     def test_collision_rate_near_uniform(self):
         # Pairwise family: P(h(x) = h(x')) approx 1/g for x != x'.
@@ -191,9 +181,9 @@ class TestCarterWegman:
         top = 3037000500  # largest P with (P-1)^2 + (P-1) < 2^63
         assert (top - 1) ** 2 + (top - 1) < 2 ** 63 <= top ** 2 + top
         prime = next(p for p in range(top, 0, -1) if _is_prime(p))
-        fam = CarterWegman(prime, g=5)
+        CarterWegman(prime, g=5)
         a, b, x = prime - 1, prime - 1, prime - 1
-        assert hash_eval(fam, (a, b), x) == ((a * x + b) % prime) % 5 + 1
+        assert hash_buckets(a, b, np.int64(x), prime, 5) == ((a * x + b) % prime) % 5 + 1
         with pytest.raises(ValueError):
             CarterWegman(next_prime_above(top), g=5)
 
@@ -207,10 +197,11 @@ class TestExhaustiveTable:
         assert tables.min() == 1 and tables.max() == 2
 
     def test_eval_matches_all_tables(self):
+        # member d sends x to digit x of d written in base g, plus 1
         fam = ExhaustiveTable(domain_size=3, g=3)
         tables = fam.all_tables()
         for d in range(fam.count):
-            assert np.array_equal(fam.eval(d, np.arange(3)), tables[d])
+            assert tables[d].tolist() == [d // 3 ** x % 3 + 1 for x in range(3)]
 
     def test_exact_universality(self):
         # For x != x', exactly count/g members collide: the family is
@@ -244,8 +235,7 @@ class TestGeneralLocalHash:
 
     def test_bucket_kernel_audits_at_epsilon(self):
         m = GeneralLocalHash.with_production_family(2.5, 8, domain_size=1000)
-        budget = ldp_epsilon_of_kernel(m.bucket_kernel())
-        assert math.isclose(budget.value, 2.5, rel_tol=1e-9)
+        assert np.allclose(row_ratios(m.bucket_kernel()), math.exp(2.5), rtol=1e-9, atol=0)
 
     def test_family_bucket_count_must_agree(self):
         with pytest.raises(ValueError):
@@ -261,18 +251,16 @@ class TestGeneralLocalHash:
         # an int64 g is kept as a Python int, so g + 1 = 2**63 still bounds the uniform draw
         m = GeneralLocalHash.with_production_family(0.0, np.int64(MAX_BUCKETS), domain_size=8)
         assert type(m.g) is int
-        rec = glh_sample(m, 3, make_rng(2))
         batch = glh_sample_batch(m, np.arange(8), make_rng(2))
-        assert 1 <= rec.y <= MAX_BUCKETS
         assert np.all((batch.ys >= 1) & (batch.ys <= MAX_BUCKETS))
 
     def test_sample_record_fields(self):
         m = GeneralLocalHash.with_production_family(1.0, 4, domain_size=100)
-        rec = glh_sample(m, 17, make_rng(3))
-        assert rec.is_hashed and rec.g == 4 and rec.prime == PRODUCTION_PRIME
-        assert 1 <= rec.y <= 4
-        a, b = rec.descriptor
-        assert 1 <= a < PRODUCTION_PRIME and 0 <= b < PRODUCTION_PRIME
+        batch = glh_sample_batch(m, np.full(5000, 17), make_rng(3))
+        assert batch.g == 4 and batch.prime == PRODUCTION_PRIME and len(batch) == 5000
+        assert batch.ys.min() >= 1 and batch.ys.max() <= 4
+        assert batch.a.min() >= 1 and batch.a.max() < PRODUCTION_PRIME
+        assert batch.b.min() >= 0 and batch.b.max() < PRODUCTION_PRIME
 
     def test_sample_batch_on_bucket_rate(self):
         m = GeneralLocalHash.with_production_family(math.log(3.0), 4, domain_size=1000)
@@ -289,14 +277,9 @@ class TestGeneralLocalHash:
         assert np.max(np.abs(freq - 0.2)) < 5 * math.sqrt(0.16 / 100_000) + 2 / PRODUCTION_PRIME
 
     def test_batch_requires_pairwise_family(self):
-        m = GeneralLocalHash(1.0, 2, ExhaustiveTable(3, 2))
-        with pytest.raises(ValueError):
-            glh_sample_batch(m, np.array([0, 1]), make_rng(0))
-
-    def test_exhaustive_family_record(self):
-        m = GeneralLocalHash(1.0, 2, ExhaustiveTable(3, 2))
-        rec = glh_sample(m, 1, make_rng(5))
-        assert rec.is_hashed and rec.prime is None and len(rec.descriptor) == 1
+        # the constructor refuses any other family, so no sampler ever meets one
+        with pytest.raises(ValueError, match="pairwise"):
+            GeneralLocalHash(1.0, 2, ExhaustiveTable(3, 2))
 
 
 class TestChannelAlgebra:
@@ -309,16 +292,11 @@ class TestChannelAlgebra:
     def test_identity_kernel(self):
         k = MechanismKernel.identity(3)
         assert np.array_equal(k.matrix, np.eye(3))
-        assert ldp_epsilon_of_kernel(k).unbounded
+        assert np.all(k.matrix.min(axis=1) == 0)  # no finite eps bounds a pass-through
 
     def test_audit_uniform_kernel_is_zero(self):
-        k = rr_kernel(0.0, 6)
-        assert ldp_epsilon_of_kernel(k).value == 0.0
-
-    def test_audit_all_zero_row_is_skipped(self):
-        # An output that never occurs does not make the budget unbounded.
-        m = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 0.0]])
-        assert ldp_epsilon_of_kernel(MechanismKernel(2, 3, m)).value == 0.0
+        # eps = 0: every row is constant, a likelihood ratio of e^0
+        assert row_ratios(rr_kernel(0.0, 6)).tolist() == [1.0] * 6
 
     def test_postprocess_is_matrix_product(self):
         k = rr_kernel(1.0, 3)
@@ -329,9 +307,9 @@ class TestChannelAlgebra:
     def test_postprocess_never_increases_budget(self):
         k = rr_kernel(2.0, 4)
         merge = MechanismKernel(4, 2, np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=float))
-        before = ldp_epsilon_of_kernel(k).value
-        after = ldp_epsilon_of_kernel(postprocess(k, merge)).value
-        assert after <= before + 1e-12
+        before = row_ratios(k).max()
+        after = row_ratios(postprocess(k, merge)).max()
+        assert after <= before * (1 + 1e-12)
 
     def test_postprocess_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -342,7 +320,6 @@ class TestChannelAlgebra:
         q2 = rr_kernel(3.0, 3)
         mix = mixture_kernel(0.25, q1, q2)
         assert np.allclose(mix.matrix, 0.25 * q1.matrix + 0.75 * q2.matrix)
-        assert np.allclose(MixtureMechanism(0.25, q1, q2).kernel().matrix, mix.matrix)
 
     def test_mixture_validation(self):
         q = rr_kernel(1.0, 3)
@@ -350,10 +327,6 @@ class TestChannelAlgebra:
             mixture_kernel(1.5, q, q)
         with pytest.raises(ValueError):
             mixture_kernel(0.5, q, rr_kernel(1.0, 4))
-
-    def test_budget_variants(self):
-        assert LdpBudget.infinite().unbounded
-        assert not LdpBudget.finite(1.0).unbounded
 
 
 class TestRecordFiles:
@@ -395,7 +368,7 @@ class TestRecordFiles:
 
 class TestHashMatchKernel:
     """size = 1e5 gives 40 records per 4e6-cell chunk, so 101 records span
-    three chunks; every result is checked against CarterWegman.eval per record."""
+    three chunks; every result is checked against hash_buckets per record."""
 
     SIZE, N = 10 ** 5, 101
 
@@ -414,9 +387,8 @@ class TestHashMatchKernel:
                 for i in range(3)]
 
     def brute_masks(self, batch):
-        fam = CarterWegman(batch.prime, batch.g)
         xs = np.arange(self.SIZE)
-        return np.array([fam.eval((int(a), int(b)), xs) == y
+        return np.array([hash_buckets(int(a), int(b), xs, batch.prime, batch.g) == y
                          for a, b, y in zip(batch.a, batch.b, batch.ys)])
 
     def brute_scores(self, batch, profiles, mech):

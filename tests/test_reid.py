@@ -30,10 +30,8 @@ from reidrisk.reid import (
     DetCurve,
     MarkovProfile,
     ProfileTable,
-    Trace,
     _kernel_sample,
     _pair_keys,
-    best_score_decision,
     far_frr_det,
     floored_pi_matrix,
     glh_single_datum_scores,
@@ -41,7 +39,6 @@ from reidrisk.reid import (
     log_likelihood,
     rr_single_datum_scores,
     sample_releases,
-    score_vector,
     simulate_score_trials,
     train_profile,
 )
@@ -84,11 +81,6 @@ class TestProfileTraining:
     def test_out_of_alphabet_rejected(self):
         with pytest.raises(ValueError):
             train_profile([0, 5], alphabet=3)
-
-    def test_trace_wrapper_accepted(self):
-        a = train_profile(Trace(np.array([0, 1, 1])), alphabet=2)
-        b = train_profile([0, 1, 1], alphabet=2)
-        assert np.array_equal(a.pi, b.pi)
 
     def test_profile_validation(self):
         # size 2: transition keys 0..3, start row keys 4 and 5
@@ -138,13 +130,17 @@ class TestLogLikelihood:
         p0 = train_profile([0, 0], alphabet=2, owner=0)
         p1 = train_profile([0, 0], alphabet=2, owner=1)
         p2 = train_profile([1, 1], alphabet=2, owner=2)
-        sv = score_vector([0, 0], [p0, p1, p2])
-        assert sv.scores[0] == sv.scores[1] > sv.scores[2]
-        assert best_score_decision(sv) == 0  # tie goes to the lowest index
+        scores = ProfileTable([p0, p1, p2]).scores([0, 0])
+        assert scores[0] == scores[1] > scores[2]
+        assert np.argmax(scores) == 0  # the decision rule: a tie goes to the lowest index
 
     def test_score_vector_requires_profiles(self):
         with pytest.raises(ValueError):
-            score_vector([0], [])
+            ProfileTable([])
+        p = train_profile([0, 0], alphabet=2)
+        for release in ([], [[0, 1]]):  # a release is a non-empty 1-d symbol sequence
+            with pytest.raises(ValueError):
+                ProfileTable([p]).scores(release)
 
 
 class TestSingleReleaseScores:
@@ -395,30 +391,68 @@ class TestVectorisedTraining:
         assert prof.pi.tobytes() == freqs.tobytes()
 
 
-class ZeroDraws:
-    """Generator stub whose uniform draws are all exactly 0.0."""
+class StubDraws:
+    """Generator stub whose uniform draws all equal `u`."""
+
+    def __init__(self, u: float):
+        self.u = u
 
     def random(self, size=None):
-        return 0.0 if size is None else np.zeros(size)
+        return self.u if size is None else np.full(size, self.u)
+
+
+# The largest draw below 1. The positive entries 1..10 of TAILED sum to
+# 0.9999999999999999, below it, so a CDF that forces only its final entry to
+# 1.0 sends this draw to the trailing zero-probability symbol 11.
+LAST_DRAW = 1.0 - 2.0 ** -53
+TAILED = np.array([0.0] + [0.1] * 10 + [0.0])
 
 
 class TestSamplersSkipZeroProbabilitySymbols:
-    """A draw of exactly 0.0 must not land on a leading zero-probability symbol."""
+    """No draw, 0.0 or the largest below 1, lands on a zero-probability symbol."""
 
     def test_single_datum_draws(self):
-        us, released = sample_releases(point_mass_population([3, 5], 8), None, 4, ZeroDraws())
+        us, released = sample_releases(point_mass_population([3, 5], 8), None, 4, StubDraws(0.0))
         assert us.tolist() == [0, 0, 0, 0]
         assert released.tolist() == [3, 3, 3, 3]
 
     def test_kernel_release(self):
         assert _kernel_sample(MechanismKernel(4, 4, np.eye(4)), np.array([1, 2, 3]),
-                              ZeroDraws()).tolist() == [1, 2, 3]
+                              StubDraws(0.0)).tolist() == [1, 2, 3]
 
     def test_lockstep_chains(self):
         pis = np.array([[0.0, 1.0, 0.0]])
         trans = np.array([[[0.0, 0.5, 0.5]] * 3])
-        traces = _simulate_chains(pis, trans, np.array([[10, 11, 12]]), 3, ZeroDraws())
+        traces = _simulate_chains(pis, trans, np.array([[10, 11, 12]]), 3, StubDraws(0.0))
         assert traces[0].tolist() == [11, 11, 11]
+
+    def test_single_datum_tail(self):
+        pop = PopulationModel.single_datum(CategoricalDistribution.uniform(1),
+                                           [CategoricalDistribution(12, TAILED)])
+        assert sample_releases(pop, None, 3, StubDraws(LAST_DRAW))[1].tolist() == [10] * 3
+
+    def test_kernel_release_tail(self):
+        # MechanismKernel rescales each column by its sum; these columns still
+        # add up to 0.9999999999999996 over the positive entries 1..9
+        column = np.array([0.0] + [1 / 9] * 9 + [0.0])
+        kernel = MechanismKernel(11, 11, np.tile(column[:, None], (1, 11)))
+        assert _kernel_sample(kernel, np.array([0, 5, 10]),
+                              StubDraws(LAST_DRAW)).tolist() == [9] * 3
+
+    def test_lockstep_chains_tail(self):
+        trans = np.tile(TAILED, (1, 12, 1))
+        traces = _simulate_chains(TAILED[None, :], trans, np.arange(12)[None, :], 3,
+                                  StubDraws(LAST_DRAW))
+        assert traces[0].tolist() == [10] * 3
+
+    def test_probcore_sample_tail(self):
+        d = CategoricalDistribution(12, TAILED)
+        assert sample(d, StubDraws(LAST_DRAW)) == 10
+        assert sample(d, StubDraws(LAST_DRAW), 3).tolist() == [10] * 3
+
+    def test_sample_markov_tail(self):
+        chain = MarkovSource(TAILED, np.tile(TAILED, (12, 1)), trace_len=3)
+        assert sample_markov(chain, StubDraws(LAST_DRAW)).tolist() == [10] * 3
 
 
 class TestProfileTable:
@@ -429,7 +463,7 @@ class TestProfileTable:
         profiles = trained(size, traces, floors)
         release = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=6))
         want = [reference_log_likelihood(t, f, release) for t, f in zip(traces, floors)]
-        assert score_vector(release, profiles).scores.tolist() == want
+        assert ProfileTable(profiles).scores(release).tolist() == want
         assert [log_likelihood(p, release) for p in profiles] == want
 
     @settings(deadline=None, max_examples=60)
@@ -492,7 +526,7 @@ class TestProfileTable:
             ProfileTable([p2, p3])
         for release in ([2], [0, -1]):
             with pytest.raises(ValueError):
-                score_vector(release, [p2])
+                ProfileTable([p2]).scores(release)
         with pytest.raises(ValueError):
             MarkovProfile(owner=0, size=3, keys=[9, 10], probs=[0.5])
         # a row outside the alphabet, then a ragged row: the constructor refuses both
