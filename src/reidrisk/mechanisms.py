@@ -146,9 +146,26 @@ class GlhBatch:
         return len(self.ys)
 
 
+def integer_symbols(values) -> np.ndarray:
+    """values as an int64 array; ValueError for any value that is not an int64 integer.
+
+    Signed integer input passes after a dtype check alone. Unsigned and float
+    input must equal its int64 cast, so 0.7 is refused where a plain cast
+    would silently read it as 0.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind == "i":
+        return arr.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):  # a NaN or out-of-range float casts to garbage, refused below
+        ints = arr.astype(np.int64) if arr.dtype.kind in "uf" else None
+    if ints is None or not np.array_equal(ints, arr):
+        raise ValueError("symbols must be integers inside the 64-bit range")
+    return ints
+
+
 def rr_sample_batch(mech: RandomizedResponse, xs: np.ndarray, rng: np.random.Generator) -> RrBatch:
     """Vectorized randomized response over a whole symbol array."""
-    xs = np.asarray(xs, dtype=np.int64)
+    xs = integer_symbols(xs)
     if xs.size and (xs.min() < 0 or xs.max() >= mech.size):
         raise ValueError("symbol outside alphabet")
     keep = rng.random(xs.size) < mech.theta
@@ -343,7 +360,7 @@ class GeneralLocalHash:
 
 def glh_sample_batch(mech: GeneralLocalHash, xs: np.ndarray, rng: np.random.Generator) -> GlhBatch:
     """Vectorized hashed obfuscation; one fresh family member per record."""
-    xs = np.asarray(xs, dtype=np.int64)
+    xs = integer_symbols(xs)
     a, b = mech.family.sample_descriptors(xs.size, rng)
     z = hash_buckets(a, b, xs, mech.family.prime, mech.g)
     keep = rng.random(xs.size) < mech.theta_bucket

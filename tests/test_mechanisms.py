@@ -22,6 +22,7 @@ from reidrisk.mechanisms import (
     glh_match_chunks,
     glh_sample_batch,
     hash_buckets,
+    integer_symbols,
     mixture_kernel,
     next_prime_above,
     postprocess,
@@ -105,6 +106,44 @@ class TestRandomizedResponse:
         for xs in ([4], [0, 9], [-1]):
             with pytest.raises(ValueError):
                 rr_sample_batch(m, np.array(xs), make_rng(0))
+
+
+class TestIntegerSymbols:
+    """A value that is not an integer is refused, never truncated by a cast."""
+
+    def test_int64_input_passes_without_a_copy(self):
+        xs = np.array([3, 0, 2], dtype=np.int64)
+        assert integer_symbols(xs) is xs
+        assert integer_symbols([3, 0, 2]).dtype == np.int64
+        assert integer_symbols(np.array([1, 2], dtype=np.int8)).tolist() == [1, 2]
+
+    def test_whole_floats_and_unsigned_values_pass(self):
+        assert integer_symbols(np.array([2.0, 0.0])).tolist() == [2, 0]
+        assert integer_symbols(np.array([5], dtype=np.uint64)).tolist() == [5]
+        assert integer_symbols([]).dtype == np.int64
+
+    @pytest.mark.parametrize("values", [
+        [0.7, 1.9, 1.2], [0.0, 0.5], [float("nan")], [float("inf")], [1e20],
+        np.array([2 ** 64 - 1], dtype=np.uint64), [1, 2 ** 70], ["1"], [True, False],
+    ])
+    def test_non_integers_refused(self, values):
+        with pytest.raises(ValueError, match="integers"):
+            integer_symbols(values)
+
+    def test_samplers_refuse_fractional_symbols(self):
+        rr = RandomizedResponse(epsilon=1.0, size=4)
+        glh = GeneralLocalHash.with_production_family(1.0, 4, domain_size=4)
+        for sampler, mech in ((rr_sample_batch, rr), (glh_sample_batch, glh)):
+            with pytest.raises(ValueError, match="integers"):
+                sampler(mech, np.array([0.7, 1.9, 1.2]), make_rng(0))
+
+    def test_samplers_read_whole_floats_as_their_integers(self):
+        rr = RandomizedResponse(epsilon=1.0, size=4)
+        glh = GeneralLocalHash.with_production_family(1.0, 4, domain_size=4)
+        assert np.array_equal(rr_sample_batch(rr, np.array([3.0, 1.0]), make_rng(5)).ys,
+                              rr_sample_batch(rr, np.array([3, 1]), make_rng(5)).ys)
+        assert np.array_equal(glh_sample_batch(glh, np.array([3.0, 1.0]), make_rng(5)).ys,
+                              glh_sample_batch(glh, np.array([3, 1]), make_rng(5)).ys)
 
 
 class TestPrimes:

@@ -21,6 +21,7 @@ from reidrisk.probcore import (
     MarkovSource,
     PopulationModel,
     SingleDatum,
+    cdf_table,
     make_rng,
     sample,
     sample_markov,
@@ -30,6 +31,7 @@ from reidrisk.reid import (
     DetCurve,
     MarkovProfile,
     ProfileTable,
+    _inverse_cdf,
     _kernel_sample,
     _pair_keys,
     far_frr_det,
@@ -79,8 +81,21 @@ class TestProfileTraining:
         assert prof.initial_prob(1) == 1.0
 
     def test_out_of_alphabet_rejected(self):
-        with pytest.raises(ValueError):
-            train_profile([0, 5], alphabet=3)
+        for symbols in ([0, 5], [-1], [0, 3], [2, 0, -5], [3, 3]):
+            with pytest.raises(ValueError, match="outside alphabet"):
+                train_profile(symbols, alphabet=3)
+
+    def test_fractional_symbols_refused(self):
+        # a plain int64 cast would train on [0, 1, 1] and score [0, 1]
+        with pytest.raises(ValueError, match="integers"):
+            train_profile([0.7, 1.9, 1.2], 3)
+        table = ProfileTable([train_profile([0, 1, 1], 3)])
+        with pytest.raises(ValueError, match="integers"):
+            table.scores([0.9, 1.5])
+        with pytest.raises(ValueError, match="integers"):
+            _kernel_sample(MechanismKernel(3, 3, np.eye(3)), np.array([0.5]), make_rng(0))
+        assert (train_profile(np.array([0.0, 1.0, 1.0]), 3).probs.tobytes()
+                == train_profile([0, 1, 1], 3).probs.tobytes())
 
     def test_profile_validation(self):
         # size 2: transition keys 0..3, start row keys 4 and 5
@@ -364,6 +379,27 @@ def per_source_transitions(symbols):
     return rows
 
 
+def unique_reference(symbols, size):
+    """The former trainer: one np.unique over the keys, rows normalized by np.add.reduceat."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    keys, counts = np.unique(np.concatenate((_pair_keys(symbols[:-1], symbols[1:], size),
+                                             _pair_keys(size, symbols, size))),
+                             return_counts=True)
+    starts = np.flatnonzero(np.diff(keys // size, prepend=-1))
+    probs = counts / np.repeat(np.add.reduceat(counts, starts), np.diff(starts, append=keys.size))
+    return keys, probs
+
+
+@st.composite
+def training_traces(draw):
+    """(size, trace) over alphabets of 1 to 50 symbols; half the traces use symbol size - 1."""
+    size = draw(st.integers(1, 50))
+    trace = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=200))
+    if draw(st.booleans()):
+        trace.insert(draw(st.integers(0, len(trace))), size - 1)
+    return size, trace
+
+
 def visit_frequencies(symbols, size):
     """Dense empirical symbol frequencies of a trace."""
     return np.bincount(np.asarray(symbols), minlength=size).astype(np.float64) / len(symbols)
@@ -389,6 +425,36 @@ class TestVectorisedTraining:
         assert np.array_equal(dsts[srcs == size], visited)
         assert prof.probs[srcs == size].tobytes() == freqs[visited].tobytes()
         assert prof.pi.tobytes() == freqs.tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(training_traces())
+    def test_matches_unique_reference(self, case):
+        size, symbols = case
+        prof = train_profile(symbols, size)
+        keys, probs = unique_reference(symbols, size)
+        assert prof.keys.tobytes() == keys.tobytes()
+        assert prof.probs.tobytes() == probs.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 7, 50, 1000])
+    def test_long_trace_matches_unique_reference(self, size):
+        symbols = make_rng(size).integers(0, size, 10 ** 4)
+        symbols[-1] = size - 1
+        prof = train_profile(symbols, size)
+        keys, probs = unique_reference(symbols, size)
+        assert prof.keys.tobytes() == keys.tobytes()
+        assert prof.probs.tobytes() == probs.tobytes()
+
+    def test_largest_alphabet_trains_sparse(self):
+        top = MAX_KEYED_ALPHABET
+        prof = train_profile([0, top - 1, top - 1, 5], top)
+        keys, probs = unique_reference([0, top - 1, top - 1, 5], top)
+        assert prof.keys.tobytes() == keys.tobytes()
+        assert prof.probs.tobytes() == probs.tobytes()
+
+    @pytest.mark.parametrize("size", [MAX_KEYED_ALPHABET + 1, 2 ** 62])
+    def test_refuses_alphabets_beyond_int64_keys(self, size):
+        with pytest.raises(ValueError, match="overflows int64"):
+            train_profile([0, 1], size)
 
 
 class StubDraws:
@@ -453,6 +519,72 @@ class TestSamplersSkipZeroProbabilitySymbols:
     def test_sample_markov_tail(self):
         chain = MarkovSource(TAILED, np.tile(TAILED, (12, 1)), trace_len=3)
         assert sample_markov(chain, StubDraws(LAST_DRAW)).tolist() == [10] * 3
+
+
+def dense_count_reference(cdfs, rows, draws):
+    """The former inverse-CDF step: count the entries <= u over a whole row."""
+    return (cdfs[rows] <= draws[:, None]).sum(axis=1)
+
+
+# The cumulative sum of ROUNDED reaches 1.0000000000000002 at symbol 2, before
+# the last positive entry 4, so its `cdf_table` row rises above 1.0 and then
+# falls back to 1.0 there.
+ROUNDED = np.array([0.0, 0.5, 0.5000000000000002, 0.0, 1e-17, 0.0])
+
+
+class TestInverseCdfDraws:
+    """Grouped binary searches give the symbols of a dense count, draw for draw."""
+
+    def test_rounded_row_matches_dense_count(self):
+        assert cdf_table(ROUNDED).tolist() == [0.0, 0.5, 1.0000000000000002,
+                                               1.0000000000000002, 1.0, 1.0]
+        cdfs = cdf_table(np.vstack([ROUNDED, TAILED[:6] / TAILED[:6].sum()]))
+        draws = np.array([0.0, np.nextafter(0.5, 0), 0.5, 0.7, LAST_DRAW] * 2)
+        rows = np.repeat([0, 1], 5)
+        got = _inverse_cdf(cdfs, rows, draws)
+        assert got.tolist() == dense_count_reference(cdfs, rows, draws).tolist()
+        assert got[:5].tolist() == [1, 1, 2, 2, 2]
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 6), st.integers(6, 12), st.integers(0, 300), st.integers(0, 2**32 - 1))
+    def test_matches_dense_count(self, n_rows, size, count, seed):
+        rng = make_rng(seed)
+        p = rng.dirichlet(np.full(size, 0.3), n_rows) * (rng.random((n_rows, size)) < 0.7)
+        p[:, 0] += p.sum(axis=1) == 0  # a row zeroed out entirely becomes a point mass
+        rounded = np.zeros(size)
+        rounded[:ROUNDED.size] = ROUNDED
+        cdfs = cdf_table(np.vstack([p / p.sum(axis=1, keepdims=True), rounded]))
+        rows = rng.integers(0, cdfs.shape[0], count)
+        draws = rng.random(count)
+        draws[::7] = LAST_DRAW
+        draws[::11] = 0.0
+        got = _inverse_cdf(cdfs, rows, draws)
+        assert got.dtype == np.int64
+        assert got.tolist() == dense_count_reference(cdfs, rows, draws).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sample_releases_draws_as_the_dense_count(self, seed):
+        dists = [CategoricalDistribution(6, ROUNDED), CategoricalDistribution(6, TAILED[:6] * 2)]
+        dists += [CategoricalDistribution(6, make_rng(seed + i).dirichlet(np.ones(6))) for i in range(3)]
+        pop = PopulationModel.single_datum(CategoricalDistribution.uniform(5), dists)
+        us, xs = sample_releases(pop, None, 500, make_rng(seed))
+        rng = make_rng(seed)
+        want_us = sample(pop.prior, rng, 500)
+        want = dense_count_reference(cdf_table(pop.conditional_matrix()), want_us, rng.random(500))
+        assert us.tolist() == want_us.tolist()
+        assert xs.tolist() == want.tolist()
+
+    def test_kernel_release_draws_as_the_dense_count(self):
+        kernel = MechanismKernel(6, 6, np.column_stack([ROUNDED, TAILED[:6] * 2] * 3))
+        xs = make_rng(4).integers(0, 6, 400)
+        got = _kernel_sample(kernel, xs, make_rng(9))
+        want = dense_count_reference(cdf_table(kernel.matrix.T), xs, make_rng(9).random(400))
+        assert got.tolist() == want.tolist()
+
+    def test_kernel_release_refuses_symbols_outside_the_alphabet(self):
+        for xs in ([3], [-1], [0, 5]):
+            with pytest.raises(ValueError, match="outside"):
+                _kernel_sample(MechanismKernel(3, 3, np.eye(3)), np.array(xs), make_rng(0))
 
 
 class TestProfileTable:
