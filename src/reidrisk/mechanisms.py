@@ -361,6 +361,8 @@ class GeneralLocalHash:
 def glh_sample_batch(mech: GeneralLocalHash, xs: np.ndarray, rng: np.random.Generator) -> GlhBatch:
     """Vectorized hashed obfuscation; one fresh family member per record."""
     xs = integer_symbols(xs)
+    if xs.size and (xs.min() < 0 or xs.max() >= mech.family.prime):
+        raise ValueError("symbol outside the hash domain [0, P)")
     a, b = mech.family.sample_descriptors(xs.size, rng)
     z = hash_buckets(a, b, xs, mech.family.prime, mech.g)
     keep = rng.random(xs.size) < mech.theta_bucket

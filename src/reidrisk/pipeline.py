@@ -189,7 +189,8 @@ def synth_population(spec: SynthesisSpec, rng: np.random.Generator
     trans /= trans.sum(axis=2, keepdims=True)
 
     total_len = spec.train_len + spec.eval_len
-    traces = _simulate_chains(pis, trans, supports, total_len, rng)
+    states = probcore.step_chains(pis, trans, total_len, rng)
+    traces = np.take_along_axis(supports, states, axis=1)
 
     models = tuple(
         MarkovSource(initial=pis[i], transitions=trans[i], trace_len=spec.eval_len,
@@ -201,22 +202,6 @@ def synth_population(spec: SynthesisSpec, rng: np.random.Generator
                            traces=tuple(traces),
                            provenance={"synthesis": asdict(spec)})
     return population, dataset
-
-
-def _simulate_chains(pis: np.ndarray, trans: np.ndarray, supports: np.ndarray,
-                     length: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Step every user's chain in lockstep; returns traces in global symbols."""
-    n = pis.shape[0]
-    out = np.empty((n, length), dtype=np.int64)
-    state = (probcore.cdf_table(pis) <= rng.random(n)[:, None]).sum(axis=1)
-    out[:, 0] = state
-    cdfs = probcore.cdf_table(trans)
-    rows = np.arange(n)
-    for t in range(1, length):
-        cur = cdfs[rows, state]
-        state = (cur <= rng.random(n)[:, None]).sum(axis=1)
-        out[:, t] = state
-    return [supports[i][out[i]] for i in range(n)]
 
 
 _CONFIG_FIELDS: dict = {

@@ -1,15 +1,17 @@
 """Discrete probability primitives shared by every other module.
 
 All information quantities are reported in bits; natural-log intermediates
-are converted by dividing by ln 2. Distributions are dense numpy vectors.
-Joint distributions may be stored dense or as a coordinate list when the
-matrix is very sparse, so brute-force enumeration and large synthetic
-populations both stay feasible.
+are converted by dividing by ln 2. Distributions and joint distributions
+are dense numpy arrays.
+
+Every draw of a symbol from a probability table goes through `inverse_cdf`,
+and every Markov chain steps through `step_chains`, all chains of a
+population in lockstep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -124,14 +126,9 @@ class CategoricalDistribution:
 
 
 class JointDistribution:
-    """Joint probability mass over a (row, column) pair of alphabets.
+    """Joint probability mass over a (row, column) pair of alphabets, stored dense."""
 
-    Stored dense by default; `from_coo` keeps a coordinate-list form when the
-    caller knows the matrix is sparse. Marginals and mutual information work
-    on either form without densifying.
-    """
-
-    __slots__ = ("row_alphabet", "col_alphabet", "matrix", "coo")
+    __slots__ = ("row_alphabet", "col_alphabet", "matrix")
 
     def __init__(self, row_alphabet, col_alphabet, matrix: np.ndarray):
         row_alphabet = _as_alphabet(row_alphabet)
@@ -145,54 +142,18 @@ class JointDistribution:
         object.__setattr__(self, "row_alphabet", row_alphabet)
         object.__setattr__(self, "col_alphabet", col_alphabet)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "coo", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("JointDistribution is immutable")
 
-    @classmethod
-    def from_coo(cls, row_alphabet, col_alphabet, rows, cols, vals) -> "JointDistribution":
-        """Build from coordinate lists without materializing the dense matrix."""
-        row_alphabet = _as_alphabet(row_alphabet)
-        col_alphabet = _as_alphabet(col_alphabet)
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
-            raise ValueError("rows, cols, vals must be equal-length 1-d arrays")
-        if rows.size and (rows.min() < 0 or rows.max() >= row_alphabet.size):
-            raise ValueError("row index out of range")
-        if cols.size and (cols.min() < 0 or cols.max() >= col_alphabet.size):
-            raise ValueError("column index out of range")
-        vals = _checked_mass(vals, "joint distribution")
-        obj = object.__new__(cls)
-        for arr in (rows, cols, vals):
-            arr.setflags(write=False)
-        object.__setattr__(obj, "row_alphabet", row_alphabet)
-        object.__setattr__(obj, "col_alphabet", col_alphabet)
-        object.__setattr__(obj, "matrix", None)
-        object.__setattr__(obj, "coo", (rows, cols, vals))
-        return obj
-
     def row_marginal(self) -> CategoricalDistribution:
-        if self.matrix is not None:
-            vec = self.matrix.sum(axis=1)
-        else:
-            rows, _, vals = self.coo
-            vec = np.bincount(rows, weights=vals, minlength=self.row_alphabet.size)
-        return CategoricalDistribution(self.row_alphabet, vec)
+        return CategoricalDistribution(self.row_alphabet, self.matrix.sum(axis=1))
 
     def col_marginal(self) -> CategoricalDistribution:
-        if self.matrix is not None:
-            vec = self.matrix.sum(axis=0)
-        else:
-            _, cols, vals = self.coo
-            vec = np.bincount(cols, weights=vals, minlength=self.col_alphabet.size)
-        return CategoricalDistribution(self.col_alphabet, vec)
+        return CategoricalDistribution(self.col_alphabet, self.matrix.sum(axis=0))
 
     def __repr__(self):
-        kind = "coo" if self.matrix is None else "dense"
-        return f"JointDistribution({self.row_alphabet.size}x{self.col_alphabet.size}, {kind})"
+        return f"JointDistribution({self.row_alphabet.size}x{self.col_alphabet.size})"
 
 
 @dataclass(frozen=True)
@@ -306,23 +267,13 @@ def kl_divergence(p: CategoricalDistribution, q: CategoricalDistribution) -> flo
     return float((pm * np.log2(pm / q.p[mask])).sum())
 
 
-def _mi_from_parts(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                   row_m: np.ndarray, col_m: np.ndarray) -> float:
-    mask = vals > 0
-    r, c, v = rows[mask], cols[mask], vals[mask]
-    return float((v * np.log2(v / (row_m[r] * col_m[c]))).sum())
-
-
 def mutual_information(j: JointDistribution) -> float:
     """Mutual information of the joint's row and column variables, in bits."""
     row_m = j.row_marginal().p
     col_m = j.col_marginal().p
-    if j.matrix is not None:
-        rows, cols = np.nonzero(j.matrix)
-        vals = j.matrix[rows, cols]
-    else:
-        rows, cols, vals = j.coo
-    val = _mi_from_parts(rows, cols, vals, row_m, col_m)
+    rows, cols = np.nonzero(j.matrix)
+    vals = j.matrix[rows, cols]
+    val = float((vals * np.log2(vals / (row_m[rows] * col_m[cols]))).sum())
     # clip the tiny negative residue float summation can leave on independent joints
     return max(val, 0.0)
 
@@ -346,28 +297,86 @@ def cdf_table(p: np.ndarray, mass: Optional[np.ndarray] = None) -> np.ndarray:
     return cdf
 
 
+def inverse_cdf(cdfs: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Symbol of each draw: the number of entries <= draws[i] in row rows[i] of cdfs.
+
+    `cdfs` is a `cdf_table` of shape (r, width) and draws lie in [0, 1). A
+    `cdf_table` row rises up to its last positive entry and holds 1.0, above
+    every draw, from there on. So the entries <= u form a prefix, even where
+    rounding lifts an entry above 1.0, and a binary search counts them
+    exactly: the symbols are those of a dense count over the whole row, from
+    the same draws. All draws search their own rows at once, one halving step
+    at a time, with no draws x width comparison and no grouping by row.
+    """
+    width = cdfs.shape[-1]
+    flat = cdfs.reshape(-1)
+    last = np.asarray(rows, dtype=np.int64) * width - 1  # flat[last + j] is entry j - 1
+    pos = np.zeros(last.shape, dtype=np.int64)
+    step = 1 << (width - 1).bit_length() >> 1  # the largest power of two below width
+    while step:
+        cand = np.minimum(pos + step, width)
+        np.copyto(pos, cand, where=flat[last + cand] <= draws)
+        step >>= 1
+    return pos
+
+
 def sample(d: CategoricalDistribution, rng: np.random.Generator, size: Optional[int] = None):
     """Draw symbol indices from d; deterministic for a fixed seeded stream."""
-    cdf = cdf_table(d.p)
-    if size is None:
-        return int(np.searchsorted(cdf, rng.random(), side="right"))
-    return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64)
+    draws = np.atleast_1d(rng.random(size))
+    xs = inverse_cdf(cdf_table(d.p)[None, :], np.zeros(draws.size, dtype=np.int64), draws)
+    return int(xs[0]) if size is None else xs
+
+
+def step_chains(initial: np.ndarray, transitions: np.ndarray, length: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """Step n first-order chains in lockstep: states of shape (n, length).
+
+    `initial` (n, k) and `transitions` (n, k, k) hold one chain per row.
+    Each step, the first included, draws one uniform per chain. Transition
+    rows are divided by their mass; a chain that must leave a state with no
+    outgoing mass raises ValueError.
+    """
+    n, k = initial.shape
+    mass = transitions.sum(axis=2)
+    cdfs = cdf_table(transitions, mass[..., None]).reshape(n * k, k)
+    mass = mass.ravel()
+    base = np.arange(n) * k  # row of chain i's state s in cdfs: base[i] + s
+    out = np.empty((n, length), dtype=np.int64)
+    out[:, 0] = inverse_cdf(cdf_table(initial), np.arange(n), rng.random(n))
+    for t in range(1, length):
+        rows = base + out[:, t - 1]
+        dead = mass[rows] == 0
+        if dead.any():
+            raise ValueError("chain has no outgoing transitions from state "
+                             f"{out[dead.argmax(), t - 1]}")
+        out[:, t] = inverse_cdf(cdfs, rows, rng.random(n))
+    return out
+
+
+def _chain_shape(models: Sequence) -> tuple[int, int]:
+    """The (dimension, trace length) that every model shares; ValueError unless all are chains."""
+    if not all(isinstance(m, MarkovSource) for m in models):
+        raise ValueError("every data model must be a MarkovSource; a population "
+                         "cannot mix single data and traces")
+    shapes = {(m.initial.size, m.trace_len) for m in models}
+    if len(shapes) != 1:
+        raise ValueError("chains must share one dimension and one trace length")
+    return shapes.pop()
+
+
+def sample_traces(models: Sequence[MarkovSource], rng: np.random.Generator) -> np.ndarray:
+    """One trace per chain, stepped in lockstep and mapped through its support.
+
+    The chains must share one dimension and one `trace_len`; the result has
+    shape (len(models), trace_len).
+    """
+    dim, length = _chain_shape(models)
+    states = step_chains(np.stack([m.initial for m in models]),
+                         np.stack([m.transitions for m in models]), length, rng)
+    supports = np.stack([np.arange(dim) if m.support is None else m.support for m in models])
+    return np.take_along_axis(supports, states, axis=1)
 
 
 def sample_markov(model: MarkovSource, rng: np.random.Generator) -> np.ndarray:
     """Simulate one trace from a per-user chain, mapped through its support."""
-    cdf0 = cdf_table(model.initial)
-    row_mass = model.transitions.sum(axis=1)
-    cdfs = cdf_table(model.transitions, row_mass[:, None])
-    out = np.empty(model.trace_len, dtype=np.int64)
-    state = int(np.searchsorted(cdf0, rng.random(), side="right"))
-    out[0] = state
-    draws = rng.random(model.trace_len - 1)
-    for t in range(1, model.trace_len):
-        if row_mass[state] == 0:
-            raise ValueError(f"chain has no outgoing transitions from state {state}")
-        state = int(np.searchsorted(cdfs[state], draws[t - 1], side="right"))
-        out[t] = state
-    if model.support is not None:
-        return model.support[out]
-    return out
+    return sample_traces([model], rng)[0]

@@ -175,8 +175,13 @@ def knn_kl_estimate(p_samples, q_samples, k: int = DEFAULT_K,
     if n_p < k + 1 or n_q < k:
         raise ValueError(f"need at least {k + 1} p-samples and {k} q-samples")
     pooled = np.concatenate([p, q])
+    # Python floats overflow to inf without a numpy warning; the jitter below
+    # widens the span by up to 2 * _JITTER_SCALE, and every neighbour
+    # distance must stay finite
+    spread = float(pooled.max()) - float(pooled.min())
+    if not math.isfinite(spread * (1.0 + 4 * _JITTER_SCALE)):
+        raise ValueError("scores span too wide a range for a finite float64 estimate")
     if np.unique(pooled).size < pooled.size:
-        spread = float(pooled.max() - pooled.min())
         if spread == 0.0:
             spread = max(1.0, abs(float(pooled[0])))
         rng = make_rng(jitter_seed)
@@ -190,7 +195,8 @@ def knn_kl_estimate(p_samples, q_samples, k: int = DEFAULT_K,
     if np.any(rho == 0.0) or np.any(nu == 0.0):
         raise ValueError("zero nearest-neighbor distance survived jitter; "
                          "samples are too degenerate to estimate")
-    raw_nats = float(np.mean(np.log(nu / rho))) + float(np.log(n_q / (n_p - 1)))
+    with np.errstate(over="ignore"):  # a ratio past float64 reads inf, refused below
+        raw_nats = float(np.mean(np.log(nu / rho))) + float(np.log(n_q / (n_p - 1)))
     if not math.isfinite(raw_nats):
         raise ValueError("scores span too wide a range for a finite float64 estimate")
     raw_bits = raw_nats / LN2

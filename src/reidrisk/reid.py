@@ -251,33 +251,13 @@ def _glh_log_likelihood(mech: GeneralLocalHash, preimage_mass: np.ndarray) -> np
     return np.log2(mech.off_bucket + (mech.mu - mech.off_bucket) * preimage_mass)
 
 
-def _inverse_cdf(cdfs: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Symbol of each draw: the number of entries <= draws[i] in row rows[i] of cdfs.
-
-    The draws are grouped by row with one stable argsort, then each distinct
-    row takes one `searchsorted`, with no draws x |X| comparison. A
-    `probcore.cdf_table` row rises up to its last positive entry and holds
-    1.0, above every draw u in [0, 1), from there on. So the entries <= u
-    form a prefix, even where rounding lifts an entry above 1.0, and a
-    binary search counts them exactly.
-    """
-    order = np.argsort(rows, kind="stable")
-    grouped = rows[order]
-    starts = np.flatnonzero(np.diff(grouped, prepend=-1))  # rows index cdfs, so are >= 0
-    out = np.empty(rows.size, dtype=np.int64)
-    for lo, hi in zip(starts.tolist(), np.append(starts[1:], rows.size).tolist()):
-        at = order[lo:hi]
-        out[at] = np.searchsorted(cdfs[grouped[lo]], draws[at], side="right")
-    return out
-
-
 def _kernel_sample(kernel: MechanismKernel, xs: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
     """Release each symbol x through kernel column x by inverse-CDF sampling."""
     xs = integer_symbols(xs)
     if xs.size and (xs.min() < 0 or xs.max() >= kernel.input_size):
         raise ValueError("symbol outside the kernel's input alphabet")
-    return _inverse_cdf(probcore.cdf_table(kernel.matrix.T), xs, rng.random(xs.size))
+    return probcore.inverse_cdf(probcore.cdf_table(kernel.matrix.T), xs, rng.random(xs.size))
 
 
 def release(mechanism, xs: np.ndarray, rng: np.random.Generator):
@@ -300,7 +280,8 @@ def sample_releases(population: PopulationModel, mechanism, count: int,
     Users come from the prior, their data by inverse CDF, releases from `release`.
     """
     us = probcore.sample(population.prior, rng, count)
-    xs = _inverse_cdf(probcore.cdf_table(population.conditional_matrix()), us, rng.random(count))
+    xs = probcore.inverse_cdf(probcore.cdf_table(population.conditional_matrix()), us,
+                              rng.random(count))
     return us, release(mechanism, xs, rng)
 
 
@@ -311,7 +292,9 @@ def simulate_score_trials(population: PopulationModel, mechanism,
 
     Returns (true_users, scores) with scores of shape (trials, n). The
     mechanism is anything `release` takes; the hashed one needs a
-    single-datum population.
+    single-datum population. A trace population must hold chains of one
+    dimension and one trace length. Its draws are all users, then all
+    chains stepped in lockstep, then one release of every trial's symbols.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -326,23 +309,16 @@ def simulate_score_trials(population: PopulationModel, mechanism,
             return us, glh_single_datum_scores(pi_floored, released, mechanism)
         return us, rr_single_datum_scores(pi_floored, released)
 
-    # trace-valued data: per-trial loop, symbol-wise obfuscation
+    # trace-valued data: every trial's chain steps in lockstep, one release for all
     if isinstance(mechanism, GeneralLocalHash):
         raise ValueError("hashed releases of whole traces are not supported; "
                          "use single-datum populations for the hashed mechanism")
+    probcore._chain_shape(population.models)  # refuses a mixed or ragged population
     table = ProfileTable(profiles)
-    scores = np.empty((trials, n))
-    us = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        u = probcore.sample(population.prior, rng)
-        model = population.models[u]
-        if isinstance(model, SingleDatum):
-            x_trace = np.array([probcore.sample(model.dist, rng)], dtype=np.int64)
-        else:
-            x_trace = probcore.sample_markov(model, rng)
-        us[t] = u
-        scores[t] = table.scores(release(mechanism, x_trace, rng))
-    return us, scores
+    us = probcore.sample(population.prior, rng, trials)
+    xs = probcore.sample_traces([population.models[u] for u in us], rng)
+    ys = np.reshape(release(mechanism, xs.ravel(), rng), xs.shape)
+    return us, np.stack([table.scores(y) for y in ys])
 
 
 def identification_error_rate(population: PopulationModel, mechanism,

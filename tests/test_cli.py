@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -560,7 +561,9 @@ def _reject_constant(name):
 
 def _exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a numpy warning is not a clean exit
         try:
             code = main([str(a) for a in argv])
         except SystemExit as exc:
@@ -639,6 +642,9 @@ class TestReaderProperties:
 
     @_FUZZ
     @example(text="label,score\ng,0.0\ng,1.7976931347800486e+308\ni,0.0\n")
+    @example(text="label,score\ng,1.7976931347800486e+308\ng,-1.7976931347800486e+308\n"
+                  "g,0.0\ni,1.7976931347800486e+308\ni,-1.7976931347800486e+308\ni,0.0\n")
+    @example(text="label,score\ng,0.0\ng,5e-324\ng,1.0\ni,1e300\ni,2e300\n")
     @given(text=_csv_text("label,score", _rows(
         st.sampled_from(["g", "i", "genuine", "impostor"]), _SCORE)))
     def test_scores(self, tmp_path, text):

@@ -145,6 +145,15 @@ class TestIntegerSymbols:
         assert np.array_equal(glh_sample_batch(glh, np.array([3.0, 1.0]), make_rng(5)).ys,
                               glh_sample_batch(glh, np.array([3, 1]), make_rng(5)).ys)
 
+    def test_glh_refuses_symbols_outside_the_hash_domain(self):
+        # -1 would hash as P - 1, and a*x wraps int64 for x far above P
+        glh = GeneralLocalHash.with_production_family(1.0, 4, domain_size=10)
+        prime = glh.family.prime
+        for xs in ([-1], [prime], [0, prime + 1], [2 ** 62]):
+            with pytest.raises(ValueError, match="hash domain"):
+                glh_sample_batch(glh, np.array(xs), make_rng(0))
+        assert glh_sample_batch(glh, np.array([0, prime - 1]), make_rng(0)).ys.size == 2
+
 
 class TestPrimes:
     def test_known_primes(self):

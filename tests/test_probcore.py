@@ -156,20 +156,6 @@ class TestJointDistribution:
         with pytest.raises(ValueError):
             JointDistribution(2, 2, np.array([[1.2, -0.2], [0.0, 0.0]]))
 
-    def test_coo_equivalent_to_dense(self):
-        m = np.array([[0.375, 0.125], [0.125, 0.375]])
-        dense = JointDistribution(2, 2, m)
-        rows, cols = np.nonzero(m)
-        sparse = JointDistribution.from_coo(2, 2, rows, cols, m[rows, cols])
-        assert sparse.matrix is None
-        assert np.allclose(sparse.row_marginal().p, dense.row_marginal().p)
-        assert np.allclose(sparse.col_marginal().p, dense.col_marginal().p)
-        assert math.isclose(mutual_information(sparse), mutual_information(dense), rel_tol=1e-13)
-
-    def test_coo_validation(self):
-        with pytest.raises(ValueError):
-            JointDistribution.from_coo(2, 2, [0, 2], [0, 0], [0.5, 0.5])
-
     def test_mutual_information_independent_is_zero(self):
         outer = np.outer([0.3, 0.7], [0.6, 0.4])
         assert abs(mutual_information(JointDistribution(2, 2, outer))) < 1e-14

@@ -15,23 +15,24 @@ from reidrisk.mechanisms import (
     RandomizedResponse,
     rr_sample_batch,
 )
-from reidrisk.pipeline import _simulate_chains
 from reidrisk.probcore import (
     CategoricalDistribution,
     MarkovSource,
     PopulationModel,
     SingleDatum,
     cdf_table,
+    inverse_cdf,
     make_rng,
     sample,
     sample_markov,
+    sample_traces,
+    step_chains,
 )
 from reidrisk.reid import (
     MAX_KEYED_ALPHABET,
     DetCurve,
     MarkovProfile,
     ProfileTable,
-    _inverse_cdf,
     _kernel_sample,
     _pair_keys,
     far_frr_det,
@@ -489,8 +490,7 @@ class TestSamplersSkipZeroProbabilitySymbols:
     def test_lockstep_chains(self):
         pis = np.array([[0.0, 1.0, 0.0]])
         trans = np.array([[[0.0, 0.5, 0.5]] * 3])
-        traces = _simulate_chains(pis, trans, np.array([[10, 11, 12]]), 3, StubDraws(0.0))
-        assert traces[0].tolist() == [11, 11, 11]
+        assert step_chains(pis, trans, 3, StubDraws(0.0)).tolist() == [[1, 1, 1]]
 
     def test_single_datum_tail(self):
         pop = PopulationModel.single_datum(CategoricalDistribution.uniform(1),
@@ -507,9 +507,7 @@ class TestSamplersSkipZeroProbabilitySymbols:
 
     def test_lockstep_chains_tail(self):
         trans = np.tile(TAILED, (1, 12, 1))
-        traces = _simulate_chains(TAILED[None, :], trans, np.arange(12)[None, :], 3,
-                                  StubDraws(LAST_DRAW))
-        assert traces[0].tolist() == [10] * 3
+        assert step_chains(TAILED[None, :], trans, 3, StubDraws(LAST_DRAW)).tolist() == [[10] * 3]
 
     def test_probcore_sample_tail(self):
         d = CategoricalDistribution(12, TAILED)
@@ -533,7 +531,7 @@ ROUNDED = np.array([0.0, 0.5, 0.5000000000000002, 0.0, 1e-17, 0.0])
 
 
 class TestInverseCdfDraws:
-    """Grouped binary searches give the symbols of a dense count, draw for draw."""
+    """The lockstep binary search gives the symbols of a dense count, draw for draw."""
 
     def test_rounded_row_matches_dense_count(self):
         assert cdf_table(ROUNDED).tolist() == [0.0, 0.5, 1.0000000000000002,
@@ -541,24 +539,27 @@ class TestInverseCdfDraws:
         cdfs = cdf_table(np.vstack([ROUNDED, TAILED[:6] / TAILED[:6].sum()]))
         draws = np.array([0.0, np.nextafter(0.5, 0), 0.5, 0.7, LAST_DRAW] * 2)
         rows = np.repeat([0, 1], 5)
-        got = _inverse_cdf(cdfs, rows, draws)
+        got = inverse_cdf(cdfs, rows, draws)
         assert got.tolist() == dense_count_reference(cdfs, rows, draws).tolist()
         assert got[:5].tolist() == [1, 1, 2, 2, 2]
 
     @settings(deadline=None, max_examples=200)
-    @given(st.integers(1, 6), st.integers(6, 12), st.integers(0, 300), st.integers(0, 2**32 - 1))
-    def test_matches_dense_count(self, n_rows, size, count, seed):
+    @given(st.integers(1, 70), st.integers(1, 5), st.integers(0, 300), st.integers(0, 2**32 - 1))
+    def test_matches_dense_count(self, width, n_rows, count, seed):
+        # widths 1 to 70 cross the powers of two at which the search adds a step
         rng = make_rng(seed)
-        p = rng.dirichlet(np.full(size, 0.3), n_rows) * (rng.random((n_rows, size)) < 0.7)
+        p = rng.dirichlet(np.full(width, 0.3), n_rows) * (rng.random((n_rows, width)) < 0.7)
         p[:, 0] += p.sum(axis=1) == 0  # a row zeroed out entirely becomes a point mass
-        rounded = np.zeros(size)
-        rounded[:ROUNDED.size] = ROUNDED
-        cdfs = cdf_table(np.vstack([p / p.sum(axis=1, keepdims=True), rounded]))
+        rows = [p / p.sum(axis=1, keepdims=True)]
+        for special in (ROUNDED, TAILED):
+            if width >= special.size:
+                rows.append(np.pad(special, (0, width - special.size))[None, :])
+        cdfs = cdf_table(np.vstack(rows))
         rows = rng.integers(0, cdfs.shape[0], count)
         draws = rng.random(count)
         draws[::7] = LAST_DRAW
         draws[::11] = 0.0
-        got = _inverse_cdf(cdfs, rows, draws)
+        got = inverse_cdf(cdfs, rows, draws)
         assert got.dtype == np.int64
         assert got.tolist() == dense_count_reference(cdfs, rows, draws).tolist()
 
@@ -586,6 +587,116 @@ class TestInverseCdfDraws:
             with pytest.raises(ValueError, match="outside"):
                 _kernel_sample(MechanismKernel(3, 3, np.eye(3)), np.array(xs), make_rng(0))
 
+def dense_chains_reference(pis, trans, length, rng):
+    """The former lockstep stepper: a dense count of each draw over its chain's CDF row."""
+    n = pis.shape[0]
+    out = np.empty((n, length), dtype=np.int64)
+    state = (cdf_table(pis) <= rng.random(n)[:, None]).sum(axis=1)
+    out[:, 0] = state
+    cdfs = cdf_table(trans)
+    rows = np.arange(n)
+    for t in range(1, length):
+        state = (cdfs[rows, state] <= rng.random(n)[:, None]).sum(axis=1)
+        out[:, t] = state
+    return out
+
+
+def searchsorted_markov_reference(model, rng):
+    """The former `sample_markov`: one `searchsorted` per step of one chain."""
+    cdf0 = cdf_table(model.initial)
+    row_mass = model.transitions.sum(axis=1)
+    cdfs = cdf_table(model.transitions, row_mass[:, None])
+    out = np.empty(model.trace_len, dtype=np.int64)
+    state = int(np.searchsorted(cdf0, rng.random(), side="right"))
+    out[0] = state
+    draws = rng.random(model.trace_len - 1)
+    for t in range(1, model.trace_len):
+        state = int(np.searchsorted(cdfs[state], draws[t - 1], side="right"))
+        out[t] = state
+    return out if model.support is None else model.support[out]
+
+
+def lockstep_reference(models, rng):
+    """Traces of `sample_traces`, chain by chain: all first draws, then one per chain a step."""
+    states = [[int(np.searchsorted(cdf_table(m.initial), u, side="right"))]
+              for m, u in zip(models, rng.random(len(models)))]
+    for _ in range(1, models[0].trace_len):
+        for m, trace, u in zip(models, states, rng.random(len(models))):
+            mass = m.transitions.sum(axis=1)
+            trace.append(int(np.searchsorted(cdf_table(m.transitions, mass[:, None])[trace[-1]],
+                                             u, side="right")))
+    return np.array([m.support[tr] if m.support is not None else tr
+                     for m, tr in zip(models, states)], dtype=np.int64)
+
+
+def random_chains(rng, n, dim, length, zero_share=0.3):
+    """n chains over dim states; a share of entries is zeroed, never a whole row."""
+    def rows(count):
+        p = rng.dirichlet(np.full(dim, 0.5), count) * (rng.random((count, dim)) >= zero_share)
+        p[np.arange(count), rng.integers(0, dim, count)] += p.sum(axis=1) == 0
+        return p / p.sum(axis=1, keepdims=True)
+    return [MarkovSource(rows(1)[0], rows(dim), trace_len=length,
+                         support=np.sort(rng.choice(10 * dim, dim, replace=False)))
+            for _ in range(n)]
+
+
+class TestChainSteppers:
+    """`step_chains` steps every chain through `inverse_cdf`, as the former steppers did."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 8), st.integers(1, 20), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_step_chains_matches_the_dense_count(self, n, dim, length, seed):
+        models = random_chains(make_rng(seed), n, dim, length)
+        pis = np.stack([m.initial for m in models])
+        trans = np.stack([m.transitions for m in models])
+        got = step_chains(pis, trans, length, make_rng(seed + 1))
+        assert got.dtype == np.int64
+        assert got.tolist() == dense_chains_reference(pis, trans, length, make_rng(seed + 1)).tolist()
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 20), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_sample_markov_matches_the_searchsorted_steps(self, dim, length, seed):
+        model = random_chains(make_rng(seed), 1, dim, length)[0]
+        want = searchsorted_markov_reference(model, make_rng(seed + 1))
+        assert sample_markov(model, make_rng(seed + 1)).tolist() == want.tolist()
+
+    def test_sample_markov_draws_rounded_and_tailed_rows(self):
+        for p in (ROUNDED, TAILED):
+            model = MarkovSource(p, np.tile(p, (p.size, 1)), trace_len=40)
+            for seed in range(5):
+                want = searchsorted_markov_reference(model, make_rng(seed))
+                assert sample_markov(model, make_rng(seed)).tolist() == want.tolist()
+
+    def test_transition_rows_are_divided_by_their_mass(self):
+        # row 0 sums to 1 - 6e-10, inside the tolerance; divided, its first
+        # entry rises above the draw, which the undivided 0.3 does not
+        row = [0.3, 0.3, 0.4 - 6e-10]
+        model = MarkovSource(np.array([1.0, 0.0, 0.0]), np.array([row, row, row]), trace_len=3)
+        assert sample_markov(model, StubDraws(0.3 + 1e-10)).tolist() == [0, 0, 0]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 8), st.integers(1, 10), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_sample_traces_steps_in_lockstep(self, n, dim, length, seed):
+        models = random_chains(make_rng(seed), n, dim, length)
+        # chain 0 has no support, so maps through the identity
+        models[0] = MarkovSource(models[0].initial, models[0].transitions, trace_len=length)
+        got = sample_traces(models, make_rng(seed + 1))
+        assert got.shape == (n, length)
+        assert got.tolist() == lockstep_reference(models, make_rng(seed + 1)).tolist()
+
+    def test_refuses_mixed_and_ragged_chains(self):
+        chain = MarkovSource(np.array([1.0, 0.0]), np.eye(2), trace_len=3)
+        datum = SingleDatum(CategoricalDistribution.point_mass(2, 0))
+        wider = MarkovSource(np.array([1.0, 0.0, 0.0]), np.eye(3), trace_len=3)
+        longer = MarkovSource(chain.initial, chain.transitions, trace_len=4)
+        profiles = [train_profile([0, 1], 3, owner=i) for i in range(2)]
+        for other, why in ((datum, "mix"), (wider, "one dimension"), (longer, "one trace length")):
+            with pytest.raises(ValueError, match=why):
+                sample_traces([chain, other], make_rng(0))
+            pop = PopulationModel(2, CategoricalDistribution(2, [1.0, 0.0]), (chain, other))
+            with pytest.raises(ValueError, match=why):  # refused although user 1 is never drawn
+                simulate_score_trials(pop, None, profiles, 5, make_rng(0))
+
 
 class TestProfileTable:
     @settings(deadline=None, max_examples=200)
@@ -602,19 +713,14 @@ class TestProfileTable:
     @given(training_sets(), st.integers(0, 2**32 - 1),
            st.sampled_from(["none", "rr", "kernel"]))
     def test_trial_scores_match_per_symbol_reference(self, case, seed, mech_name):
-        # Even users follow a chain (trace length 1 to 4), odd users emit one
-        # symbol, so the population is mixed and takes the trace path.
+        # every user follows a chain over the whole alphabet, all of one trace length
         size, traces, floors = case
         n = len(traces)
         rng = make_rng(seed)
-        models = []
-        for i in range(n):
-            if i % 2 == 0:
-                models.append(MarkovSource(rng.dirichlet(np.ones(size)),
-                                           rng.dirichlet(np.ones(size), size=size),
-                                           trace_len=int(rng.integers(1, 5))))
-            else:
-                models.append(SingleDatum(CategoricalDistribution(size, rng.dirichlet(np.ones(size)))))
+        length = int(rng.integers(1, 5))
+        models = [MarkovSource(rng.dirichlet(np.ones(size)),
+                               rng.dirichlet(np.ones(size), size=size), trace_len=length)
+                  for _ in range(n)]
         pop = PopulationModel(n, CategoricalDistribution(n, rng.dirichlet(np.ones(n))), models)
         mech = {"none": None,
                 "rr": RandomizedResponse(1.0, size),
@@ -623,23 +729,19 @@ class TestProfileTable:
         trials = 12
         us, scores = simulate_score_trials(pop, mech, trained(size, traces, floors),
                                            trials, make_rng(seed))
-        # replay the documented draw order: user, datum or trace, release
+        # replay the documented draw order: users, lockstep chain steps, one release
         replay = make_rng(seed)
-        for t in range(trials):
-            u = sample(pop.prior, replay)
-            model = pop.models[u]
-            if isinstance(model, SingleDatum):
-                xs = np.array([sample(model.dist, replay)], dtype=np.int64)
-            else:
-                xs = sample_markov(model, replay)
-            if mech is None:
-                ys = xs
-            elif isinstance(mech, RandomizedResponse):
-                ys = rr_sample_batch(mech, xs, replay).ys
-            else:
-                ys = _kernel_sample(mech, xs, replay)
-            assert us[t] == u
-            want = [reference_log_likelihood(tr, f, ys.tolist()) for tr, f in zip(traces, floors)]
+        want_us = sample(pop.prior, replay, trials)
+        xs = lockstep_reference([models[u] for u in want_us], replay).ravel()
+        if mech is None:
+            ys = xs
+        elif isinstance(mech, RandomizedResponse):
+            ys = rr_sample_batch(mech, xs, replay).ys
+        else:
+            ys = _kernel_sample(mech, xs, replay)
+        assert us.tolist() == want_us.tolist()
+        for t, y in enumerate(ys.reshape(trials, length).tolist()):
+            want = [reference_log_likelihood(tr, f, y) for tr, f in zip(traces, floors)]
             assert scores[t].tolist() == want
 
     def test_zero_probability_entries_take_the_floor(self):
