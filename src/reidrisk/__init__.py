@@ -24,16 +24,16 @@ from .mechanisms import (PRODUCTION_PRIME, CarterWegman, ExhaustiveTable,
                          mixture_kernel, postprocess, read_records, rr_kernel,
                          rr_sample_batch, write_records)
 from .oracle import (BoundViolationReport, SmallInstance, exact_bayes_error,
-                     exact_composed_pie, exact_pie, exact_pie_glh, exact_pse,
+                     exact_composed_pie, exact_pie, exact_pse,
                      random_small_instance, verify_bound_suite)
 from .pipeline import (DataError, ExperimentConfig, ExperimentResult,
                        PipelineError, SynthesisSpec, TraceDataset,
                        ingest_checkins, run_experiment, split_traces,
                        synth_population, zipf_law)
-from .probcore import (Alphabet, CategoricalDistribution, JointDistribution,
-                       MarkovSource, PopulationModel, SingleDatum, entropy,
-                       kl_divergence, make_rng, mutual_information, sample,
-                       sample_markov, spawn_streams)
+from .probcore import (Alphabet, CategoricalDistribution, MarkovSource,
+                       PopulationModel, SingleDatum, entropy, kl_divergence,
+                       make_rng, mutual_information, sample, sample_markov,
+                       spawn_streams)
 from .pse import (ConvergenceReport, KnnKlEstimate, ScoreSample,
                   convergence_probe, harvest_scores, harvest_scores_sparse,
                   knn_kl_estimate, pse_estimate)

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import probcore
 from .mechanisms import _keep_leak
 
@@ -188,7 +186,7 @@ def pie_data_processing_cap(population: probcore.PopulationModel) -> DataProcess
         raise ValueError("population too large to enumerate the (U, X) joint")
     joint = population.joint_ux()
     i_ux = probcore.mutual_information(joint)
-    h_x = probcore.entropy(joint.col_marginal())
+    h_x = probcore.entropy(probcore.CategoricalDistribution(size, joint.sum(axis=0)))
     return DataProcessingCap(identity_information=i_ux,
                              cap=min(math.log2(n), math.log2(size), h_x))
 

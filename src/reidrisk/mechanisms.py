@@ -288,7 +288,8 @@ class ExhaustiveTable:
 
     Oracle-only: permitted while g^domain stays at or below 10^6. Member
     index i maps x to digit x of i written in base g (plus 1 for 1-based
-    buckets), which enumerates every function exactly once.
+    buckets), which enumerates every function exactly once. `kernel` is the
+    exact channel of hashed randomization with this family.
     """
 
     MAX_FUNCTIONS = 10 ** 6
@@ -308,6 +309,16 @@ class ExhaustiveTable:
         idx = np.arange(self.count)[:, None]
         powers = self.g ** np.arange(self.domain_size)[None, :]
         return (idx // powers) % self.g + 1
+
+    def kernel(self, epsilon: float) -> MechanismKernel:
+        """Channel from x to the pair (member f, bucket b), ordered member-major.
+
+        A uniform member hashes x, then randomized response at epsilon runs
+        over the g buckets: Q[f*g + b, x] = rr_kernel(epsilon, g)[b, f(x) - 1] / count.
+        """
+        bucket_q = rr_kernel(epsilon, self.g).matrix[:, self.all_tables() - 1]  # (g, count, domain)
+        q = bucket_q.transpose(1, 0, 2).reshape(self.count * self.g, self.domain_size)
+        return MechanismKernel(self.domain_size, self.count * self.g, q / self.count)
 
 
 @dataclass(frozen=True)

@@ -3,21 +3,24 @@
 Everything the closed-form modules claim is recomputed here by exhaustive
 enumeration: exact identity information of a release, exact score-level
 information for a given matcher, exact Bayes error, and exact composed
-releases. A randomized checker draws many small random instances and
-verifies every inequality the package relies on, reporting violations as
-data rather than exceptions.
+releases. Each instance carries exactly one channel kernel, so every exact
+quantity has one implementation; hashed randomization is the kernel of the
+exhaustive hash family, with the hash member part of the release. A
+randomized checker draws many small random instances and verifies every
+inequality the package relies on, reporting violations as data rather than
+exceptions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import bounds, probcore
 from .mechanisms import ExhaustiveTable, MechanismKernel, mixture_kernel, postprocess, rr_kernel
-from .probcore import Alphabet, CategoricalDistribution, JointDistribution, PopulationModel
+from .probcore import CategoricalDistribution, PopulationModel
 
 MAX_USERS = 8
 MAX_SYMBOLS = 8
@@ -27,18 +30,16 @@ TOL = 1e-9
 
 @dataclass(frozen=True)
 class SmallInstance:
-    """An enumerable population plus one mechanism description.
+    """An enumerable population plus the one channel `kernel` that releases its data.
 
-    Exactly one of `kernel` (a plain channel) or (`glh_epsilon`, `glh_g`)
-    (hashed randomization with the exhaustive, exactly universal family)
-    must be given. `pair_conditional` optionally carries p(x1, x2 | u) for
-    two-release composition checks.
+    Every mechanism is a kernel here: hashed randomization enters as
+    `ExhaustiveTable(size, g).kernel(epsilon)`, whose outputs are the pairs
+    (hash member, bucket). `pair_conditional` optionally carries
+    p(x1, x2 | u) for two-release composition checks.
     """
 
     population: PopulationModel
-    kernel: Optional[MechanismKernel] = None
-    glh_epsilon: Optional[float] = None
-    glh_g: Optional[int] = None
+    kernel: MechanismKernel
     pair_conditional: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -46,17 +47,9 @@ class SmallInstance:
         size = self.population.data_alphabet().size
         if n > MAX_USERS or size > MAX_SYMBOLS:
             raise ValueError(f"instance too large: n={n}, size={size}")
-        has_kernel = self.kernel is not None
-        has_glh = self.glh_epsilon is not None and self.glh_g is not None
-        if has_kernel == has_glh:
-            raise ValueError("give exactly one of kernel or (glh_epsilon, glh_g)")
-        if has_kernel:
-            if self.kernel.input_size != size:
-                raise ValueError("kernel input alphabet does not match the population")
-            cells = n * size * self.kernel.output_size
-        else:
-            fam = ExhaustiveTable(size, self.glh_g)
-            cells = n * size * self.glh_g * fam.count
+        if self.kernel.input_size != size:
+            raise ValueError("kernel input alphabet does not match the population")
+        cells = n * size * self.kernel.output_size
         if cells > ENUMERATION_CAP:
             raise ValueError(f"enumeration size {cells} exceeds cap {ENUMERATION_CAP}")
         if self.pair_conditional is not None:
@@ -69,45 +62,15 @@ class SmallInstance:
 
 
 def _joint_uy(instance: SmallInstance) -> np.ndarray:
-    """Exact joint p(u, y) for a plain-kernel instance."""
+    """Exact joint p(u, y) of the release."""
     cond = instance.population.conditional_matrix()
     out_given_u = cond @ instance.kernel.matrix.T
     return instance.population.prior.p[:, None] * out_given_u
 
 
-def _joint_uhy(instance: SmallInstance) -> np.ndarray:
-    """Exact joint p(u, (h, y)) with the exhaustive hash family, flattened."""
-    size = instance.population.data_alphabet().size
-    g = instance.glh_g
-    fam = ExhaustiveTable(size, g)
-    tables = fam.all_tables() - 1  # (#funcs, size), 0-based buckets
-    onehot = np.eye(g)[tables]  # (#funcs, size, g)
-    cond = instance.population.conditional_matrix()
-    bucket_q = rr_kernel(instance.glh_epsilon, g).matrix  # (g, g) over buckets
-    z_given_uh = np.einsum("ux,fxg->fug", cond, onehot)
-    y_given_uh = np.einsum("fug,bg->fub", z_given_uh, bucket_q)
-    # flatten (h, y) into one output axis, weight each function uniformly
-    joint = y_given_uh.transpose(1, 0, 2).reshape(instance.population.n, -1)
-    return instance.population.prior.p[:, None] * joint / fam.count
-
-
-def _mi_of_matrix(joint: np.ndarray) -> float:
-    return probcore.mutual_information(
-        JointDistribution(Alphabet(joint.shape[0]), Alphabet(joint.shape[1]), joint))
-
-
 def exact_pie(instance: SmallInstance) -> float:
     """Exact identity information I(U; Y) of the release, in bits."""
-    if instance.kernel is None:
-        return exact_pie_glh(instance)
-    return _mi_of_matrix(_joint_uy(instance))
-
-
-def exact_pie_glh(instance: SmallInstance) -> float:
-    """Exact identity information of a hashed release, hash included."""
-    if instance.glh_epsilon is None:
-        raise ValueError("instance has no hashed mechanism")
-    return _mi_of_matrix(_joint_uhy(instance))
+    return probcore.mutual_information(_joint_uy(instance))
 
 
 def exact_bayes_error(joint: np.ndarray) -> float:
@@ -148,10 +111,7 @@ def exact_pse(instance: SmallInstance,
     likelihood matcher reproduces the release-level information exactly;
     every other matcher can only lose information.
     """
-    if instance.kernel is None:
-        joint = _joint_uhy(instance)
-    else:
-        joint = _joint_uy(instance)
+    joint = _joint_uy(instance)
     prior = instance.population.prior.p
     with np.errstate(invalid="ignore", divide="ignore"):
         likelihood = np.where(prior[:, None] > 0, joint / prior[:, None], 0.0)
@@ -162,7 +122,7 @@ def exact_pse(instance: SmallInstance,
     quotient = np.empty((joint.shape[0], len(groups)))
     for s, ys in enumerate(groups.values()):
         quotient[:, s] = joint[:, ys].sum(axis=1)
-    return ExactScoreReport(information_bits=_mi_of_matrix(quotient),
+    return ExactScoreReport(information_bits=probcore.mutual_information(quotient),
                             bayes_error=exact_bayes_error(quotient),
                             score_groups=len(groups))
 
@@ -175,8 +135,6 @@ def exact_composed_pie(instance: SmallInstance, t: int = 2) -> float:
         raise ValueError("only t in {1, 2} is enumerable here")
     if instance.pair_conditional is None:
         raise ValueError("instance carries no pair conditional")
-    if instance.kernel is None:
-        raise ValueError("composition enumeration is implemented for plain kernels")
     q = instance.kernel.matrix
     n = instance.population.n
     out = q.shape[0]
@@ -184,7 +142,7 @@ def exact_composed_pie(instance: SmallInstance, t: int = 2) -> float:
         raise ValueError("composed enumeration exceeds the size cap")
     pair = np.einsum("uab,ya,zb->uyz", instance.pair_conditional, q, q)
     joint = instance.population.prior.p[:, None] * pair.reshape(n, out * out)
-    return _mi_of_matrix(joint)
+    return probcore.mutual_information(joint)
 
 
 @dataclass(frozen=True)
@@ -283,7 +241,7 @@ def verify_bound_suite(count: int, rng_or_seed: Union[int, np.random.Generator],
         i_ux = probcore.mutual_information(pop.joint_ux())
         p_x = prior @ cond
         joint_xy = p_x[:, None] * q.matrix.T
-        i_xy = _mi_of_matrix(joint_xy)
+        i_xy = probcore.mutual_information(joint_xy)
 
         claim(idx, "release_info_below_identity_info", i_uy, i_ux)
         claim(idx, "release_info_below_channel_info", i_uy, i_xy)
@@ -295,8 +253,8 @@ def verify_bound_suite(count: int, rng_or_seed: Union[int, np.random.Generator],
         # hashed mechanism with the exactly universal family
         g = int(rng.integers(2, 4))
         if g ** size * n * size * g <= ENUMERATION_CAP and g ** size <= 4096:
-            glh_inst = SmallInstance(population=pop, glh_epsilon=epsilon, glh_g=g)
-            i_uhy = exact_pie_glh(glh_inst)
+            hashed = ExhaustiveTable(size, g).kernel(epsilon)
+            i_uhy = exact_pie(SmallInstance(population=pop, kernel=hashed))
             theta_g = bounds.mi_loss_glh(epsilon, g)
             claim(idx, "glh_shrink_of_identity_info", i_uhy, theta_g * i_ux)
             claim(idx, "glh_cap", i_uhy, bounds.pie_bound_glh(epsilon, g, n, size))

@@ -184,9 +184,14 @@ def synth_population(spec: SynthesisSpec, rng: np.random.Generator
     alpha = spec.concentration * k * restricted
 
     pis = rng.gamma(np.maximum(alpha, 1e-12))
-    pis /= pis.sum(axis=1, keepdims=True)
     trans = rng.gamma(np.maximum(alpha[:, None, :], 1e-12), size=(n, k, k))
-    trans /= trans.sum(axis=2, keepdims=True)
+    pis_mass = pis.sum(axis=1, keepdims=True)
+    trans_mass = trans.sum(axis=2, keepdims=True)
+    if not (pis_mass.all() and trans_mass.all()):
+        raise ValueError(f"concentration {spec.concentration!r} is too small: a drawn "
+                         "visit or transition row has zero mass")
+    pis /= pis_mass
+    trans /= trans_mass
 
     total_len = spec.train_len + spec.eval_len
     states = probcore.step_chains(pis, trans, total_len, rng)

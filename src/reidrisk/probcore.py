@@ -125,37 +125,6 @@ class CategoricalDistribution:
         return f"CategoricalDistribution(size={self.size})"
 
 
-class JointDistribution:
-    """Joint probability mass over a (row, column) pair of alphabets, stored dense."""
-
-    __slots__ = ("row_alphabet", "col_alphabet", "matrix")
-
-    def __init__(self, row_alphabet, col_alphabet, matrix: np.ndarray):
-        row_alphabet = _as_alphabet(row_alphabet)
-        col_alphabet = _as_alphabet(col_alphabet)
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.shape != (row_alphabet.size, col_alphabet.size):
-            raise ValueError(f"joint matrix shape {m.shape} does not match alphabets")
-        m = _checked_mass(m.ravel(), "joint distribution").reshape(m.shape)
-        m = np.array(m, copy=True)
-        m.setflags(write=False)
-        object.__setattr__(self, "row_alphabet", row_alphabet)
-        object.__setattr__(self, "col_alphabet", col_alphabet)
-        object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JointDistribution is immutable")
-
-    def row_marginal(self) -> CategoricalDistribution:
-        return CategoricalDistribution(self.row_alphabet, self.matrix.sum(axis=1))
-
-    def col_marginal(self) -> CategoricalDistribution:
-        return CategoricalDistribution(self.col_alphabet, self.matrix.sum(axis=0))
-
-    def __repr__(self):
-        return f"JointDistribution({self.row_alphabet.size}x{self.col_alphabet.size})"
-
-
 @dataclass(frozen=True)
 class SingleDatum:
     """Per-user data model that emits one symbol per release."""
@@ -184,6 +153,8 @@ class MarkovSource:
         trans = np.asarray(self.transitions, dtype=np.float64)
         if init.ndim != 1 or trans.shape != (init.size, init.size):
             raise ValueError("initial/transition shapes are inconsistent")
+        if not (np.all(np.isfinite(init)) and np.all(np.isfinite(trans))):
+            raise ValueError("non-finite probability in chain")
         if np.any(init < 0) or np.any(trans < 0):
             raise ValueError("negative probability in chain")
         if abs(init.sum() - 1.0) > SUM_TOL:
@@ -239,11 +210,9 @@ class PopulationModel:
             rows.append(m.dist.p)
         return np.vstack(rows)
 
-    def joint_ux(self) -> JointDistribution:
-        """Exact joint of (U, X) for single-datum populations."""
-        cond = self.conditional_matrix()
-        joint = self.prior.p[:, None] * cond
-        return JointDistribution(Alphabet(self.n), self.data_alphabet(), joint)
+    def joint_ux(self) -> np.ndarray:
+        """Exact joint p(u, x) of single-datum populations: shape (n, |X|)."""
+        return self.prior.p[:, None] * self.conditional_matrix()
 
 
 def entropy(d: CategoricalDistribution) -> float:
@@ -267,12 +236,16 @@ def kl_divergence(p: CategoricalDistribution, q: CategoricalDistribution) -> flo
     return float((pm * np.log2(pm / q.p[mask])).sum())
 
 
-def mutual_information(j: JointDistribution) -> float:
-    """Mutual information of the joint's row and column variables, in bits."""
-    row_m = j.row_marginal().p
-    col_m = j.col_marginal().p
-    rows, cols = np.nonzero(j.matrix)
-    vals = j.matrix[rows, cols]
+def mutual_information(joint: np.ndarray) -> float:
+    """Mutual information of the row and column variables of a 2-d joint mass, in bits."""
+    m = np.asarray(joint, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"joint distribution must be a 2-d array, got shape {m.shape}")
+    m = _checked_mass(m, "joint distribution")
+    row_m = m.sum(axis=1)
+    col_m = m.sum(axis=0)
+    rows, cols = np.nonzero(m)
+    vals = m[rows, cols]
     val = float((vals * np.log2(vals / (row_m[rows] * col_m[cols]))).sum())
     # clip the tiny negative residue float summation can leave on independent joints
     return max(val, 0.0)

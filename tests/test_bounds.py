@@ -26,7 +26,7 @@ from reidrisk.bounds import (
     pie_data_processing_cap,
 )
 from reidrisk.oracle import SmallInstance, exact_pie
-from reidrisk.probcore import CategoricalDistribution, PopulationModel, mutual_information
+from reidrisk.probcore import CategoricalDistribution, PopulationModel, entropy, mutual_information
 
 # A population / alphabet scale used throughout: about 1.37 million users
 # releasing symbols from a 10.5-million-point domain.
@@ -231,7 +231,10 @@ class TestDataProcessingCap:
         ]
         pop = PopulationModel.single_datum(prior, dists)
         cap = pie_data_processing_cap(pop)
-        assert math.isclose(cap.identity_information, mutual_information(pop.joint_ux()), rel_tol=1e-12)
+        joint = pop.joint_ux()
+        assert math.isclose(cap.identity_information, mutual_information(joint), rel_tol=1e-12)
+        h_x = entropy(CategoricalDistribution(4, joint.sum(axis=0)))
+        assert math.isclose(cap.cap, min(math.log2(3), math.log2(4), h_x), rel_tol=1e-12)
         assert cap.identity_information <= cap.cap + 1e-12
 
     def test_cap_dominates_obfuscated_disclosure(self):

@@ -479,6 +479,17 @@ class TestSynthSimulate:
         assert len(users) == 8
         assert len(lines) - 1 == 8 * 12
 
+    def test_synth_refuses_a_concentration_that_zeroes_rows(self, capsys, tmp_path):
+        # gamma draws this small underflow to all-zero visit or transition rows
+        code, text, err = run(capsys, "synth", "--n-users", "50", "--size", "20",
+                              "--support-size", "8", "--concentration", "1e-4",
+                              "--out", str(tmp_path / "d"))
+        assert code == 2 and text == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error:")
+        assert "concentration 0.0001" in lines[0]
+        assert not (tmp_path / "d").exists()
+
 
 # Reader property tests: whatever a CSV or config file holds, the CLI answers
 # with exit 0, 1 or 2, never lets a traceback through, and prints strict JSON.

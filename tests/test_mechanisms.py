@@ -271,6 +271,20 @@ class TestExhaustiveTable:
         with pytest.raises(ValueError):
             ExhaustiveTable(domain_size=30, g=4)
 
+    @pytest.mark.parametrize("size,g", [(1, 2), (3, 2), (2, 3), (4, 3)])
+    def test_kernel_is_member_major_hashed_rr(self, size, g):
+        fam = ExhaustiveTable(domain_size=size, g=g)
+        eps = 0.7
+        q = fam.kernel(eps)
+        assert (q.input_size, q.output_size) == (size, fam.count * g)
+        assert np.allclose(q.matrix.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        bucket_q = rr_kernel(eps, g).matrix
+        tables = fam.all_tables()
+        for f in range(fam.count):
+            for b in range(g):
+                want = bucket_q[b, tables[f] - 1] / fam.count
+                assert np.allclose(q.matrix[f * g + b], want, rtol=1e-13, atol=0)
+
 
 class TestGeneralLocalHash:
     def test_bucket_probabilities(self):

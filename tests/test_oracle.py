@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from reidrisk.mechanisms import MechanismKernel, rr_kernel
+from reidrisk.mechanisms import ExhaustiveTable, MechanismKernel, rr_kernel
 from reidrisk.oracle import (
     BoundViolationReport,
     SmallInstance,
@@ -18,13 +18,13 @@ from reidrisk.oracle import (
     exact_bayes_error,
     exact_composed_pie,
     exact_pie,
-    exact_pie_glh,
     exact_pse,
     likelihood_matcher,
     random_small_instance,
     verify_bound_suite,
 )
-from reidrisk.probcore import CategoricalDistribution, PopulationModel, make_rng
+from reidrisk.probcore import (CategoricalDistribution, PopulationModel, make_rng,
+                               mutual_information)
 
 # KL(Bernoulli(3/4) || Bernoulli(1/2)) = 1 - H(3/4), frozen.
 ONE_MINUS_H34 = 0.18872187554086714
@@ -36,6 +36,38 @@ def two_point_mass_population():
     return PopulationModel.single_datum(prior, dists)
 
 
+def reference_joint_uhy(population, epsilon, g):
+    """Joint p(u, (h, y)) of a hashed release, built member by member without a kernel.
+
+    Outputs are ordered member-major: column f*g + b is member f, bucket b.
+    """
+    size = population.data_alphabet().size
+    fam = ExhaustiveTable(size, g)
+    onehot = np.eye(g)[fam.all_tables() - 1]  # (#funcs, size, g)
+    cond = population.conditional_matrix()
+    bucket_q = rr_kernel(epsilon, g).matrix
+    z_given_uh = np.einsum("ux,fxg->fug", cond, onehot)
+    y_given_uh = np.einsum("fug,bg->fub", z_given_uh, bucket_q)
+    joint = y_given_uh.transpose(1, 0, 2).reshape(population.n, -1)
+    return population.prior.p[:, None] * joint / fam.count
+
+
+def reference_score_information(joint, prior, matcher):
+    """I(U; S) of the matcher's score, grouped from a joint p(u, y)."""
+    groups = {}
+    for y in range(joint.shape[1]):
+        column = np.where(prior > 0, joint[:, y] / np.where(prior > 0, prior, 1.0), 0.0)
+        groups.setdefault(matcher(column), []).append(y)
+    quotient = np.stack([joint[:, ys].sum(axis=1) for ys in groups.values()], axis=1)
+    return mutual_information(quotient)
+
+
+def hashed_instance(population, epsilon, g, **kwargs):
+    size = population.data_alphabet().size
+    return SmallInstance(population=population, kernel=ExhaustiveTable(size, g).kernel(epsilon),
+                         **kwargs)
+
+
 class TestSmallInstance:
     def test_size_caps(self):
         prior = CategoricalDistribution.uniform(9)
@@ -43,13 +75,6 @@ class TestSmallInstance:
         pop = PopulationModel.single_datum(prior, dists)
         with pytest.raises(ValueError):
             SmallInstance(population=pop, kernel=rr_kernel(1.0, 2))
-
-    def test_exactly_one_mechanism(self):
-        pop = two_point_mass_population()
-        with pytest.raises(ValueError):
-            SmallInstance(population=pop)
-        with pytest.raises(ValueError):
-            SmallInstance(population=pop, kernel=rr_kernel(1.0, 2), glh_epsilon=1.0, glh_g=2)
 
     def test_kernel_alphabet_must_match(self):
         with pytest.raises(ValueError):
@@ -91,20 +116,57 @@ class TestExactRelease:
         # I(U; H, Y) = E_h I(U; Y | h) = 0.5 * I_binary_rr.
         eps = math.log(3.0)
         pop = two_point_mass_population()
-        glh = SmallInstance(population=pop, glh_epsilon=eps, glh_g=2)
+        glh = hashed_instance(pop, eps, 2)
         rr = SmallInstance(population=pop, kernel=rr_kernel(eps, 2))
-        assert math.isclose(exact_pie_glh(glh), 0.5 * exact_pie(rr), rel_tol=1e-12)
-        assert math.isclose(exact_pie_glh(glh), 0.5 * ONE_MINUS_H34, rel_tol=1e-12)
+        assert glh.kernel.output_size == 8
+        assert math.isclose(exact_pie(glh), 0.5 * exact_pie(rr), rel_tol=1e-12)
+        assert math.isclose(exact_pie(glh), 0.5 * ONE_MINUS_H34, rel_tol=1e-12)
 
-    def test_exact_pie_routes_hashed_instances(self):
-        pop = two_point_mass_population()
-        glh = SmallInstance(population=pop, glh_epsilon=1.0, glh_g=2)
-        assert exact_pie(glh) == exact_pie_glh(glh)
 
-    def test_exact_pie_glh_requires_hashed_instance(self):
-        inst = SmallInstance(population=two_point_mass_population(), kernel=rr_kernel(1.0, 2))
-        with pytest.raises(ValueError):
-            exact_pie_glh(inst)
+class TestHashedKernel:
+    """The hashed kernel against the joint built member by member.
+
+    The argmax matcher is left out: it breaks exact ties between users by
+    index, and rounding in either joint can flip such a tie, so its score
+    information may differ by far more than rounding between the two.
+    """
+
+    def test_matches_member_by_member_joint(self):
+        rng = make_rng(2024)
+        checked = 0
+        while checked < 200:
+            inst, eps = random_small_instance(rng)
+            pop = inst.population
+            size = pop.data_alphabet().size
+            g = int(rng.integers(2, 4))
+            if g ** size > 4096:
+                continue
+            hashed = hashed_instance(pop, eps, g)
+            ref = reference_joint_uhy(pop, eps, g)
+            prior = pop.prior.p
+            assert abs(exact_pie(hashed) - mutual_information(ref)) <= 1e-12
+            for matcher in (likelihood_matcher, constant_matcher):
+                got = exact_pse(hashed, matcher).information_bits
+                assert abs(got - reference_score_information(ref, prior, matcher)) <= 1e-12
+            checked += 1
+
+    def test_composition_of_independent_hashed_releases(self):
+        # each release hashes with its own member; two independent data
+        # draws disclose at most twice one release
+        rng = make_rng(8)
+        checked = 0
+        while checked < 10:
+            inst, eps = random_small_instance(rng)
+            pop = inst.population
+            if pop.data_alphabet().size > 3:
+                continue
+            cond = pop.conditional_matrix()
+            pair = cond[:, :, None] * cond[:, None, :]
+            hashed = hashed_instance(pop, eps, 2, pair_conditional=pair)
+            one = exact_pie(hashed)
+            two = exact_composed_pie(hashed, t=2)
+            assert one - 1e-12 <= two <= 2 * one + 1e-12
+            checked += 1
 
 
 class TestExactScores:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reidrisk.probcore import (
+    SUM_TOL,
     Alphabet,
     CategoricalDistribution,
-    JointDistribution,
     MarkovSource,
     PopulationModel,
     SingleDatum,
@@ -144,32 +144,44 @@ class TestEntropyAndKl:
 
 
 class TestJointDistribution:
+    """A joint distribution is a plain 2-d array; `mutual_information` validates it."""
+
     def test_marginals(self):
-        m = np.array([[0.375, 0.125], [0.125, 0.375]])
-        j = JointDistribution(2, 2, m)
-        assert np.allclose(j.row_marginal().p, [0.5, 0.5])
-        assert np.allclose(j.col_marginal().p, [0.5, 0.5])
+        # I = H(row) + H(col) - H(joint), with the marginals summed off the array
+        m = np.array([[0.1, 0.25, 0.05], [0.3, 0.0, 0.3]])
+        h_row = entropy(CategoricalDistribution(2, m.sum(axis=1)))
+        h_col = entropy(CategoricalDistribution(3, m.sum(axis=0)))
+        h_joint = entropy(CategoricalDistribution(6, m.ravel()))
+        assert math.isclose(mutual_information(m), h_row + h_col - h_joint, rel_tol=1e-12)
 
     def test_rejects_negative_or_unnormalized(self):
-        with pytest.raises(ValueError):
-            JointDistribution(2, 2, np.array([[0.5, 0.5], [0.5, 0.5]]))
-        with pytest.raises(ValueError):
-            JointDistribution(2, 2, np.array([[1.2, -0.2], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="deviates from 1"):
+            mutual_information(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="negative"):
+            mutual_information(np.array([[1.2, -0.2], [0.0, 0.0]]))
+        # a mass off by more than SUM_TOL is refused, drift within it is not
+        with pytest.raises(ValueError, match="deviates from 1"):
+            mutual_information(np.array([[0.5, 0.5 + 2 * SUM_TOL]]))
+        assert mutual_information(np.array([[0.5, 0.5 + SUM_TOL / 2]])) == 0.0
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 1)])
+    def test_rejects_non_2d(self, shape):
+        with pytest.raises(ValueError, match="2-d"):
+            mutual_information(np.full(shape, 0.25))
 
     def test_mutual_information_independent_is_zero(self):
         outer = np.outer([0.3, 0.7], [0.6, 0.4])
-        assert abs(mutual_information(JointDistribution(2, 2, outer))) < 1e-14
+        assert abs(mutual_information(outer)) < 1e-14
 
     def test_mutual_information_diagonal_equals_entropy(self):
-        j = JointDistribution(3, 3, np.diag([0.2, 0.3, 0.5]))
         want = entropy(CategoricalDistribution(3, [0.2, 0.3, 0.5]))
-        assert math.isclose(mutual_information(j), want, rel_tol=1e-13)
+        assert math.isclose(mutual_information(np.diag([0.2, 0.3, 0.5])), want, rel_tol=1e-13)
 
     def test_mutual_information_frozen_value(self):
         # Uniform input through a channel that keeps the symbol w.p. 3/4:
         # I = 1 - H(3/4) = KL((3/4,1/4) || uniform).
-        j = JointDistribution(2, 2, np.array([[0.375, 0.125], [0.125, 0.375]]))
-        assert math.isclose(mutual_information(j), KL_34_VS_HALF, rel_tol=1e-13)
+        joint = np.array([[0.375, 0.125], [0.125, 0.375]])
+        assert math.isclose(mutual_information(joint), KL_34_VS_HALF, rel_tol=1e-13)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 2**32 - 1))
@@ -177,10 +189,9 @@ class TestJointDistribution:
         rng = make_rng(seed)
         m = rng.random((3, 4))
         m /= m.sum()
-        j = JointDistribution(3, 4, m)
-        mi = mutual_information(j)
-        h_row = entropy(j.row_marginal())
-        h_col = entropy(j.col_marginal())
+        mi = mutual_information(m)
+        h_row = entropy(CategoricalDistribution(3, m.sum(axis=1)))
+        h_col = entropy(CategoricalDistribution(4, m.sum(axis=0)))
         assert -1e-12 <= mi <= min(h_row, h_col) + 1e-12
 
 
@@ -248,6 +259,14 @@ class TestMarkovSource:
         with pytest.raises(ValueError):
             MarkovSource(np.array([1.0, 0.0]), np.eye(2), trace_len=2, support=np.array([1]))
 
+    def test_refuses_nan_entries(self):
+        # NaN slips through both a `< 0` check and a mass check
+        with pytest.raises(ValueError, match="non-finite"):
+            MarkovSource(np.array([1.0, 0.0]), np.array([[0.5, 0.5], [np.nan, np.nan]]),
+                         trace_len=3)
+        with pytest.raises(ValueError, match="non-finite"):
+            MarkovSource(np.array([np.nan, 1.0]), np.eye(2), trace_len=3)
+
 
 class TestPopulationModel:
     def test_single_datum_construction(self):
@@ -271,9 +290,10 @@ class TestPopulationModel:
         dists = [CategoricalDistribution(3, [0.5, 0.3, 0.2]), CategoricalDistribution.point_mass(3, 1)]
         pop = PopulationModel.single_datum(prior, dists)
         j = pop.joint_ux()
-        assert np.allclose(j.row_marginal().p, [0.25, 0.75])
+        assert j.shape == (2, 3)
+        assert np.allclose(j.sum(axis=1), [0.25, 0.75])
         want_x = 0.25 * np.array([0.5, 0.3, 0.2]) + 0.75 * np.array([0, 1, 0])
-        assert np.allclose(j.col_marginal().p, want_x)
+        assert np.allclose(j.sum(axis=0), want_x)
 
     def test_prior_size_mismatch(self):
         prior = CategoricalDistribution.uniform(3)
