@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -41,8 +41,8 @@ class MechanismKernel:
         if np.any(m < 0):
             raise ValueError("kernel has negative entries")
         col_mass = m.sum(axis=0)
-        if np.any(np.abs(col_mass - 1.0) > SUM_TOL):
-            raise ValueError("kernel columns must each sum to 1")
+        if not np.all(np.abs(col_mass - 1.0) <= SUM_TOL):  # also false for a NaN or infinite mass
+            raise ValueError("kernel columns must each be finite and sum to 1")
         m = m / col_mass
         m.setflags(write=False)
         object.__setattr__(self, "input_size", input_size)
@@ -211,17 +211,26 @@ def _check_modulus(prime: int) -> None:
                          "(the limit is about 3.037e9)")
 
 
-def hash_buckets(a, b, x, prime: int, g: int, out: Optional[np.ndarray] = None):
-    """Carter-Wegman buckets (((a x + b) mod P) mod g) + 1, broadcast over a, b, x.
+def _hash_residues(a, b, x, prime: int):
+    """(a x + b) mod P, broadcast over a, b, x, with a, b and x each reduced mod P first.
 
-    The one place the pairwise family is evaluated. Arguments are int64
-    arrays (or Python ints) with a, b and x below P; `out`, when given, is an
-    int64 array of the broadcast shape that receives the buckets.
+    The one place the pairwise family's arithmetic is written. Arguments are
+    int64 arrays or Python ints of any value; after the reduction a x + b
+    stays below 2^63 for every modulus `_check_modulus` admits.
     """
     _check_modulus(prime)
-    h = np.multiply(a, x, out=out)
-    h += b
+    h = (a % prime) * (x % prime)
+    h += b % prime
     h %= prime
+    return h
+
+
+def hash_buckets(a, b, x, prime: int, g: int):
+    """Carter-Wegman buckets (((a x + b) mod P) mod g) + 1, broadcast over a, b, x.
+
+    Arguments are int64 arrays or Python ints; a, b and x are read mod P.
+    """
+    h = _hash_residues(a, b, x, prime)
     h %= g
     h += 1
     return h
@@ -229,6 +238,8 @@ def hash_buckets(a, b, x, prime: int, g: int, out: Optional[np.ndarray] = None):
 
 # cells of the (record, symbol) match table built per chunk
 _MATCH_CHUNK_CELLS = 4 * 10 ** 6
+# cells matched per step of the residue walk in glh_match_chunks
+_WALK_STEP_CELLS = 2 ** 15
 
 
 def glh_match_chunks(batch: GlhBatch, size: int):
@@ -236,20 +247,48 @@ def glh_match_chunks(batch: GlhBatch, size: int):
 
     Yields (lo, hi, mask) with mask[i, x] true when record lo+i hashes symbol
     x to its reported bucket. Each chunk holds at most about 4e6 cells, so
-    memory stays flat in the record count. One bucket array serves every
-    chunk: with a fresh array per chunk the allocator hands the pages back
-    to the system between chunks and faults them in again, which measured
-    5-10% slower at 1e5 records x 1000 symbols on a 2-core x86-64 host.
+    memory stays flat in the record count; every chunk's mask is a fresh array.
+
+    No cell pays a `%`. Per chunk of R records the symbols are dealt into K
+    interleaved lanes, lane k holding k, k + K, k + 2K, ..., with K chosen so
+    that one step covers about 2^15 cells (the step's two uint64 arrays then
+    stay in a core's L2 cache). Lane k starts at the residue (a k + b) mod P,
+    and a step moves every lane K symbols on with v += s, v = min(v, v - P)
+    in uint64, where s = a K mod P: s and v are below P < 2^32, so nothing
+    wraps and a x is never formed. A cell matches when v mod g = y - 1,
+    tested as v == g (v // g) + (y - 1), since numpy divides by a scalar about
+    ten times faster than it takes `%`. Step j fills block j of an (L, K, R)
+    buffer, L = ceil(size / K); flattened to (L K, R) its rows are the
+    symbols in order, and the mask is the [:size].T view of that.
+
+    That is seven vectorized operations per cell: `glh_counts` takes about
+    1.3 ns per cell at 1e5 records x 1000 symbols on a 2-core x86-64 host,
+    where multiplying and reducing every cell took about 5 ns.
     """
-    xs = np.arange(size, dtype=np.int64)[None, :]
+    prime, g = np.uint64(batch.prime), np.uint64(batch.g)
     n = len(batch)
     chunk = max(1, _MATCH_CHUNK_CELLS // max(size, 1))
-    buckets = np.empty((min(chunk, n), size), dtype=np.int64)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        hv = hash_buckets(batch.a[lo:hi, None], batch.b[lo:hi, None], xs,
-                          batch.prime, batch.g, out=buckets[:hi - lo])
-        yield lo, hi, hv == batch.ys[lo:hi, None]
+        lanes = max(1, min(size, _WALK_STEP_CELLS // (hi - lo)))
+        steps = -(-size // lanes)
+        a, b = batch.a[lo:hi], batch.b[lo:hi]
+        first = np.arange(lanes, dtype=np.int64)[:, None]
+        v = _hash_residues(a, b, first, batch.prime).astype(np.uint64)
+        stride = _hash_residues(a, 0, lanes, batch.prime).astype(np.uint64)
+        target = (batch.ys[lo:hi] - 1).astype(np.uint64)
+        scratch = np.empty_like(v)
+        out = np.empty((steps, lanes, hi - lo), dtype=bool)
+        for j in range(steps):
+            if j:
+                v += stride
+                np.subtract(v, prime, out=scratch)
+                np.minimum(v, scratch, out=v)
+            np.floor_divide(v, g, out=scratch)
+            scratch *= g
+            scratch += target
+            np.equal(v, scratch, out=out[j])
+        yield lo, hi, out.reshape(steps * lanes, hi - lo)[:size].T
 
 
 class CarterWegman:

@@ -11,6 +11,7 @@ population in lockstep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -75,10 +76,12 @@ def _as_alphabet(a: Union[Alphabet, int]) -> Alphabet:
 
 
 def _checked_mass(vec: np.ndarray, what: str) -> np.ndarray:
-    """Validate non-negativity and unit mass; renormalize tiny drift, reject more."""
+    """Validate finite, non-negative entries and unit mass; renormalize tiny drift, reject more."""
     if np.any(vec < 0):
         raise ValueError(f"{what} has negative entries")
     total = float(vec.sum())
+    if not math.isfinite(total):  # a NaN or infinite entry makes the mass non-finite
+        raise ValueError(f"{what} mass {total!r} is not finite")
     if abs(total - 1.0) > SUM_TOL:
         raise ValueError(f"{what} mass {total!r} deviates from 1 by more than {SUM_TOL}")
     if total != 1.0 and total > 0:

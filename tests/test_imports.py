@@ -1,6 +1,9 @@
-"""Every name a package module imports is used by that module.
+"""Static checks on the package source.
 
-`__init__.py` is left out: it imports names to re-export them.
+- Every name a package module imports is used by that module
+  (`__init__.py` is left out: it imports names to re-export them).
+- One function evaluates the pairwise hash: no other function reduces a
+  value mod the hash modulus.
 """
 
 import ast
@@ -51,3 +54,61 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(imported_names(tree) - referenced_names(tree))
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+# the one function that reduces values mod the hash modulus P
+RESIDUE_HELPER = "_hash_residues"
+
+
+def is_modulus(node: ast.expr) -> bool:
+    """A name `prime` or `P`, or an attribute `.prime`."""
+    return ((isinstance(node, ast.Name) and node.id in ("prime", "P"))
+            or (isinstance(node, ast.Attribute) and node.attr == "prime"))
+
+
+def modulus_reductions(tree: ast.Module) -> list:
+    """(function, line) of every `% P` or `%= P` outside the residue helper."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.BinOp):
+            operand = node.right
+        elif isinstance(node, ast.AugAssign):
+            operand = node.value
+        else:
+            operand = None
+        if (operand is not None and isinstance(node.op, ast.Mod) and is_modulus(operand)
+                and owner != RESIDUE_HELPER):
+            found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_hash_evaluator():
+    found = {path.name: modulus_reductions(ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: where for name, where in found.items() if where}
+    assert not found, f"reductions mod P outside {RESIDUE_HELPER}: {found}"
+    helpers = [path.name for path in PACKAGE.glob("*.py")
+               if f"def {RESIDUE_HELPER}(" in path.read_text()]
+    assert helpers == ["mechanisms.py"]
+
+
+def test_modulus_reductions_finds_each_form():
+    source = """
+def helper(x, prime):
+    return x % prime
+def _hash_residues(a, prime):
+    a %= prime
+    return a % prime
+def other(fam, x, P):
+    y = (x % fam.prime) + 1
+    y %= P
+    return y % 7
+"""
+    assert modulus_reductions(ast.parse(source)) == [("helper", 3), ("other", 8), ("other", 9)]

@@ -31,10 +31,16 @@ from reidrisk.mechanisms import (
     rr_sample_batch,
     write_records,
 )
+import reidrisk.mechanisms as mechanisms
 from reidrisk.estimation import glh_counts
 from reidrisk.probcore import CategoricalDistribution, PopulationModel, make_rng
 from reidrisk.pse import harvest_scores_sparse
 from reidrisk.reid import floored_pi_matrix, glh_single_datum_scores, train_profile
+
+
+# largest prime the modulus guard admits: (P-1)^2 + (P-1) < 2^63
+LARGEST_PRIME = 3037000493
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
 
 
 def row_ratios(k: MechanismKernel) -> np.ndarray:
@@ -351,6 +357,10 @@ class TestChannelAlgebra:
         with pytest.raises(ValueError):
             MechanismKernel(2, 2, np.array([[1.2, 0.5], [-0.2, 0.5]]))
 
+    def test_kernel_refuses_nan_entries(self):
+        with pytest.raises(ValueError, match="finite"):
+            MechanismKernel(2, 2, np.array([[math.nan, 0.5], [1.0, 0.5]]))
+
     def test_identity_kernel(self):
         k = MechanismKernel.identity(3)
         assert np.array_equal(k.matrix, np.eye(3))
@@ -500,3 +510,98 @@ class TestHashMatchKernel:
         impostor = self.brute_scores(batches[1], profiles, mech)
         for score, row, owner in zip(sample.impostor, impostor, owners[1]):
             assert np.min(np.abs(np.delete(row, owner) - score)) <= 1e-12
+
+
+def walk_masks(batch, size):
+    """The masks glh_match_chunks yields, stacked into one (records, size) table."""
+    return np.vstack([np.zeros((0, size), dtype=bool)]
+                     + [mask for _, _, mask in glh_match_chunks(batch, size)])
+
+
+def reference_masks(batch, size):
+    """The same table from hash_buckets, one record at a time."""
+    xs = np.arange(size)
+    rows = [hash_buckets(int(a), int(b), xs, batch.prime, batch.g) == y
+            for a, b, y in zip(batch.a, batch.b, batch.ys)]
+    return np.array(rows, dtype=bool).reshape(len(batch), size)
+
+
+def hit_batch(a, b, hits, prime, g, size):
+    """A batch whose record i reports the bucket of symbol hits[i], or bucket 1 for hits[i] = -1."""
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    xs = np.array(hits, dtype=np.int64)
+    ys = np.where(xs >= 0, hash_buckets(a, b, np.maximum(xs, 0), prime, g), 1)
+    return GlhBatch(a=a, b=b, ys=ys, prime=prime, g=g)
+
+
+class TestHashWalk:
+    """glh_match_chunks walks (a x + b) mod P one add per cell; every mask
+    equals hash_buckets per record, however the walk wraps or the lanes fall."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(INT64, INT64, st.integers(0, 2 ** 62),
+           st.sampled_from([13, 31, PRODUCTION_PRIME, LARGEST_PRIME]),
+           st.integers(2, MAX_BUCKETS))
+    def test_hash_buckets_reads_descriptors_mod_p(self, a, b, x, prime, g):
+        got = hash_buckets(np.int64(a), np.int64(b), np.int64(x), prime, g)
+        assert got == ((a * x + b) % prime) % g + 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_walk_matches_hash_buckets(self, data):
+        # a small step size makes small tables walk many steps over many lanes
+        prime = data.draw(st.sampled_from([13, 31, 257, PRODUCTION_PRIME, LARGEST_PRIME]))
+        g = data.draw(st.one_of(st.integers(2, 9),
+                                st.sampled_from([prime - 1, prime, prime + 3, MAX_BUCKETS])))
+        n = data.draw(st.integers(1, 12))
+        size = data.draw(st.one_of(st.integers(1, 150), st.sampled_from([1, 13, 31, 97, 127])))
+        step_cells = data.draw(st.sampled_from([1, 2, 5, 16, 64, mechanisms._WALK_STEP_CELLS]))
+        a = data.draw(st.lists(INT64, min_size=n, max_size=n))
+        b = data.draw(st.lists(INT64, min_size=n, max_size=n))
+        hits = data.draw(st.lists(st.integers(-1, size - 1), min_size=n, max_size=n))
+        batch = hit_batch(a, b, hits, prime, g, size)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mechanisms, "_WALK_STEP_CELLS", step_cells)
+            got = walk_masks(batch, size)
+        assert np.array_equal(got, reference_masks(batch, size))
+
+    @pytest.mark.parametrize("prime, g, n, size", [
+        (13, 4, 40, 40_000),            # 49 steps per lane mod a tiny prime
+        (31, 31, 2, 100_003),           # g = P; a prime size leaves the last step partial
+        (31, 40, 5, 7),                 # g > P; fewer symbols than a step could take
+        (257, MAX_BUCKETS, 9, 1),       # one symbol
+        (PRODUCTION_PRIME, 4, 4, 25_013),
+    ])
+    def test_walk_at_the_shipped_step_size(self, prime, g, n, size):
+        rng = make_rng(n)
+        a = rng.integers(-2 ** 63, 2 ** 63 - 1, n, endpoint=True)
+        b = rng.integers(-2 ** 63, 2 ** 63 - 1, n, endpoint=True)
+        batch = hit_batch(a, b, rng.integers(0, size, n), prime, g, size)
+        got = walk_masks(batch, size)
+        assert np.array_equal(got, reference_masks(batch, size))
+        assert got.any(axis=1).all()  # every record hits its own symbol
+
+    @pytest.mark.parametrize("g", [5, MAX_BUCKETS])
+    def test_largest_modulus_with_top_descriptors(self, g):
+        p = LARGEST_PRIME
+        size = 30_000
+        batch = hit_batch([p - 1] * 3, [p - 1] * 3, [0, size // 2, size - 1], p, g, size)
+        got = walk_masks(batch, size)
+        assert np.array_equal(got, reference_masks(batch, size))
+        assert got[[0, 1, 2], [0, size // 2, size - 1]].all()
+
+    def test_descriptors_outside_the_modulus_match_their_residues(self):
+        p, size = 13, 100
+        inside = hit_batch([3, 12, 1, 7], [0, 5, 12, 9], [4, 50, 99, -1], p, 4, size)
+        shifted = GlhBatch(a=inside.a + np.array([p, -p, 7 * p, -(2 ** 40) * p]),
+                           b=inside.b + np.array([-p, 3 * p, -(2 ** 50) * p, p]),
+                           ys=inside.ys, prime=p, g=4)
+        assert np.array_equal(walk_masks(shifted, size), walk_masks(inside, size))
+        assert np.array_equal(walk_masks(shifted, size), reference_masks(shifted, size))
+
+    def test_empty_batch_counts_zero(self):
+        empty = np.zeros(0, dtype=np.int64)
+        batch = GlhBatch(a=empty, b=empty, ys=empty, prime=13, g=4)
+        assert list(glh_match_chunks(batch, 10)) == []
+        counts = glh_counts(batch, 10)
+        assert counts.shape == (10,) and not counts.any()

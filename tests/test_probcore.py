@@ -85,6 +85,10 @@ class TestCategoricalDistribution:
         with pytest.raises(ValueError):
             CategoricalDistribution(2, [0.6, 0.6])
 
+    def test_rejects_nan_entries(self):
+        with pytest.raises(ValueError, match="not finite"):
+            CategoricalDistribution(2, [math.nan, 1.0])
+
     def test_tiny_drift_is_renormalized(self):
         d = CategoricalDistribution(2, [0.5 + 2e-10, 0.5])
         assert math.isclose(float(np.sum(d.p)), 1.0, rel_tol=0, abs_tol=1e-15)
@@ -163,6 +167,10 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match="deviates from 1"):
             mutual_information(np.array([[0.5, 0.5 + 2 * SUM_TOL]]))
         assert mutual_information(np.array([[0.5, 0.5 + SUM_TOL / 2]])) == 0.0
+
+    def test_rejects_nan_entries(self):
+        with pytest.raises(ValueError, match="not finite"):
+            mutual_information(np.array([[math.nan, 0.5], [0.25, 0.25]]))
 
     @pytest.mark.parametrize("shape", [(4,), (2, 2, 1)])
     def test_rejects_non_2d(self, shape):
