@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bounds, estimation, oracle, pse, reid
 from .mechanisms import (GeneralLocalHash, GlhBatch, RandomizedResponse,
-                         _int64_column, glh_sample_batch, read_records,
+                         glh_sample_batch, read_int_table, read_records,
                          rr_sample_batch, write_records)
 from .pipeline import (DataError, ExperimentConfig, PipelineError, _write_csv,
                        attack_mechanism, attack_setup, run_experiment,
@@ -159,23 +159,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _read_values_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    users, xs = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user_idx", "x"]:
-            raise DataError(f"expected header user_idx,x, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise DataError(f"malformed row at line {lineno}: {row!r}")
-            try:
-                users.append(int(row[0]))
-                xs.append(int(row[1]))
-            except ValueError as exc:
-                raise DataError(f"non-integer value at line {lineno}") from exc
-    if not xs:
+    _, table = read_int_table(path, ["user_idx", "x"])
+    if not len(table):
         raise DataError("no data rows")
-    return _int64_column(users, "user_idx"), _int64_column(xs, "x")
+    return table[:, 0], table[:, 1]
 
 
 def _cmd_obfuscate(args) -> int:

@@ -63,7 +63,8 @@ def glh_counts(batch: GlhBatch, size: int) -> np.ndarray:
         raise ValueError("bucket outside [1, g]")
     counts = np.zeros(size, dtype=np.int64)
     for _, _, mask in glh_match_chunks(batch, size):
-        counts += mask.sum(axis=0)
+        # sum along the mask's contiguous record axis; a chunk's R records fit uint32
+        counts += mask.T.view(np.uint8).sum(axis=1, dtype=np.uint32)
     return counts.astype(np.float64)
 
 

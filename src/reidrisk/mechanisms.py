@@ -14,7 +14,8 @@ epsilon values never overflow: the keep probability is
 
 from __future__ import annotations
 
-import csv
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -440,28 +441,88 @@ def mixture_kernel(w: float, q1: MechanismKernel, q2: MechanismKernel) -> Mechan
 RR_HEADER = ["user_idx", "y"]
 GLH_HEADER = ["user_idx", "a", "b", "P", "g", "y"]
 
+# rows formatted by one `%` in write_int_table; bounds the argument tuple it builds
+_WRITE_BLOCK_ROWS = 2 ** 14
+
+
+def write_int_table(path, header: Sequence[str], columns) -> None:
+    """Write integer columns under `header` as CSV, byte for byte what csv.writer writes.
+
+    A column is an integer array, or one int that every row repeats and that
+    is written into the row format once. Rows are formatted by one `%` per
+    block of 2^14, so the argument tuple stays a few MB at most.
+    """
+    arrays = [np.asarray(c, dtype=np.int64) for c in columns if np.ndim(c)]
+    if any(len(c) != len(arrays[0]) for c in arrays):
+        raise ValueError("table columns differ in length")
+    row = ",".join("%d" if np.ndim(c) else str(int(c)) for c in columns) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(arrays[0]), _WRITE_BLOCK_ROWS):
+            block = np.stack([c[lo:lo + _WRITE_BLOCK_ROWS] for c in arrays], axis=1)
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def read_int_table(path, *headers: list[str]) -> tuple[list[str], np.ndarray]:
+    """Read an integer CSV whose header line is one of `headers`.
+
+    Returns the header and the (rows, columns) int64 table. Each value is
+    ASCII digits with an optional sign and optional whitespace around it;
+    empty lines are skipped. Anything else is a ValueError naming the file line:
+    a row of the wrong width, a value beyond int64, and text such as a
+    quoted "7", 1_000, 1.5 or a trailing "# note".
+    """
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header not in headers:
+            expected = " or ".join(",".join(h) for h in headers)
+            raise ValueError(f"expected header {expected}, got {header}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: an empty table, not a warning
+                table = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(_first_bad_row(fh, len(header), str(exc))) from None
+        if table.size and table.shape[1] != len(header):
+            raise ValueError(_first_bad_row(fh, len(header), f"rows of {table.shape[1]} fields "
+                                            f"where the header has {len(header)}"))
+    if table.size == 0:
+        table = np.empty((0, len(header)), dtype=np.int64)
+    return header, table
+
+
+def _first_bad_row(fh, width: int, reason: str) -> str:
+    """What is wrong with the first refused row of an open table file, naming its line.
+
+    Checks read_int_table's syntax in Python, line by line: slow, but it runs
+    only once loadtxt has refused the file. Whitespace is what str.isspace
+    says, as in loadtxt. Gives `reason` when the file cannot be read again,
+    such as a pipe, or when every row passes.
+    """
+    if not fh.seekable():
+        return reason
+    fh.seek(0)
+    for lineno, text in enumerate(fh, start=1):
+        if lineno == 1 or text == "\n":
+            continue
+        cells = text.rstrip("\n").split(",")
+        if len(cells) != width:
+            return f"line {lineno} has {len(cells)} fields where the header has {width}"
+        for cell in cells:
+            if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", cell):
+                return f"non-integer value {cell!r} at line {lineno}"
+            if not -2 ** 63 <= int(cell.strip()) < 2 ** 63:
+                return f"value outside the 64-bit integer range at line {lineno}"
+    return reason
+
 
 def write_records(path, user_idx: Sequence[int], batch: Union[RrBatch, GlhBatch]) -> None:
     """Write obfuscated records as CSV; rows are self-describing for GLH."""
-    user_idx = np.asarray(user_idx, dtype=np.int64)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if isinstance(batch, RrBatch):
-            w.writerow(RR_HEADER)
-            for u, y in zip(user_idx, batch.ys):
-                w.writerow([int(u), int(y)])
-        else:
-            w.writerow(GLH_HEADER)
-            for u, a, b, y in zip(user_idx, batch.a, batch.b, batch.ys):
-                w.writerow([int(u), int(a), int(b), batch.prime, batch.g, int(y)])
-
-
-def _int64_column(values, name: str) -> np.ndarray:
-    """A column of parsed integers as int64; a value beyond int64 is a data error."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError(f"{name} value outside the 64-bit integer range") from exc
+    if isinstance(batch, RrBatch):
+        write_int_table(path, RR_HEADER, [user_idx, batch.ys])
+    else:
+        write_int_table(path, GLH_HEADER,
+                        [user_idx, batch.a, batch.b, batch.prime, batch.g, batch.ys])
 
 
 def read_records(path) -> tuple[np.ndarray, Union[RrBatch, GlhBatch]]:
@@ -471,32 +532,17 @@ def read_records(path) -> tuple[np.ndarray, Union[RrBatch, GlhBatch]]:
     and one (P, g) family with P prime and overflow-safe, a in [1, P),
     b in [0, P) and y in [1, g].
     """
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header == RR_HEADER:
-            rows = [(int(u), int(y)) for u, y in r]
-            users = _int64_column([u for u, _ in rows], "user_idx")
-            ys = _int64_column([y for _, y in rows], "y")
-            return users, RrBatch(ys=ys)
-        if header == GLH_HEADER:
-            users, aa, bb, pp, gg, ys = [], [], [], [], [], []
-            for u, a, b, p, g, y in r:
-                users.append(int(u)); aa.append(int(a)); bb.append(int(b))
-                pp.append(int(p)); gg.append(int(g)); ys.append(int(y))
-            if not ys:
-                raise ValueError("record file holds no records")
-            if len(set(pp)) > 1 or len(set(gg)) > 1:
-                raise ValueError("record file mixes hash families (varying P or g)")
-            family = CarterWegman(pp[0], gg[0])  # P prime and overflow-safe, g >= 2
-            if family.g > np.iinfo(np.int64).max:
-                raise ValueError("g value outside the 64-bit integer range")
-            if not (1 <= min(aa) and max(aa) < family.prime
-                    and 0 <= min(bb) and max(bb) < family.prime):
-                raise ValueError("hash descriptor outside a in [1, P), b in [0, P)")
-            if min(ys) < 1 or max(ys) > family.g:
-                raise ValueError("reported bucket outside [1, g]")
-            return (_int64_column(users, "user_idx"),
-                    GlhBatch(a=np.array(aa, dtype=np.int64), b=np.array(bb, dtype=np.int64),
-                             ys=np.array(ys, dtype=np.int64), prime=family.prime, g=family.g))
-        raise ValueError(f"unrecognized record header: {header}")
+    header, table = read_int_table(path, RR_HEADER, GLH_HEADER)
+    if header == RR_HEADER:
+        return table[:, 0], RrBatch(ys=table[:, 1])
+    users, a, b, primes, gs, ys = table.T
+    if not len(ys):
+        raise ValueError("record file holds no records")
+    if primes.min() != primes.max() or gs.min() != gs.max():
+        raise ValueError("record file mixes hash families (varying P or g)")
+    family = CarterWegman(int(primes[0]), int(gs[0]))  # P prime and overflow-safe, g >= 2
+    if not (1 <= a.min() and a.max() < family.prime and 0 <= b.min() and b.max() < family.prime):
+        raise ValueError("hash descriptor outside a in [1, P), b in [0, P)")
+    if ys.min() < 1 or ys.max() > family.g:
+        raise ValueError("reported bucket outside [1, g]")
+    return users, GlhBatch(a=a, b=b, ys=ys, prime=family.prime, g=family.g)

@@ -152,6 +152,58 @@ class TestDataErrors:
                            "--out", str(tmp_path / "o"))
         assert code == 2 and "64-bit" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("name,text,line", [
+        ("values.csv", "user_idx,x\n0,1\n\n\n2,x\n", 5),
+        ("values.csv", "user_idx,x\n0,1\n\n2,3,4\n", 4),
+        ("values.csv", "user_idx,x\n\n0,1,2\n", 3),
+        ("values.csv", "user_idx,x\n0,1\n1\n", 3),
+        ("values.csv", "user_idx,x\n0,1\n1,2 # x\n", 3),
+        ("values.csv", 'user_idx,x\n0,"7"\n', 2),
+        ("values.csv", "user_idx,x\n1_000,1\n", 2),
+        ("values.csv", "user_idx,x\r\n0,1\r\n\r\n9223372036854775808,0\r\n", 4),
+        ("records.csv", "user_idx,y\n0,1\n\n1,2,3\n", 4),
+        ("records.csv", "user_idx,a,b,P,g,y\n0,3,5,13,4,1\n\n0,3,5,13,4\n", 4),
+        ("records.csv", "user_idx,a,b,P,g,y\n0,3,5,13,4,1\n0,3,5,13,4,1.0\n", 3),
+    ], ids=["non_integer_after_empty_lines", "wide_row", "every_row_wide", "narrow_row",
+            "trailing_comment", "quoted_value", "digit_separator", "beyond_int64_crlf",
+            "rr_wide_row", "glh_narrow_row", "glh_float"])
+    def test_refused_row_names_its_line(self, capsys, tmp_path, name, text, line):
+        # one data error line naming the file line, even past skipped empty lines
+        p = tmp_path / name
+        p.write_bytes(text.encode())
+        flag = "--input" if name == "values.csv" else "--records"
+        cmd = ["obfuscate", "--mechanism", "rr"] if name == "values.csv" else ["estimate"]
+        code, _, err = run(capsys, *cmd, flag, str(p), "--epsilon", "1", "--size", "4",
+                           "--out", str(tmp_path / "o"))
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert f"line {line}" in err
+
+    @pytest.mark.parametrize("name,text,argv", [
+        ("values.csv", "user_idx,x\n", ["obfuscate", "--mechanism", "rr", "--input"]),
+        ("values.csv", "user_idx,x\r\n\r\n\r\n", ["obfuscate", "--mechanism", "rr", "--input"]),
+        ("records.csv", "user_idx,y\n", ["estimate", "--records"]),
+        ("records.csv", "user_idx,a,b,P,g,y\n\n", ["estimate", "--records"]),
+    ], ids=["values", "values_empty_lines", "rr_records", "glh_records"])
+    def test_header_only_file_refused_without_warning(self, capsys, tmp_path, name, text, argv):
+        p = tmp_path / name
+        p.write_bytes(text.encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, *argv, str(p), "--epsilon", "1", "--size", "4",
+                               "--out", str(tmp_path / "o"))
+        assert code == 2 and err.startswith("data error: ") and err.count("\n") == 1
+        assert not caught
+
+    def test_empty_lines_are_skipped(self, capsys, tmp_path):
+        p = tmp_path / "values.csv"
+        p.write_text("user_idx,x\n\n0,1\n\n\n1, 2\n\n")
+        code, out, _ = run(capsys, "obfuscate", "--input", str(p), "--mechanism", "rr",
+                           "--epsilon", "1", "--size", "4", "--out", str(tmp_path / "o"))
+        assert code == 0
+        lines = pathlib.Path(out.strip()).read_text().splitlines()
+        assert lines[0] == "user_idx,y" and [l.split(",")[0] for l in lines[1:]] == ["0", "1"]
+
     @pytest.mark.parametrize("config", [
         {"n_users": True}, {"threshold_level": False}, {"glh_g": True},
         {"epsilons": [1.0, True]},

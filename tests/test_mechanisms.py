@@ -2,11 +2,15 @@
 randomized response, the hash families, channel algebra, privacy audit, and
 the record file round trip."""
 
+import csv
+import io
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reidrisk.mechanisms import (
     MAX_BUCKETS,
@@ -29,6 +33,7 @@ from reidrisk.mechanisms import (
     read_records,
     rr_kernel,
     rr_sample_batch,
+    write_int_table,
     write_records,
 )
 import reidrisk.mechanisms as mechanisms
@@ -436,6 +441,162 @@ class TestRecordFiles:
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(ValueError):
             read_records(path)
+
+
+def csv_writer_text(header, columns, n):
+    """The reference: csv.writer's output for the table write_int_table is given."""
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(header)
+    w.writerows([c[i] if isinstance(c, list) else c for c in columns] for i in range(n))
+    return out.getvalue()
+
+
+INT64_EDGES = st.one_of(INT64, st.sampled_from([-2 ** 63, 2 ** 63 - 1, -1, 0, 1]))
+_FILE_EXAMPLES = settings(max_examples=150, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestIntTables:
+    """write_int_table writes csv.writer's bytes, one `%` per block of rows,
+    and read_records(write_records(...)) gives every batch back."""
+
+    @_FILE_EXAMPLES
+    @given(st.data())
+    def test_bytes_match_csv_writer(self, tmp_path, data):
+        # small blocks put row counts on both sides of a block boundary
+        block = data.draw(st.sampled_from([1, 2, 3, 5]))
+        n = data.draw(st.integers(0, 12))
+        width = data.draw(st.integers(1, 6))
+        columns = [data.draw(st.lists(INT64_EDGES, min_size=n, max_size=n)) if i == 0
+                   or data.draw(st.booleans()) else data.draw(INT64_EDGES)
+                   for i in range(width)]
+        header = [f"c{i}" for i in range(width)]
+        path = tmp_path / "table.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mechanisms, "_WRITE_BLOCK_ROWS", block)
+            write_int_table(path, header, columns)
+        assert path.read_bytes() == csv_writer_text(header, columns, n).encode()
+
+    @pytest.mark.parametrize("n", [0, 1, mechanisms._WRITE_BLOCK_ROWS - 1,
+                                   mechanisms._WRITE_BLOCK_ROWS, mechanisms._WRITE_BLOCK_ROWS + 1,
+                                   2 * mechanisms._WRITE_BLOCK_ROWS + 3])
+    def test_bytes_at_the_shipped_block_size(self, tmp_path, n):
+        rng = make_rng(n)
+        columns = [rng.integers(-2 ** 63, 2 ** 63 - 1, n, endpoint=True).tolist()
+                   for _ in range(3)]
+        for col in columns:
+            col[:5] = [-2 ** 63, 2 ** 63 - 1, -1, 0, 1][:n]
+        columns.insert(1, 2 ** 63 - 1)
+        header = ["u", "P", "a", "y"]
+        path = tmp_path / "table.csv"
+        write_int_table(path, header, columns)
+        assert path.read_bytes() == csv_writer_text(header, columns, n).encode()
+
+    def test_columns_of_different_lengths_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="length"):
+            write_int_table(tmp_path / "t.csv", ["a", "b"], [[1, 2], [3]])
+
+    @_FILE_EXAMPLES
+    @given(st.data())
+    def test_refusal_names_the_line(self, tmp_path, data):
+        # one faulty row among valid ones, with empty lines anywhere before it
+        width = data.draw(st.integers(1, 4))
+        rows = data.draw(st.lists(st.lists(INT64_EDGES.map(str), min_size=width, max_size=width),
+                                  min_size=1, max_size=6))
+        bad = data.draw(st.integers(0, len(rows) - 1))
+        fault = data.draw(st.sampled_from(["text", "beyond", "wide", "narrow"]))
+        cell = data.draw(st.integers(0, width - 1))
+        if fault == "text":
+            junk = ['"7"', "1_000", "1.5", "2 # x", "x", "\u0663", "0x10", "1e3", "- 1", "1 2"]
+            rows[bad][cell] = data.draw(st.sampled_from(junk + ([""] if width > 1 else [])))
+        elif fault == "beyond":
+            rows[bad][cell] = data.draw(st.sampled_from(
+                [str(2 ** 63), str(-2 ** 63 - 1), "99999999999999999999999", " 9223372036854775808"]))
+        elif fault == "wide" or width == 1:
+            rows[bad].append(data.draw(INT64_EDGES.map(str)))
+        else:
+            rows[bad].pop()
+        lines = [",".join(f"c{i}" for i in range(width))]
+        for i, row in enumerate(rows):
+            lines += [""] * data.draw(st.integers(0, 2))
+            if i == bad:
+                lineno = len(lines) + 1
+            lines.append(",".join(row))
+        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        path = tmp_path / "table.csv"
+        path.write_bytes((end.join(lines) + end).encode())
+        kind = {"text": "non-integer", "beyond": "64-bit"}.get(fault, "fields")
+        with pytest.raises(ValueError, match=rf"(\bline {lineno}\b.*{kind}|{kind}.*\bline {lineno}$)"):
+            mechanisms.read_int_table(path, lines[0].split(","))
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("text, reason", [(b"a,b\n0,1\n1,x\n", "'x'"),
+                                              (b"a,b\n0,1,2\n", "3 fields")])
+    def test_refusal_from_a_pipe_keeps_its_reason(self, text, reason):
+        # a pipe cannot be read twice, so the reason comes from the one read
+        r, w = os.pipe()
+        try:
+            os.write(w, text)
+            os.close(w)
+            with pytest.raises(ValueError, match=reason):
+                mechanisms.read_int_table(f"/dev/fd/{r}", ["a", "b"])
+        finally:
+            os.close(r)
+
+    def test_empty_lines_skipped_and_whitespace_read(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"a,b\r\n\r\n 1,\t-2 \r\n\r\n+3,\x0c4\r\n\r\n")
+        header, table = mechanisms.read_int_table(path, ["x"], ["a", "b"])
+        assert header == ["a", "b"] and table.tolist() == [[1, -2], [3, 4]]
+
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n\n", "a,b"])
+    def test_header_only_is_an_empty_table(self, tmp_path, text):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            header, table = mechanisms.read_int_table(path, ["a", "b"])
+        assert table.shape == (0, 2) and table.dtype == np.int64
+
+    @_FILE_EXAMPLES
+    @given(st.data())
+    def test_rr_round_trip(self, tmp_path, data):
+        n = data.draw(st.integers(0, 12))
+        users = np.array(data.draw(st.lists(INT64_EDGES, min_size=n, max_size=n)), dtype=np.int64)
+        ys = np.array(data.draw(st.lists(INT64_EDGES, min_size=n, max_size=n)), dtype=np.int64)
+        path = tmp_path / "rr.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mechanisms, "_WRITE_BLOCK_ROWS", data.draw(st.sampled_from([1, 3, 2 ** 14])))
+            write_records(path, users, RrBatch(ys=ys))
+        users2, batch = read_records(path)
+        assert isinstance(batch, RrBatch)
+        assert np.array_equal(users2, users) and np.array_equal(batch.ys, ys)
+
+    @_FILE_EXAMPLES
+    @given(st.data())
+    def test_glh_round_trip(self, tmp_path, data):
+        prime = data.draw(st.sampled_from([13, 31, PRODUCTION_PRIME, LARGEST_PRIME]))
+        g = data.draw(st.one_of(st.integers(2, 9), st.just(MAX_BUCKETS)))
+        n = data.draw(st.integers(1, 12))
+
+        def column(lo, hi):
+            return np.array(data.draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)),
+                            dtype=np.int64)
+
+        users = column(-2 ** 63, 2 ** 63 - 1)
+        batch = GlhBatch(a=column(1, prime - 1), b=column(0, prime - 1), ys=column(1, g),
+                         prime=prime, g=g)
+        path = tmp_path / "glh.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mechanisms, "_WRITE_BLOCK_ROWS", data.draw(st.sampled_from([1, 3, 2 ** 14])))
+            write_records(path, users, batch)
+        users2, batch2 = read_records(path)
+        assert isinstance(batch2, GlhBatch)
+        assert (batch2.prime, batch2.g) == (prime, g)
+        assert np.array_equal(users2, users)
+        for col in ("a", "b", "ys"):
+            assert np.array_equal(getattr(batch2, col), getattr(batch, col))
 
 
 class TestHashMatchKernel:
