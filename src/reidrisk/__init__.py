@@ -38,7 +38,7 @@ from .pse import (ConvergenceReport, KnnKlEstimate, ScoreSample,
                   convergence_probe, harvest_scores, harvest_scores_sparse,
                   knn_kl_estimate, pse_estimate)
 from .reid import (DetCurve, MarkovProfile, far_frr_det,
-                   identification_error_rate, log_likelihood,
-                   simulate_score_trials, train_profile)
+                   identification_error_rate, simulate_score_trials,
+                   train_profile)
 
 __version__ = "0.1.0"

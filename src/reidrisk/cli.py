@@ -37,20 +37,29 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    common.add_argument("--threads", type=int, default=None, help="worker threads")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--config", default=None, help="experiment config JSON")
+# options several commands share; each command takes only those it reads
+_SHARED = {
+    "seed": {"type": int, "help": "base RNG seed"},
+    "threads": {"type": int, "help": "worker threads"},
+    "out": {"help": "output directory"},
+    "config": {"help": "experiment config JSON"},
+}
 
+
+def _build_parser() -> _Parser:
     top = _Parser(prog="reidrisk",
                   description="re-identification risk toolkit for locally "
                               "obfuscated categorical data")
     sub = top.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("bounds", parents=[common],
-                       help="closed-form information and error bounds")
+    def command(name: str, shared: str, summary: str) -> _Parser:
+        p = sub.add_parser(name, help=summary)
+        for option in shared.split():
+            p.add_argument(f"--{option}", default=None, **_SHARED[option])
+        return p
+
+    everything = "seed threads out config"
+    p = command("bounds", "out", "closed-form information and error bounds")
     p.add_argument("--n", type=int, required=True, help="population size")
     p.add_argument("--size", type=int, required=True, help="alphabet size")
     p.add_argument("--epsilon", type=float, default=None)
@@ -62,16 +71,14 @@ def _build_parser() -> _Parser:
                    help="target floor on attacker error")
     p.add_argument("--row", action="store_true", help="also print a table row")
 
-    p = sub.add_parser("obfuscate", parents=[common],
-                       help="obfuscate a user_idx,x CSV into a record CSV")
+    p = command("obfuscate", "seed out", "obfuscate a user_idx,x CSV into a record CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--mechanism", choices=["rr", "glh"], required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--g", type=int, default=None)
 
-    p = sub.add_parser("estimate", parents=[common],
-                       help="estimate the symbol distribution from records")
+    p = command("estimate", "out", "estimate the symbol distribution from records")
     p.add_argument("--records", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--size", type=int, required=True)
@@ -81,16 +88,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-threshold", action="store_true")
     p.add_argument("--truth", default=None, help="optional symbol,p_true CSV")
 
-    p = sub.add_parser("reid", parents=[common],
-                       help="profile-matching attack on a synthetic population")
+    p = command("reid", everything, "profile-matching attack on a synthetic population")
     p.add_argument("--mechanism", choices=["rr", "glh", "none"], default="rr")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--g", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--knowledge", choices=["partial", "max"], default=None)
 
-    p = sub.add_parser("pse", parents=[common],
-                       help="score-level identity leakage in bits")
+    p = command("pse", everything, "score-level identity leakage in bits")
     p.add_argument("--scores", default=None,
                    help="label,score CSV with labels g/i; otherwise simulate")
     p.add_argument("--mechanism", choices=["rr", "glh", "none"], default="rr")
@@ -100,16 +105,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=None, help="neighbor order")
     p.add_argument("--knowledge", choices=["partial", "max"], default=None)
 
-    p = sub.add_parser("oracle", parents=[common],
-                       help="brute-force verification of every bound on random "
-                            "small instances")
+    p = command("oracle", "seed out",
+                "brute-force verification of every bound on random small instances")
     p.add_argument("--count", type=int, default=200)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="run the full experiment bundle into --out")
+    command("simulate", everything, "run the full experiment bundle into --out")
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic check-in dataset into --out")
+    p = command("synth", everything, "generate a synthetic check-in dataset into --out")
     p.add_argument("--n-users", type=int, default=None)
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--zipf-exponent", type=float, default=None)
@@ -135,7 +137,7 @@ def _effective_config(args, **overrides) -> ExperimentConfig:
     fields = {}
     if args.seed is not None:
         fields["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
+    if args.threads is not None:
         fields["threads"] = args.threads
     fields.update({k: v for k, v in overrides.items() if v is not None})
     if fields:

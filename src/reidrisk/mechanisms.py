@@ -39,12 +39,7 @@ class MechanismKernel:
         m = np.asarray(matrix, dtype=np.float64)
         if m.shape != (output_size, input_size):
             raise ValueError(f"kernel shape {m.shape} does not match ({output_size}, {input_size})")
-        if np.any(m < 0):
-            raise ValueError("kernel has negative entries")
-        col_mass = m.sum(axis=0)
-        if not np.all(np.abs(col_mass - 1.0) <= SUM_TOL):  # also false for a NaN or infinite mass
-            raise ValueError("kernel columns must each be finite and sum to 1")
-        m = m / col_mass
+        m = _checked_columns(m)
         m.setflags(write=False)
         object.__setattr__(self, "input_size", input_size)
         object.__setattr__(self, "output_size", output_size)
@@ -59,6 +54,21 @@ class MechanismKernel:
 
     def __repr__(self):
         return f"MechanismKernel({self.input_size} -> {self.output_size})"
+
+
+def _checked_columns(m: np.ndarray) -> np.ndarray:
+    """Kernel matrices (..., out, in) with each column divided by its mass.
+
+    ValueError unless every entry is non-negative and every column sums to 1
+    within SUM_TOL: the test each `MechanismKernel` passes, run on a whole
+    stack of kernels at once.
+    """
+    if (m < 0).any():
+        raise ValueError("kernel has negative entries")
+    col_mass = m.sum(axis=-2, keepdims=True)
+    if not (np.abs(col_mass - 1.0) <= SUM_TOL).all():  # also false for a NaN or infinite mass
+        raise ValueError("kernel columns must each be finite and sum to 1")
+    return m / col_mass
 
 
 def _keep_leak(epsilon: float, k: int) -> tuple[float, float, float]:
@@ -121,9 +131,19 @@ def rr_kernel(epsilon: float, alphabet: Union[Alphabet, int]) -> MechanismKernel
     if size < 2:
         raise ValueError("randomized response needs an alphabet of size >= 2")
     keep, leak, _ = _keep_leak(epsilon, size)
-    m = np.full((size, size), leak)
-    np.fill_diagonal(m, keep)
-    return MechanismKernel(size, size, m)
+    return MechanismKernel(size, size, _rr_matrices(keep, leak, size))
+
+
+def _rr_matrices(keep, leak, size: int) -> np.ndarray:
+    """Randomized-response matrices before the column test: keep on the diagonal, leak off it.
+
+    One (size, size) matrix for scalar probabilities; shape (B, size, size)
+    for arrays of B keep and leak probabilities.
+    """
+    m = np.empty(np.shape(leak) + (size, size))
+    m[...] = np.reshape(leak, np.shape(leak) + (1, 1))
+    m.reshape(-1, size * size)[:, ::size + 1] = np.reshape(keep, (-1, 1))  # the diagonals
+    return m
 
 
 @dataclass(frozen=True)
@@ -350,15 +370,21 @@ class ExhaustiveTable:
         powers = self.g ** np.arange(self.domain_size)[None, :]
         return (idx // powers) % self.g + 1
 
+    def indicator(self) -> np.ndarray:
+        """H of shape (count * g, domain): H[f*g + b, x] = 1 where member f sends x to bucket b + 1."""
+        hits = self.all_tables()[:, None, :] == np.arange(1, self.g + 1)[None, :, None]
+        return hits.reshape(self.count * self.g, self.domain_size).astype(np.float64)
+
     def kernel(self, epsilon: float) -> MechanismKernel:
         """Channel from x to the pair (member f, bucket b), ordered member-major.
 
         A uniform member hashes x, then randomized response at epsilon runs
-        over the g buckets: Q[f*g + b, x] = rr_kernel(epsilon, g)[b, f(x) - 1] / count.
+        over the g buckets: Q = leak / count + (keep - leak) / count * H, with
+        H the `indicator` and (keep, leak) the randomized-response pair.
         """
-        bucket_q = rr_kernel(epsilon, self.g).matrix[:, self.all_tables() - 1]  # (g, count, domain)
-        q = bucket_q.transpose(1, 0, 2).reshape(self.count * self.g, self.domain_size)
-        return MechanismKernel(self.domain_size, self.count * self.g, q / self.count)
+        keep, leak, _ = _keep_leak(epsilon, self.g)
+        q = leak / self.count + (keep - leak) / self.count * self.indicator()
+        return MechanismKernel(self.domain_size, self.count * self.g, q)
 
 
 @dataclass(frozen=True)

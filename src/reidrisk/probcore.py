@@ -75,18 +75,28 @@ def _as_alphabet(a: Union[Alphabet, int]) -> Alphabet:
     return a if isinstance(a, Alphabet) else Alphabet(int(a))
 
 
-def _checked_mass(vec: np.ndarray, what: str) -> np.ndarray:
-    """Validate finite, non-negative entries and unit mass; renormalize tiny drift, reject more."""
-    if np.any(vec < 0):
-        raise ValueError(f"{what} has negative entries")
-    total = float(vec.sum())
-    if not math.isfinite(total):  # a NaN or infinite entry makes the mass non-finite
-        raise ValueError(f"{what} mass {total!r} is not finite")
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"{what} mass {total!r} deviates from 1 by more than {SUM_TOL}")
-    if total != 1.0 and total > 0:
-        vec = vec / total
-    return vec
+def _checked_masses(stack: np.ndarray, what: str) -> np.ndarray:
+    """Validate each stack[i] as one mass; renormalize tiny drift, reject more.
+
+    Each item needs non-negative entries and a finite total within SUM_TOL of
+    1. The first refused item raises ValueError naming its first fault, in
+    that order; a total off 1 by less is divided out.
+    """
+    flat = stack.reshape(len(stack), -1)
+    total = flat.sum(axis=1)
+    # the deviation test is false for a non-finite total
+    if (flat < 0).any() or not (np.abs(total - 1.0) <= SUM_TOL).all():
+        negative = (flat < 0).any(axis=1)
+        i = int(np.argmin(~negative & (np.abs(total - 1.0) <= SUM_TOL)))
+        mass = float(total[i])
+        if negative[i]:
+            raise ValueError(f"{what} has negative entries")
+        if not math.isfinite(mass):  # a NaN or infinite entry makes the mass non-finite
+            raise ValueError(f"{what} mass {mass!r} is not finite")
+        raise ValueError(f"{what} mass {mass!r} deviates from 1 by more than {SUM_TOL}")
+    if (total != 1.0).any():
+        stack = stack / total.reshape((-1,) + (1,) * (stack.ndim - 1))
+    return stack
 
 
 class CategoricalDistribution:
@@ -99,8 +109,7 @@ class CategoricalDistribution:
         vec = np.asarray(p, dtype=np.float64)
         if vec.shape != (alphabet.size,):
             raise ValueError(f"probability vector shape {vec.shape} does not match alphabet size {alphabet.size}")
-        vec = _checked_mass(vec, "distribution")
-        vec = np.array(vec, copy=True)
+        vec = np.array(_checked_masses(vec[None], "distribution")[0], copy=True)
         vec.setflags(write=False)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "p", vec)
@@ -111,6 +120,24 @@ class CategoricalDistribution:
     @property
     def size(self) -> int:
         return self.alphabet.size
+
+    @classmethod
+    def rows(cls, alphabet: Union[Alphabet, int], matrix) -> list["CategoricalDistribution"]:
+        """One distribution per row of `matrix`, the rows checked in one pass."""
+        alphabet = _as_alphabet(alphabet)
+        m = np.asarray(matrix, dtype=np.float64)
+        if m.ndim != 2 or m.shape[1] != alphabet.size:
+            raise ValueError(f"probability rows shape {m.shape} does not match "
+                             f"alphabet size {alphabet.size}")
+        m = np.array(_checked_masses(m, "distribution"), copy=True)
+        m.setflags(write=False)
+        out = []
+        for row in m:
+            d = object.__new__(cls)
+            object.__setattr__(d, "alphabet", alphabet)
+            object.__setattr__(d, "p", row)
+            out.append(d)
+        return out
 
     @classmethod
     def uniform(cls, alphabet: Union[Alphabet, int]) -> "CategoricalDistribution":
@@ -211,7 +238,7 @@ class PopulationModel:
             if not isinstance(m, SingleDatum):
                 raise ValueError("conditional matrix is defined for single-datum models only")
             rows.append(m.dist.p)
-        return np.vstack(rows)
+        return np.array(rows)
 
     def joint_ux(self) -> np.ndarray:
         """Exact joint p(u, x) of single-datum populations: shape (n, |X|)."""
@@ -239,19 +266,28 @@ def kl_divergence(p: CategoricalDistribution, q: CategoricalDistribution) -> flo
     return float((pm * np.log2(pm / q.p[mask])).sum())
 
 
+def _mutual_information_stack(joints: np.ndarray) -> np.ndarray:
+    """Mutual information of the row and column variables of each joint mass, in bits.
+
+    `joints` has shape (B, rows, cols); each joints[i] is checked as one mass
+    by `_checked_masses`. Returns shape (B,).
+    """
+    m = _checked_masses(joints, "joint distribution")
+    row_m = m.sum(axis=2, keepdims=True)
+    col_m = m.sum(axis=1, keepdims=True)
+    # zero cells contribute nothing: their ratio is set to 1
+    ratio = np.divide(m, row_m * col_m, out=np.ones_like(m), where=m > 0)
+    val = (m * np.log2(ratio)).reshape(len(m), -1).sum(axis=1)
+    # clip the tiny negative residue float summation can leave on independent joints
+    return np.maximum(val, 0.0)
+
+
 def mutual_information(joint: np.ndarray) -> float:
     """Mutual information of the row and column variables of a 2-d joint mass, in bits."""
     m = np.asarray(joint, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"joint distribution must be a 2-d array, got shape {m.shape}")
-    m = _checked_mass(m, "joint distribution")
-    row_m = m.sum(axis=1)
-    col_m = m.sum(axis=0)
-    rows, cols = np.nonzero(m)
-    vals = m[rows, cols]
-    val = float((vals * np.log2(vals / (row_m[rows] * col_m[cols]))).sum())
-    # clip the tiny negative residue float summation can leave on independent joints
-    return max(val, 0.0)
+    return float(_mutual_information_stack(m[None])[0])
 
 
 def cdf_table(p: np.ndarray, mass: Optional[np.ndarray] = None) -> np.ndarray:

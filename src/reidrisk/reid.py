@@ -201,11 +201,6 @@ class ProfileTable:
         return total
 
 
-def log_likelihood(profile: MarkovProfile, trace) -> float:
-    """log2 of the trace likelihood under the profile, floored entrywise."""
-    return float(ProfileTable([profile]).scores(trace)[0])
-
-
 def floored_pi_matrix(profiles: Sequence[MarkovProfile]) -> np.ndarray:
     """Per-user visit probabilities, shape (n, size), each profile's floor applied."""
     size, users, keys, probs = _stacked(profiles)

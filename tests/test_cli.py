@@ -75,6 +75,32 @@ class TestUsageErrors:
                          "--out", str(tmp_path / "o"))
         assert code == 1
 
+    # shared options each command does not read; argparse must refuse them
+    UNREAD = [("oracle", "--config"), ("oracle", "--threads"), ("bounds", "--config"),
+              ("bounds", "--threads"), ("bounds", "--seed"), ("obfuscate", "--config"),
+              ("obfuscate", "--threads"), ("estimate", "--config"), ("estimate", "--threads"),
+              ("estimate", "--seed")]
+
+    @pytest.mark.parametrize("cmd,option", UNREAD)
+    def test_unread_shared_option_exits_1(self, capsys, tmp_path, cmd, option):
+        (tmp_path / "values.csv").write_text("user_idx,x\n0,1\n1,3\n")
+        (tmp_path / "records.csv").write_text("user_idx,y\n0,1\n1,3\n")
+        argv = {
+            "oracle": ["oracle", "--count", "1"],
+            "bounds": ["bounds", "--n", "10", "--size", "4", "--epsilon", "1"],
+            "obfuscate": ["obfuscate", "--input", str(tmp_path / "values.csv"), "--mechanism",
+                          "rr", "--epsilon", "1", "--size", "4", "--out", str(tmp_path / "o")],
+            "estimate": ["estimate", "--records", str(tmp_path / "records.csv"), "--epsilon",
+                         "1", "--size", "4", "--out", str(tmp_path / "e")],
+        }[cmd]
+        assert main(argv) == 0
+        value = {"--config": "missing.json", "--threads": "-5", "--seed": "1"}[option]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, value])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
 
 class TestDataErrors:
     def test_missing_records_file_exits_2(self, capsys, tmp_path):

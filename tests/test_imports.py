@@ -4,6 +4,9 @@
   (`__init__.py` is left out: it imports names to re-export them).
 - One function evaluates the pairwise hash: no other function reduces a
   value mod the hash modulus.
+- The instance loops of `oracle.verify_bound_suite` build no per-instance
+  exact quantity or channel object; every exact quantity is evaluated on
+  stacks of instances after the loops.
 """
 
 import ast
@@ -112,3 +115,56 @@ def other(fam, x, P):
     return y % 7
 """
     assert modulus_reductions(ast.parse(source)) == [("helper", 3), ("other", 8), ("other", 9)]
+
+
+# calls the loops of the oracle suite must not make
+PER_INSTANCE_CALLS = {"exact_pie", "exact_pse", "exact_composed_pie", "mutual_information",
+                      "SmallInstance", "MechanismKernel"}
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def per_instance_calls(tree: ast.Module, function: str = "verify_bound_suite"):
+    """Sorted (line, name) of each PER_INSTANCE_CALLS call inside a loop of `function`.
+
+    None when the module defines no such function.
+    """
+    defs = [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == function]
+    if not defs:
+        return None
+    found = set()
+    for loop in (node for d in defs for node in ast.walk(d) if isinstance(node, LOOPS)):
+        for call in ast.walk(loop):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                if name in PER_INSTANCE_CALLS:
+                    found.add((call.lineno, name))
+    return sorted(found)
+
+
+def test_oracle_suite_loops_stay_stacked():
+    path = PACKAGE / "oracle.py"
+    found = per_instance_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert found == [], f"per-instance calls in the loops of verify_bound_suite: {found}"
+
+
+def test_per_instance_calls_finds_each_form():
+    source = """
+def verify_bound_suite(count, x, xs):
+    exact_pie(x)
+    for i in range(count):
+        a = oracle.exact_pse(x)
+        k = MechanismKernel(2, 2, a)
+        while k:
+            probcore.mutual_information(k)
+    total = [exact_composed_pie(i) for i in xs]
+    return SmallInstance(total, k)
+def other():
+    for i in range(3):
+        exact_pie(i)
+"""
+    assert per_instance_calls(ast.parse(source)) == [
+        (5, "exact_pse"), (6, "MechanismKernel"), (8, "mutual_information"),
+        (9, "exact_composed_pie")]
+    assert per_instance_calls(ast.parse("def other():\n    pass\n")) is None

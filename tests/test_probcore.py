@@ -102,6 +102,27 @@ class TestCategoricalDistribution:
         assert np.allclose(d.p, 1 / 8)
 
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+    def test_rows_equal_one_distribution_per_row(self, n, size, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.gamma(1.0, 1.0, size=(n, size))
+        m /= m.sum(axis=1, keepdims=True)
+        rows = CategoricalDistribution.rows(size, m)
+        assert [d.p.tolist() for d in rows] == [CategoricalDistribution(size, r).p.tolist() for r in m]
+        assert all(d.alphabet.size == size and not d.p.flags.writeable for d in rows)
+
+    @pytest.mark.parametrize("m,match", [
+        ([[0.5, 0.5], [1.1, -0.1]], "negative entries"),
+        ([[0.5, 0.5], [math.nan, 1.0]], "not finite"),
+        ([[0.6, 0.6], [0.5, 0.5]], "deviates from 1"),
+        ([[1.0, 0.0, 0.0]], "does not match alphabet size"),
+    ])
+    def test_rows_refuse_any_bad_row(self, m, match):
+        with pytest.raises(ValueError, match=match):
+            CategoricalDistribution.rows(2, m)
+
+
 class TestEntropyAndKl:
     def test_entropy_frozen_value(self):
         d = CategoricalDistribution(2, [0.75, 0.25])

@@ -39,7 +39,6 @@ from reidrisk.reid import (
     floored_pi_matrix,
     glh_single_datum_scores,
     identification_error_rate,
-    log_likelihood,
     rr_single_datum_scores,
     sample_releases,
     simulate_score_trials,
@@ -131,16 +130,17 @@ class TestLogLikelihood:
         # T(0,0) = 0.5, T(0,1) = 0.25 (keys 0, 1); pi = (0.5, 0.5) (keys 4, 5)
         prof = MarkovProfile(owner=0, size=2, keys=[0, 1, 4, 5], probs=[0.5, 0.25, 0.5, 0.5])
         # log2 0.5 + log2 T(0,0) + log2 T(0,1) = -1 - 1 - 2
-        assert log_likelihood(prof, [0, 0, 1]) == -4.0
+        assert ProfileTable([prof]).scores([0, 0, 1])[0] == -4.0
 
     def test_floor_applies_to_missing_entries(self):
         prof = train_profile([0, 0, 0], alphabet=2)
         want = math.log2(prof.floor) + math.log2(prof.floor)
-        assert math.isclose(log_likelihood(prof, [1, 1]), want, rel_tol=1e-12)
+        assert math.isclose(ProfileTable([prof]).scores([1, 1])[0], want, rel_tol=1e-12)
 
     def test_longer_own_trace_scores_higher_than_foreign(self):
         own = train_profile([0, 1, 0, 1, 0, 1], alphabet=2)
-        assert log_likelihood(own, [0, 1, 0, 1]) > log_likelihood(own, [1, 1, 1, 1])
+        table = ProfileTable([own])
+        assert table.scores([0, 1, 0, 1])[0] > table.scores([1, 1, 1, 1])[0]
 
     def test_score_vector_and_ties(self):
         p0 = train_profile([0, 0], alphabet=2, owner=0)
@@ -707,7 +707,7 @@ class TestProfileTable:
         release = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=6))
         want = [reference_log_likelihood(t, f, release) for t, f in zip(traces, floors)]
         assert ProfileTable(profiles).scores(release).tolist() == want
-        assert [log_likelihood(p, release) for p in profiles] == want
+        assert [ProfileTable([p]).scores(release)[0] for p in profiles] == want
 
     @settings(deadline=None, max_examples=60)
     @given(training_sets(), st.integers(0, 2**32 - 1),
@@ -749,8 +749,8 @@ class TestProfileTable:
         prof = MarkovProfile(owner=0, size=3, keys=[0, 1, 9, 10, 11],
                              probs=[0.0, 1.0, 0.5, 0.5, 0.0], floor=0.25)
         assert prof.transition_prob(0, 0) == 0.25
-        assert log_likelihood(prof, [0, 0, 1]) == -1.0 - 2.0 + 0.0
-        assert log_likelihood(prof, [2]) == -2.0
+        assert ProfileTable([prof]).scores([0, 0, 1])[0] == -1.0 - 2.0 + 0.0
+        assert ProfileTable([prof]).scores([2])[0] == -2.0
         assert floored_pi_matrix([prof]).tolist() == [[0.5, 0.5, 0.25]]
 
     def test_rejects_inconsistent_input(self):
