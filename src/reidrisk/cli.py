@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -46,6 +47,7 @@ _SHARED = {
 }
 
 
+@functools.cache  # one tree per process: parse_args leaves the parser unchanged
 def _build_parser() -> _Parser:
     top = _Parser(prog="reidrisk",
                   description="re-identification risk toolkit for locally "

@@ -12,6 +12,7 @@ stable e^(-eps) form, together with the bucket-count limit law.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -62,9 +63,17 @@ def glh_counts(batch: GlhBatch, size: int) -> np.ndarray:
     if np.any((batch.ys < 1) | (batch.ys > batch.g)):
         raise ValueError("bucket outside [1, g]")
     counts = np.zeros(size, dtype=np.int64)
-    for _, _, mask in glh_match_chunks(batch, size):
-        # sum along the mask's contiguous record axis; a chunk's R records fit uint32
-        counts += mask.T.view(np.uint8).sum(axis=1, dtype=np.uint32)
+    lock = threading.Lock()
+
+    def add(lo: int, hi: int, mask: np.ndarray) -> None:
+        # sum along the mask's contiguous record axis, in the narrowest type that
+        # holds a chunk's hi - lo records (uint16 sums twice as fast as uint32)
+        narrow = np.uint16 if hi - lo < 2 ** 16 else np.uint32
+        part = mask.T.view(np.uint8).sum(axis=1, dtype=narrow)
+        with lock:  # integer sums: the total is exact in any order
+            np.add(counts, part, out=counts)
+
+    glh_match_chunks(batch, size, add)
     return counts.astype(np.float64)
 
 

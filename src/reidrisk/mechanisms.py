@@ -14,10 +14,14 @@ epsilon values never overflow: the keep probability is
 
 from __future__ import annotations
 
+import functools
+import os
 import re
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -257,59 +261,158 @@ def hash_buckets(a, b, x, prime: int, g: int):
     return h
 
 
-# cells of the (record, symbol) match table built per chunk
+# cells of the (record, symbol) match table that all match workers hold at once
 _MATCH_CHUNK_CELLS = 4 * 10 ** 6
 # cells matched per step of the residue walk in glh_match_chunks
 _WALK_STEP_CELLS = 2 ** 15
 
+_POOL_LOCK = threading.Lock()
+_POOL: Optional[ThreadPoolExecutor] = None
 
-def glh_match_chunks(batch: GlhBatch, size: int):
-    """Walk the (record, symbol) hash-match table of a batch in record chunks.
 
-    Yields (lo, hi, mask) with mask[i, x] true when record lo+i hashes symbol
-    x to its reported bucket. Each chunk holds at most about 4e6 cells, so
-    memory stays flat in the record count; every chunk's mask is a fresh array.
+@functools.cache
+def _match_workers() -> int:
+    """Threads of the match pool: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    No cell pays a `%`. Per chunk of R records the symbols are dealt into K
-    interleaved lanes, lane k holding k, k + K, k + 2K, ..., with K chosen so
-    that one step covers about 2^15 cells (the step's two uint64 arrays then
-    stay in a core's L2 cache). Lane k starts at the residue (a k + b) mod P,
-    and a step moves every lane K symbols on with v += s, v = min(v, v - P)
-    in uint64, where s = a K mod P: s and v are below P < 2^32, so nothing
-    wraps and a x is never formed. A cell matches when v mod g = y - 1,
-    tested as v == g (v // g) + (y - 1), since numpy divides by a scalar about
-    ten times faster than it takes `%`. Step j fills block j of an (L, K, R)
-    buffer, L = ceil(size / K); flattened to (L K, R) its rows are the
-    symbols in order, and the mask is the [:size].T view of that.
 
-    That is seven vectorized operations per cell: `glh_counts` takes about
-    1.3 ns per cell at 1e5 records x 1000 symbols on a 2-core x86-64 host,
-    where multiplying and reducing every cell took about 5 ns.
+def _match_pool() -> ThreadPoolExecutor:
+    """The process's one match pool, made on first use and kept until exit."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(_match_workers(), thread_name_prefix="reidrisk-match")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    """After a fork: the child has none of the parent's pool threads, so it makes its own."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def glh_match_chunks(batch: GlhBatch, size: int,
+                     fn: Callable[[int, int, np.ndarray], object]) -> list:
+    """Run fn(lo, hi, mask) over the (record, symbol) hash-match table of a batch.
+
+    mask[i, x] is true when record lo+i hashes symbol x to its reported
+    bucket. The chunks [lo, hi) tile [0, n) in order, every mask is a fresh
+    array, and fn's results come back as a list in chunk order.
+
+    Chunks run on one thread pool kept for the life of the process, a worker
+    per CPU in the process's affinity set (so `taskset -c 0` makes it one);
+    numpy releases the interpreter lock inside each operation. A width of
+    one, or a batch of one chunk, runs inline. All workers together hold at
+    most about 4e6 cells, and a chunk at most 2^15 records, so memory stays
+    flat in the record count and the width, and a small alphabet still
+    spreads over the workers. fn runs concurrently with itself: it writes
+    disjoint slices or locks what it shares, and must not call
+    glh_match_chunks. If a chunk raises, the chunks not yet started are
+    dropped, the running ones awaited, and the first error in chunk order
+    raised. The masks, and so every reader's output, do not depend on the
+    width.
+
+    No cell pays a `%` or a divide. Per chunk of R records the symbols are
+    dealt into K interleaved lanes, lane k holding k, k + K, k + 2K, ...,
+    with K chosen so that one step covers about 2^15 cells (the step's
+    uint64 arrays then stay in a core's L2 cache). Lane k starts at the
+    residue v = (a k + b) mod P, and a step moves every lane K symbols on
+    with v += s, v = min(v, v - P) in uint64, where s = a K mod P: s and v
+    are below P < 2^32, so nothing wraps and a x is never formed. The bucket
+    test v mod g = y - 1 follows Lemire, Kaser & Kurz, "Faster remainder by
+    direct computation" (2019): with d = min(g, 2^32), so that v mod g =
+    v mod d, and c = ceil(2^64 / d), v mod d = t exactly when the low 64
+    bits of c v lie in [ceil(t 2^64 / d), ceil((t + 1) 2^64 / d)). So a cell
+    takes one multiply by c, one wrapping subtract of its record's lower
+    edge and one compare with its record's width (see _bucket_edges): six
+    operations with the walk's three, all on (K, R) arrays, since each chunk
+    copies its per-record stride, edges and widths to that shape once. Step
+    j fills block j of an (L, K, R) buffer, L = ceil(size / K); flattened to
+    (L K, R) its rows are the symbols in order, and the mask is the
+    [:size].T view of that.
+
+    On a 2-vCPU Intel Xeon host (Python 3.11, numpy 2.4), `glh_counts` at
+    1e5 records x 1000 symbols takes about 2.8 ns per cell on one worker and
+    2.1 ns on two, where the one-core walk that divided by g took 4.5 ns.
     """
-    prime, g = np.uint64(batch.prime), np.uint64(batch.g)
     n = len(batch)
-    chunk = max(1, _MATCH_CHUNK_CELLS // max(size, 1))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        lanes = max(1, min(size, _WALK_STEP_CELLS // (hi - lo)))
-        steps = -(-size // lanes)
-        a, b = batch.a[lo:hi], batch.b[lo:hi]
-        first = np.arange(lanes, dtype=np.int64)[:, None]
-        v = _hash_residues(a, b, first, batch.prime).astype(np.uint64)
-        stride = _hash_residues(a, 0, lanes, batch.prime).astype(np.uint64)
-        target = (batch.ys[lo:hi] - 1).astype(np.uint64)
-        scratch = np.empty_like(v)
-        out = np.empty((steps, lanes, hi - lo), dtype=bool)
-        for j in range(steps):
-            if j:
-                v += stride
-                np.subtract(v, prime, out=scratch)
-                np.minimum(v, scratch, out=v)
-            np.floor_divide(v, g, out=scratch)
-            scratch *= g
-            scratch += target
-            np.equal(v, scratch, out=out[j])
-        yield lo, hi, out.reshape(steps * lanes, hi - lo)[:size].T
+    workers = _match_workers()
+    chunk = max(1, min(_WALK_STEP_CELLS, _MATCH_CHUNK_CELLS // (max(size, 1) * workers)))
+
+    def run(lo: int, hi: int):
+        return fn(lo, hi, _match_chunk(batch, size, lo, hi))
+
+    spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    if workers == 1 or len(spans) <= 1:
+        return [run(lo, hi) for lo, hi in spans]
+    futures = [_match_pool().submit(run, lo, hi) for lo, hi in spans]
+    try:
+        return [f.result() for f in futures]
+    finally:
+        for f in futures:
+            f.cancel()
+        wait(futures)
+
+
+def _bucket_edges(ys: np.ndarray, g: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(c, lower, width) of the bucket test in glh_match_chunks, one edge pair per record.
+
+    A residue v < 2^32 matches record i when (c v - lower[i]) mod 2^64 <
+    width[i]. The edges ceil(t 2^64 / d) are computed as t q + ceil(t r / d),
+    where 2^64 = q d + r, so every term stays below 2^64; the upper edge of
+    t = d - 1 is 2^64 itself and wraps to 0, which the wrapping width
+    subtract undoes. A record whose y - 1 lies outside [0, d) gets width 0
+    and matches nothing, as no residue does: v mod g < g, and where g > 2^32,
+    v mod g = v < 2^32.
+    """
+    d = min(int(g), 2 ** 32)
+    q, r = divmod(2 ** 64, d)
+    t = ys.astype(np.uint64) - np.uint64(1)  # y < 1 wraps to 2^63 or more, past every bucket
+    ok = t < d
+    t *= ok
+
+    def edge(t):
+        return t * np.uint64(q) + (t * np.uint64(r) + np.uint64(d - 1)) // np.uint64(d)
+
+    lower = edge(t)
+    width = (edge(t + np.uint64(1)) - lower) * ok
+    return -(-2 ** 64 // d), lower, width
+
+
+def _match_chunk(batch: GlhBatch, size: int, lo: int, hi: int) -> np.ndarray:
+    """The (hi - lo, size) match mask of records [lo, hi); see glh_match_chunks."""
+    c, lower, width = _bucket_edges(batch.ys[lo:hi], batch.g)
+    r = hi - lo
+    lanes = max(1, min(size, _WALK_STEP_CELLS // r))
+    steps = -(-size // lanes)
+    a, b = batch.a[lo:hi], batch.b[lo:hi]
+    first = np.arange(lanes, dtype=np.int64)[:, None]
+    v = _hash_residues(a, b, first, batch.prime).astype(np.uint64)
+
+    def lanewise(per_record):
+        return np.broadcast_to(per_record, v.shape).copy()
+
+    stride = lanewise(_hash_residues(a, 0, lanes, batch.prime).astype(np.uint64))
+    lower, width = lanewise(lower), lanewise(width)
+    prime, c = np.uint64(batch.prime), np.uint64(c)
+    scratch = np.empty_like(v)
+    out = np.empty((steps, lanes, r), dtype=bool)
+    for j in range(steps):
+        if j:
+            v += stride
+            np.subtract(v, prime, out=scratch)
+            np.minimum(v, scratch, out=v)
+        np.multiply(v, c, out=scratch)
+        scratch -= lower
+        np.less(scratch, width, out=out[j])
+    return out.reshape(steps * lanes, r)[:size].T
 
 
 class CarterWegman:

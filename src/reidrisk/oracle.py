@@ -76,7 +76,8 @@ class SmallInstance:
 
 def _checked_pairs(pairs: np.ndarray) -> None:
     """ValueError unless each user's p(x1, x2 | u) in pairs (..., size, size) is a distribution."""
-    if np.any(pairs < 0) or np.any(np.abs(pairs.sum(axis=(-2, -1)) - 1.0) > probcore.SUM_TOL):
+    mass = pairs.sum(axis=(-2, -1))
+    if not ((pairs >= 0).all() and (np.abs(mass - 1.0) <= probcore.SUM_TOL).all()):  # refuses NaN too
         raise ValueError("each user's pair conditional must be a distribution")
 
 

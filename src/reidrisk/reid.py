@@ -225,8 +225,11 @@ def glh_single_datum_scores(pi_floored: np.ndarray, batch: GlhBatch,
     """
     size = pi_floored.shape[1]
     masks = np.empty((size, len(batch)), dtype=np.float64)
-    for lo, hi, mask in glh_match_chunks(batch, size):
+
+    def fill(lo: int, hi: int, mask: np.ndarray) -> None:
         masks[:, lo:hi] = mask.T
+
+    glh_match_chunks(batch, size, fill)
     return _glh_log_likelihood(mech, pi_floored @ masks).T  # (n, trials) -> (trials, n)
 
 
@@ -236,8 +239,11 @@ def claimant_scores(pi_floored: np.ndarray, rows: np.ndarray, released,
     if not isinstance(released, GlhBatch):
         return np.log2(pi_floored[rows, released])
     mass = np.empty(rows.size)
-    for lo, hi, mask in glh_match_chunks(released, pi_floored.shape[1]):
+
+    def fill(lo: int, hi: int, mask: np.ndarray) -> None:
         mass[lo:hi] = (pi_floored[rows[lo:hi]] * mask).sum(axis=1)
+
+    glh_match_chunks(released, pi_floored.shape[1], fill)
     return _glh_log_likelihood(mech, mass)
 
 

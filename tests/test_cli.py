@@ -7,6 +7,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -100,6 +102,31 @@ class TestUsageErrors:
             main(argv + [option, value])
         assert exc.value.code == 1
         assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    # an argparse error, a usage error found after parsing, help text, then valid commands
+    SEQUENCE = [
+        ["bounds", "--n", "10", "--bogus", "1"],
+        ["bounds", "--n", "10", "--size", "4"],
+        ["bounds", "--help"],
+        ["bounds", "--n", "100", "--size", "8", "--theta", "0.5", "--row"],
+        ["oracle", "--count", "3", "--seed", "2"],
+    ]
+
+    def test_one_process_answers_like_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width in both
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        for argv in self.SEQUENCE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr().out
+            fresh = subprocess.run([sys.executable, "-m", "reidrisk.cli", *argv], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
 
 
 class TestDataErrors:

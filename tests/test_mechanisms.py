@@ -6,7 +6,11 @@ import csv
 import io
 import math
 import os
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -40,7 +44,8 @@ import reidrisk.mechanisms as mechanisms
 from reidrisk.estimation import glh_counts
 from reidrisk.probcore import CategoricalDistribution, PopulationModel, make_rng
 from reidrisk.pse import harvest_scores_sparse
-from reidrisk.reid import floored_pi_matrix, glh_single_datum_scores, train_profile
+from reidrisk.reid import (claimant_scores, floored_pi_matrix, glh_single_datum_scores,
+                           train_profile)
 
 
 # largest prime the modulus guard admits: (P-1)^2 + (P-1) < 2^63
@@ -628,8 +633,9 @@ class TestHashMatchKernel:
         mass = floored_pi_matrix(profiles) @ self.brute_masks(batch).T.astype(np.float64)
         return np.log2(mech.off_bucket + (mech.mu - mech.off_bucket) * mass).T
 
-    def test_chunks_tile_the_records(self, batch):
-        chunks = list(glh_match_chunks(batch, self.SIZE))
+    def test_chunks_tile_the_records(self, batch, monkeypatch):
+        monkeypatch.setattr(mechanisms, "_match_workers", lambda: 1)
+        chunks = glh_match_chunks(batch, self.SIZE, lambda lo, hi, mask: (lo, hi, mask))
         assert [(lo, hi) for lo, hi, _ in chunks] == [(0, 40), (40, 80), (80, 101)]
         assert np.array_equal(np.vstack([m for _, _, m in chunks]), self.brute_masks(batch))
 
@@ -674,9 +680,9 @@ class TestHashMatchKernel:
 
 
 def walk_masks(batch, size):
-    """The masks glh_match_chunks yields, stacked into one (records, size) table."""
+    """The masks glh_match_chunks hands out, stacked into one (records, size) table."""
     return np.vstack([np.zeros((0, size), dtype=bool)]
-                     + [mask for _, _, mask in glh_match_chunks(batch, size)])
+                     + glh_match_chunks(batch, size, lambda lo, hi, mask: mask))
 
 
 def reference_masks(batch, size):
@@ -713,7 +719,8 @@ class TestHashWalk:
         # a small step size makes small tables walk many steps over many lanes
         prime = data.draw(st.sampled_from([13, 31, 257, PRODUCTION_PRIME, LARGEST_PRIME]))
         g = data.draw(st.one_of(st.integers(2, 9),
-                                st.sampled_from([prime - 1, prime, prime + 3, MAX_BUCKETS])))
+                                st.sampled_from([prime - 1, prime, prime + 3, MAX_BUCKETS,
+                                                 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40])))
         n = data.draw(st.integers(1, 12))
         size = data.draw(st.one_of(st.integers(1, 150), st.sampled_from([1, 13, 31, 97, 127])))
         step_cells = data.draw(st.sampled_from([1, 2, 5, 16, 64, mechanisms._WALK_STEP_CELLS]))
@@ -751,6 +758,41 @@ class TestHashWalk:
         assert np.array_equal(got, reference_masks(batch, size))
         assert got[[0, 1, 2], [0, size // 2, size - 1]].all()
 
+    @pytest.mark.parametrize("prime", [31, PRODUCTION_PRIME, LARGEST_PRIME])
+    @pytest.mark.parametrize("g", [2, 3, 29, 31, 2 ** 31 + 11, 2 ** 32 - 1, 2 ** 32,
+                                   2 ** 32 + 1, 2 ** 40, MAX_BUCKETS])
+    @pytest.mark.parametrize("bucket", ["first", "last", "zero", "int64 min"])
+    def test_first_and_last_bucket(self, prime, g, bucket):
+        # y = 1 or y = g at every record, or a y below 1 that no symbol reaches;
+        # where 0 <= y - 1 < P, symbol 7 is planted on it
+        size, n = 600, 6
+        y = {"first": 1, "last": g, "zero": 0, "int64 min": -2 ** 63}[bucket]
+        rng = make_rng(g % 1000)
+        a = rng.integers(1, prime, n)
+        planted = (y - 1) % prime
+        b = (planted - a * 7) % prime
+        batch = GlhBatch(a=a, b=b, ys=np.full(n, y, dtype=np.int64), prime=prime, g=g)
+        got = walk_masks(batch, size)
+        assert np.array_equal(got, reference_masks(batch, size))
+        assert got[:, 7].all() == (0 <= y - 1 < prime)
+
+    @pytest.mark.parametrize("prime", [PRODUCTION_PRIME, LARGEST_PRIME])
+    @pytest.mark.parametrize("g, wraps", [(2 ** 33, 1), (2 ** 40, 1), (2 ** 40, 255),
+                                          (MAX_BUCKETS, 1), (MAX_BUCKETS, 2 ** 31 - 1)])
+    def test_bucket_congruent_mod_2_32_to_a_residue_never_matches(self, prime, g, wraps):
+        # y - 1 = v + wraps 2^32 for the residue v of symbol 5: v mod 2^32 = (y - 1) mod 2^32,
+        # yet v mod g != y - 1, since v < P < 2^32 <= y - 1 < g
+        size = 300
+        a = np.array([3, prime - 2, 12345], dtype=np.int64)
+        b = np.array([0, 17, prime - 1], dtype=np.int64)
+        v = (a * 5 + b) % prime
+        ys = v + wraps * 2 ** 32 + 1
+        assert (ys <= g).all()
+        batch = GlhBatch(a=a, b=b, ys=ys, prime=prime, g=g)
+        got = walk_masks(batch, size)
+        assert np.array_equal(got, reference_masks(batch, size))
+        assert not got.any()
+
     def test_descriptors_outside_the_modulus_match_their_residues(self):
         p, size = 13, 100
         inside = hit_batch([3, 12, 1, 7], [0, 5, 12, 9], [4, 50, 99, -1], p, 4, size)
@@ -763,6 +805,130 @@ class TestHashWalk:
     def test_empty_batch_counts_zero(self):
         empty = np.zeros(0, dtype=np.int64)
         batch = GlhBatch(a=empty, b=empty, ys=empty, prime=13, g=4)
-        assert list(glh_match_chunks(batch, 10)) == []
+        assert glh_match_chunks(batch, 10, lambda *chunk: chunk) == []
         counts = glh_counts(batch, 10)
         assert counts.shape == (10,) and not counts.any()
+
+
+class TestMatchPool:
+    """glh_match_chunks hands chunks to a pool of _match_workers() threads; every
+    result is the same at any width, and a failing chunk stops the call cleanly."""
+
+    SIZE, N = 200, 500
+
+    @pytest.fixture(scope="class")
+    def mech(self):
+        return GeneralLocalHash.with_production_family(1.0, 8, self.SIZE)
+
+    @pytest.fixture(scope="class")
+    def batch(self, mech):
+        return glh_sample_batch(mech, make_rng(4).integers(0, self.SIZE, self.N), make_rng(5))
+
+    @pytest.fixture(scope="class")
+    def pi(self):
+        rng = make_rng(6)
+        return floored_pi_matrix([train_profile(rng.integers(0, self.SIZE, 300), self.SIZE,
+                                                owner=i) for i in range(4)])
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return make_rng(7).integers(0, 4, self.N)
+
+    @pytest.fixture(scope="class")
+    def reference(self, batch, mech, pi, rows):
+        """Each reader's output in one chunk run inline, as the single-threaded walk gave it."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mechanisms, "_match_workers", lambda: 1)
+            return (glh_counts(batch, self.SIZE), glh_single_datum_scores(pi, batch, mech),
+                    claimant_scores(pi, rows, batch, mech))
+
+    @pytest.fixture(params=[1, 2, 3])
+    def width(self, request, monkeypatch):
+        """A pool of the given width, with chunks small enough that a batch spans many."""
+        pool = ThreadPoolExecutor(request.param)
+        monkeypatch.setattr(mechanisms, "_match_workers", lambda: request.param)
+        monkeypatch.setattr(mechanisms, "_POOL", pool)
+        monkeypatch.setattr(mechanisms, "_MATCH_CHUNK_CELLS", 3000)
+        yield request.param
+        pool.shutdown(wait=True)
+
+    def test_chunks_tile_the_records_in_order(self, batch, width):
+        chunk = 3000 // (self.SIZE * width)
+        spans = glh_match_chunks(batch, self.SIZE, lambda lo, hi, mask: (lo, hi))
+        assert spans == [(lo, min(lo + chunk, self.N)) for lo in range(0, self.N, chunk)]
+        assert len(spans) > 10
+
+    def test_readers_identical_at_any_width(self, batch, mech, pi, rows, reference, width):
+        assert np.array_equal(glh_counts(batch, self.SIZE), reference[0])
+        assert np.array_equal(glh_single_datum_scores(pi, batch, mech), reference[1])
+        assert np.array_equal(claimant_scores(pi, rows, batch, mech), reference[2])
+
+    def test_counts_lose_no_update_under_contention(self, monkeypatch):
+        # one record per chunk, four workers and frequent thread switches: a count
+        # update that is not locked loses some of the many concurrent ones
+        size = 16
+        batch = glh_sample_batch(GeneralLocalHash.with_production_family(1.0, 2, size),
+                                 make_rng(8).integers(0, size, 2000), make_rng(9))
+        monkeypatch.setattr(mechanisms, "_match_workers", lambda: 1)
+        want = glh_counts(batch, size)
+        pool = ThreadPoolExecutor(4)
+        monkeypatch.setattr(mechanisms, "_match_workers", lambda: 4)
+        monkeypatch.setattr(mechanisms, "_POOL", pool)
+        monkeypatch.setattr(mechanisms, "_MATCH_CHUNK_CELLS", size * 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [glh_counts(batch, size) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=True)
+        assert all(np.array_equal(counts, want) for counts in got)
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+    def test_forked_child_makes_its_own_pool(self, batch, reference, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(mechanisms, "_match_workers", lambda: 2)
+        monkeypatch.setattr(mechanisms, "_MATCH_CHUNK_CELLS", 3000)
+        monkeypatch.setattr(mechanisms, "_POOL", None)
+        assert np.array_equal(glh_counts(batch, self.SIZE), reference[0])
+        parent_pool = mechanisms._POOL
+        try:
+            # the parent's pool exists and has run; the child's first call must not wait on it
+            child = multiprocessing.get_context("fork").Process(
+                target=lambda: os._exit(int(not np.array_equal(glh_counts(batch, self.SIZE),
+                                                               reference[0]))))
+            child.start()
+            child.join(timeout=30)
+            alive = child.is_alive()
+            if alive:
+                child.kill()
+            assert not alive and child.exitcode == 0
+        finally:
+            parent_pool.shutdown(wait=True)
+
+    def test_failing_chunk_raises_once_every_chunk_stopped(self, batch, width):
+        lock = threading.Lock()
+        running, started = [0], []
+
+        def fn(lo, hi, mask):
+            with lock:
+                running[0] += 1
+                started.append(lo)
+            try:
+                time.sleep(0.002)
+                if lo == 3000 // (self.SIZE * width) * 4:
+                    raise RuntimeError(f"chunk at {lo} failed")
+                return lo
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        with pytest.raises(RuntimeError, match="failed"):
+            glh_match_chunks(batch, self.SIZE, fn)
+        with lock:
+            assert running[0] == 0
+            count = len(started)
+        time.sleep(0.05)
+        assert len(started) == count  # nothing starts after the call returned
+

@@ -102,6 +102,18 @@ class TestSmallInstance:
         ok[1, 1, 1] = 1.0
         SmallInstance(population=pop, kernel=rr_kernel(1.0, 2), pair_conditional=ok)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pair_conditional_with_a_non_finite_entry_is_refused(self, bad):
+        pop = two_point_mass_population()
+        with pytest.raises(ValueError, match="pair conditional must be a distribution"):
+            SmallInstance(population=pop, kernel=rr_kernel(1.0, 2),
+                          pair_conditional=np.full((2, 2, 2), bad))
+        one = np.zeros((2, 2, 2))
+        one[:, 0, 0] = 1.0
+        one[0, 1, 1] = bad
+        with pytest.raises(ValueError, match="pair conditional must be a distribution"):
+            SmallInstance(population=pop, kernel=rr_kernel(1.0, 2), pair_conditional=one)
+
 
 class TestExactRelease:
     def test_binary_rr_frozen_value(self):
