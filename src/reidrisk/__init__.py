@@ -11,7 +11,7 @@ from .bounds import (FanoBound, PieBoundReport, alpha_for_target_bayes_error,
                      bound_report, epsilon_for_theta, fano_lower_bound,
                      glh_utility_optimal_g, mi_loss_glh, mi_loss_rr,
                      pie_bound_composed, pie_bound_glh, pie_bound_ldp,
-                     pie_bound_rr, pie_data_processing_cap)
+                     pie_bound_rr)
 from .estimation import (FrequencyEstimate, UtilityReport,
                          apply_significance_threshold, estimate_glh,
                          estimate_rr, expected_l2_glh, expected_l2_glh_limit,
@@ -31,9 +31,8 @@ from .pipeline import (DataError, ExperimentConfig, ExperimentResult,
                        ingest_checkins, run_experiment, split_traces,
                        synth_population, zipf_law)
 from .probcore import (Alphabet, CategoricalDistribution, MarkovSource,
-                       PopulationModel, SingleDatum, entropy, kl_divergence,
-                       make_rng, mutual_information, sample, sample_markov,
-                       spawn_streams)
+                       PopulationModel, SingleDatum, entropy, make_rng,
+                       mutual_information, sample, sample_markov, spawn_streams)
 from .pse import (ConvergenceReport, KnnKlEstimate, ScoreSample,
                   convergence_probe, harvest_scores, harvest_scores_sparse,
                   knn_kl_estimate, pse_estimate)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import probcore
 from .mechanisms import _keep_leak
 
 LOG2E = math.log2(math.e)
@@ -159,36 +158,6 @@ def glh_utility_optimal_g(epsilon: float) -> float:
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     return math.exp(epsilon) + 1.0
-
-
-# populations larger than this many joint cells are refused, not silently cut
-_ENUMERATION_CELL_CAP = 10 ** 8
-
-
-@dataclass(frozen=True)
-class DataProcessingCap:
-    """I(U;X) together with the ceiling min(log2 n, log2 |X|, H(X))."""
-
-    identity_information: float
-    cap: float
-
-
-def pie_data_processing_cap(population: probcore.PopulationModel) -> DataProcessingCap:
-    """Cap the identity information of ANY release computed from X alone.
-
-    Covers pseudonymized releases: whatever post-processing is applied to X
-    (including random permutation of ids), the identity information cannot
-    exceed I(U;X), which itself is capped by min(log2 n, log2 |X|, H(X)).
-    """
-    n = population.n
-    size = population.data_alphabet().size
-    if n * size > _ENUMERATION_CELL_CAP:
-        raise ValueError("population too large to enumerate the (U, X) joint")
-    joint = population.joint_ux()
-    i_ux = probcore.mutual_information(joint)
-    h_x = probcore.entropy(probcore.CategoricalDistribution(size, joint.sum(axis=0)))
-    return DataProcessingCap(identity_information=i_ux,
-                             cap=min(math.log2(n), math.log2(size), h_x))
 
 
 @dataclass(frozen=True)

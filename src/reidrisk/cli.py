@@ -60,7 +60,6 @@ def _build_parser() -> _Parser:
             p.add_argument(f"--{option}", default=None, **_SHARED[option])
         return p
 
-    everything = "seed threads out config"
     p = command("bounds", "out", "closed-form information and error bounds")
     p.add_argument("--n", type=int, required=True, help="population size")
     p.add_argument("--size", type=int, required=True, help="alphabet size")
@@ -90,14 +89,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-threshold", action="store_true")
     p.add_argument("--truth", default=None, help="optional symbol,p_true CSV")
 
-    p = command("reid", everything, "profile-matching attack on a synthetic population")
+    p = command("reid", "seed out config", "profile-matching attack on a synthetic population")
     p.add_argument("--mechanism", choices=["rr", "glh", "none"], default="rr")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--g", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--knowledge", choices=["partial", "max"], default=None)
 
-    p = command("pse", everything, "score-level identity leakage in bits")
+    p = command("pse", "seed out config", "score-level identity leakage in bits")
     p.add_argument("--scores", default=None,
                    help="label,score CSV with labels g/i; otherwise simulate")
     p.add_argument("--mechanism", choices=["rr", "glh", "none"], default="rr")
@@ -111,9 +110,9 @@ def _build_parser() -> _Parser:
                 "brute-force verification of every bound on random small instances")
     p.add_argument("--count", type=int, default=200)
 
-    command("simulate", everything, "run the full experiment bundle into --out")
+    command("simulate", "seed threads out config", "run the full experiment bundle into --out")
 
-    p = command("synth", everything, "generate a synthetic check-in dataset into --out")
+    p = command("synth", "seed out config", "generate a synthetic check-in dataset into --out")
     p.add_argument("--n-users", type=int, default=None)
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--zipf-exponent", type=float, default=None)
@@ -139,8 +138,6 @@ def _effective_config(args, **overrides) -> ExperimentConfig:
     fields = {}
     if args.seed is not None:
         fields["seed"] = args.seed
-    if args.threads is not None:
-        fields["threads"] = args.threads
     fields.update({k: v for k, v in overrides.items() if v is not None})
     if fields:
         try:
@@ -236,17 +233,9 @@ def _cmd_estimate(args) -> int:
     p_true = _read_truth_csv(args.truth, args.size) if args.truth else None
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "estimates.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["symbol"] + (["p_true"] if p_true is not None else []) \
-            + ["p_hat", "thresholded"]
-        w.writerow(header)
-        for s in range(args.size):
-            row = [s]
-            if p_true is not None:
-                row.append(f"{p_true[s]:.12g}")
-            row += [f"{est.p_hat[s]:.12g}", f"{thr.p_hat[s]:.12g}"]
-            w.writerow(row)
+    truth = [] if p_true is None else [p_true]
+    header = ["symbol"] + (["p_true"] if truth else []) + ["p_hat", "thresholded"]
+    _write_csv(path, header, zip(range(args.size), *truth, est.p_hat, thr.p_hat))
     print(path)
     return 0
 
@@ -343,7 +332,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.out is None:
         raise UsageError("simulate requires --out")
-    cfg = _effective_config(args)
+    cfg = _effective_config(args, threads=args.threads)
     result = run_experiment(cfg, args.out)
     print(os.path.join(result.out_dir, "MANIFEST.json"))
     return 0

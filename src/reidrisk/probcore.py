@@ -240,30 +240,11 @@ class PopulationModel:
             rows.append(m.dist.p)
         return np.array(rows)
 
-    def joint_ux(self) -> np.ndarray:
-        """Exact joint p(u, x) of single-datum populations: shape (n, |X|)."""
-        return self.prior.p[:, None] * self.conditional_matrix()
-
 
 def entropy(d: CategoricalDistribution) -> float:
     """Shannon entropy in bits; 0 log 0 contributes nothing."""
     p = d.p[d.p > 0]
     return float(-(p * np.log2(p)).sum()) if p.size else 0.0
-
-
-def kl_divergence(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
-    """KL divergence D(p || q) in bits.
-
-    Raises if some p(x) > 0 where q(x) = 0: the divergence is infinite and
-    callers must handle that case explicitly rather than receive a large float.
-    """
-    if p.size != q.size:
-        raise ValueError("distributions live on different alphabets")
-    mask = p.p > 0
-    if np.any(q.p[mask] == 0):
-        raise ValueError("support of p is not contained in support of q (infinite divergence)")
-    pm = p.p[mask]
-    return float((pm * np.log2(pm / q.p[mask])).sum())
 
 
 def _mutual_information_stack(joints: np.ndarray) -> np.ndarray:

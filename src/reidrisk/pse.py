@@ -4,10 +4,12 @@ The attacker's score vector separates genuine comparisons (probe and profile
 from the same user) from impostor comparisons. The KL divergence between the
 two scalar score laws is estimated with a nearest-neighbor estimator: for
 each genuine score, compare the distance to its k-th nearest genuine
-neighbor against the distance to its k-th nearest impostor neighbor. The
-estimate converges to the true divergence as samples grow, and on small
-enumerable instances it is validated against exact computation by the
-oracle module.
+neighbor against the distance to its k-th nearest impostor neighbor. Scores
+lie on a line, so the k nearest neighbors of a score are a contiguous run of
+the sorted sample, and one binary search over such runs finds every k-th
+distance in memory linear in the samples. The estimate converges to the
+true divergence as samples grow, and on small enumerable instances it is
+validated against exact computation by the oracle module.
 """
 
 from __future__ import annotations
@@ -130,31 +132,42 @@ class KnnKlEstimate:
 
 
 def _kth_nn_distance(queries: np.ndarray, refs_sorted: np.ndarray, k: int,
-                     self_in_refs: bool, chunk_cells: int = 8 * 10 ** 6) -> np.ndarray:
+                     self_in_refs: bool) -> np.ndarray:
     """Distance from each query to its k-th nearest reference on the line.
 
-    When the queries ARE the reference array, the zero self-distance is
-    discarded first. Candidates are the k (+1 for self) nearest sorted
-    neighbors on each side, which always contain the k-th neighbor. Queries
-    are processed in bounded chunks to keep the candidate matrix small.
+    On a line the w nearest references of a query are a contiguous run of the
+    sorted array, so the w-th distance is the smallest, over window starts l,
+    of max(q - r[l], r[l+w-1] - q). The first term falls and the second rises
+    with l, so a binary search over the w + 1 starts around the query's
+    insertion point finds where they cross, and the answer is the better of
+    the two windows at the crossing. When the queries ARE the references the
+    window holds w = k + 1 entries, one of them the zero self-distance, which
+    is the k-th distance with one zero dropped, duplicates included. Every
+    result is one of the floats q - r or r - q, exactly as |r - q| gives it.
+    Memory is linear in the inputs; no (queries, k) array is built.
     """
-    w = k + (1 if self_in_refs else 0)
-    offs = np.arange(-w, w)
-    out = np.empty(queries.size)
-    chunk = max(1, chunk_cells // (2 * w))
-    for lo in range(0, queries.size, chunk):
-        hi = min(lo + chunk, queries.size)
-        q = queries[lo:hi]
-        pos = np.searchsorted(refs_sorted, q)
-        idx = pos[:, None] + offs[None, :]
-        valid = (idx >= 0) & (idx < refs_sorted.size)
-        d = np.abs(refs_sorted[np.clip(idx, 0, refs_sorted.size - 1)] - q[:, None])
-        d[~valid] = np.inf
-        if self_in_refs:
-            rows = np.arange(d.shape[0])
-            d[rows, np.argmin(d, axis=1)] = np.inf
-        out[lo:hi] = np.partition(d, k - 1, axis=1)[:, k - 1]
-    return out
+    w = k + 1 if self_in_refs else k
+    # infinite sentinels: a window that runs off either end is never the nearest
+    pad = np.full(w, np.inf)
+    r = np.concatenate([-pad, refs_sorted, pad])
+
+    def reach(start):  # farthest distance in the window r[start : start + w]
+        return np.maximum(queries - r[start], r[start + (w - 1)] - queries)
+
+    # with pos the query's insertion point, padded starts pos .. pos + w run
+    # from the window that ends just before pos to the one that starts at pos
+    start = np.searchsorted(refs_sorted, queries)
+    n = w
+    while n > 1:  # branchless lower bound over the first w of those starts
+        half = n // 2
+        mid = start + half
+        left_farther = queries - r[mid] > r[mid + (w - 1)] - queries
+        start = np.where(left_farther, mid, start)
+        n -= half
+    # `start` is now the last start whose left end is the farther one, or the
+    # first start; the nearest window is `start` or the one after it, which
+    # also covers the last start pos + w
+    return np.minimum(reach(start), reach(start + 1))
 
 
 def knn_kl_estimate(p_samples, q_samples, k: int = DEFAULT_K,

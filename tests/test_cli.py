@@ -81,7 +81,8 @@ class TestUsageErrors:
     UNREAD = [("oracle", "--config"), ("oracle", "--threads"), ("bounds", "--config"),
               ("bounds", "--threads"), ("bounds", "--seed"), ("obfuscate", "--config"),
               ("obfuscate", "--threads"), ("estimate", "--config"), ("estimate", "--threads"),
-              ("estimate", "--seed")]
+              ("estimate", "--seed"), ("reid", "--threads"), ("pse", "--threads"),
+              ("synth", "--threads")]
 
     @pytest.mark.parametrize("cmd,option", UNREAD)
     def test_unread_shared_option_exits_1(self, capsys, tmp_path, cmd, option):
@@ -94,6 +95,9 @@ class TestUsageErrors:
                           "rr", "--epsilon", "1", "--size", "4", "--out", str(tmp_path / "o")],
             "estimate": ["estimate", "--records", str(tmp_path / "records.csv"), "--epsilon",
                          "1", "--size", "4", "--out", str(tmp_path / "e")],
+            "reid": ["reid", "--mechanism", "rr", "--epsilon", "1", "--trials", "20"],
+            "pse": ["pse", "--mechanism", "rr", "--epsilon", "1", "--trials", "20"],
+            "synth": ["synth", "--n-users", "20", "--size", "16", "--out", str(tmp_path / "s")],
         }[cmd]
         assert main(argv) == 0
         value = {"--config": "missing.json", "--threads": "-5", "--seed": "1"}[option]

@@ -448,7 +448,7 @@ def reference_quantities(inst, d):
     suff = exact_pse(inst, likelihood_matcher)
     ref = {
         "i_uy": exact_pie(inst),
-        "i_ux": mutual_information(pop.joint_ux()),
+        "i_ux": mutual_information(prior[:, None] * cond),
         "i_xy": mutual_information((prior @ cond)[:, None] * q.matrix.T),
         "i_post": exact_pie(SmallInstance(
             population=pop, kernel=postprocess(q, MechanismKernel(size, len(d.post), d.post)))),

@@ -15,7 +15,6 @@ from reidrisk.probcore import (
     PopulationModel,
     SingleDatum,
     entropy,
-    kl_divergence,
     make_rng,
     mutual_information,
     sample,
@@ -139,33 +138,6 @@ class TestEntropyAndKl:
     def test_entropy_bounds(self, p):
         h = entropy(CategoricalDistribution(p.size, p))
         assert -1e-12 <= h <= math.log2(p.size) + 1e-12
-
-    def test_kl_frozen_value(self):
-        p = CategoricalDistribution(2, [0.75, 0.25])
-        q = CategoricalDistribution.uniform(2)
-        assert math.isclose(kl_divergence(p, q), KL_34_VS_HALF, rel_tol=1e-14)
-
-    def test_kl_self_is_zero(self):
-        p = CategoricalDistribution(3, [0.2, 0.3, 0.5])
-        assert kl_divergence(p, p) == 0.0
-
-    @settings(deadline=None, max_examples=50)
-    @given(simplexes(min_size=3, max_size=6), simplexes(min_size=3, max_size=6))
-    def test_kl_nonnegative(self, pw, qw):
-        n = min(pw.size, qw.size)
-        p = CategoricalDistribution(n, pw[:n] / pw[:n].sum())
-        q = CategoricalDistribution(n, qw[:n] / qw[:n].sum())
-        assert kl_divergence(p, q) >= -1e-12
-
-    def test_kl_size_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            kl_divergence(CategoricalDistribution.uniform(2), CategoricalDistribution.uniform(3))
-
-    def test_kl_support_violation_raises(self):
-        p = CategoricalDistribution(2, [0.5, 0.5])
-        q = CategoricalDistribution(2, [1.0, 0.0])
-        with pytest.raises(ValueError):
-            kl_divergence(p, q)
 
 
 class TestJointDistribution:
@@ -313,16 +285,6 @@ class TestPopulationModel:
         cm = pop.conditional_matrix()
         assert cm.shape == (2, 3)
         assert np.allclose(cm[0], [0.5, 0.3, 0.2]) and np.allclose(cm[1], [0, 1, 0])
-
-    def test_joint_ux_marginals(self):
-        prior = CategoricalDistribution(2, [0.25, 0.75])
-        dists = [CategoricalDistribution(3, [0.5, 0.3, 0.2]), CategoricalDistribution.point_mass(3, 1)]
-        pop = PopulationModel.single_datum(prior, dists)
-        j = pop.joint_ux()
-        assert j.shape == (2, 3)
-        assert np.allclose(j.sum(axis=1), [0.25, 0.75])
-        want_x = 0.25 * np.array([0.5, 0.3, 0.2]) + 0.75 * np.array([0, 1, 0])
-        assert np.allclose(j.sum(axis=0), want_x)
 
     def test_prior_size_mismatch(self):
         prior = CategoricalDistribution.uniform(3)
