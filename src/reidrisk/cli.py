@@ -198,8 +198,9 @@ def _read_truth_csv(path, size: int) -> np.ndarray:
             raise DataError(f"expected header symbol,p_true, got {header}")
         for lineno, row in enumerate(reader, start=2):
             try:
-                symbol, prob = int(row[0]), float(row[1])
-            except (IndexError, ValueError) as exc:
+                symbol, prob = row
+                symbol, prob = int(symbol), float(prob)
+            except ValueError as exc:  # not two fields, or either one unreadable
                 raise DataError(f"bad truth row at line {lineno}") from exc
             if not 0 <= symbol < size:
                 raise DataError(f"truth symbol {symbol} outside [0, {size}) at line {lineno}")

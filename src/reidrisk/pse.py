@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .probcore import LN2, SingleDatum, make_rng
-from .reid import claimant_scores, floored_pi_matrix, sample_releases, simulate_score_trials
+from .reid import ProfileTable, sample_releases, simulate_score_trials
 
 DEFAULT_K = 5
 
@@ -98,12 +98,12 @@ def harvest_scores_sparse(population, mechanism, profiles, n_genuine: int,
         raise ValueError("sparse harvesting supports single-datum populations only")
     if n_genuine < 1 or n_impostor < 1:
         raise ValueError("need positive sample counts")
-    pi_floored = floored_pi_matrix(profiles)
+    table = ProfileTable(profiles)
     us, released = sample_releases(population, mechanism, n_genuine, rng)
-    genuine = claimant_scores(pi_floored, us, released, mechanism)
+    genuine = table.datum_scores(released, mechanism, rows=us)
     us_i, released_i = sample_releases(population, mechanism, n_impostor, rng)
     claim = (us_i + 1 + rng.integers(0, n - 1, n_impostor)) % n
-    impostor = claimant_scores(pi_floored, claim, released_i, mechanism)
+    impostor = table.datum_scores(released_i, mechanism, rows=claim)
     info = {"n_genuine": int(n_genuine), "n_impostor": int(n_impostor),
             "n_users": int(n)}
     if meta:

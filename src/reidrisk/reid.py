@@ -19,6 +19,10 @@ profile's term, or its own log2 floor where the key is absent. The terms
 are added in trace order, so every score is the same float64 sum as a
 per-symbol loop.
 
+Single-datum releases score from the start-row entries alone: a lookup, or for
+a hashed release a sum over each profile's few visited symbols, with no
+(n x size) array and no BLAS product, whose summation order follows its threads.
+
 `train_profile` sorts a trace's transition and start-row keys in one
 buffer. A key's count is the length of its run and a row's total the length
 of its key range, so a 16-symbol trace trains in a dozen numpy calls: about
@@ -29,6 +33,7 @@ only when it is a whole number, never truncated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -36,9 +41,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import probcore
-from .mechanisms import (GeneralLocalHash, GlhBatch, MechanismKernel,
-                         RandomizedResponse, glh_match_chunks, glh_sample_batch,
-                         integer_symbols, rr_sample_batch)
+from .mechanisms import (GeneralLocalHash, GlhBatch, RandomizedResponse, glh_match_chunks,
+                         glh_sample_batch, integer_symbols, rr_sample_batch)
 from .probcore import PopulationModel, SingleDatum
 
 DEFAULT_FLOOR = 1e-8
@@ -152,36 +156,34 @@ def train_profile(trace, alphabet: Union[probcore.Alphabet, int],
     return MarkovProfile(owner=owner, size=size, keys=keys, probs=probs, floor=floor)
 
 
-def _stacked(profiles: Sequence[MarkovProfile]) -> tuple:
-    """Shared alphabet size and the (user, key, probability) entries of all profiles."""
-    sizes = {p.size for p in profiles}
-    if len(sizes) != 1:
-        raise ValueError("need at least one profile, all over one alphabet")
-    users = np.repeat(np.arange(len(profiles)), [p.keys.size for p in profiles])
-    return (sizes.pop(), users, np.concatenate([p.keys for p in profiles]),
-            np.concatenate([p.probs for p in profiles]))
-
-
 class ProfileTable:
-    """Every profile's positive log2 probabilities, packed for trace scoring.
+    """Every profile's positive probabilities and their log2 values, packed for scoring.
 
     Entries are sorted by key, then by user. `keys` holds each distinct key
-    once and `starts[k]:starts[k + 1]` is its run of (user, log2 p) entries.
-    A profile without an entry for a key takes its own floor.
+    once and `starts[k]:starts[k + 1]` is its run of (user, p, log2 p)
+    entries. A profile without an entry for a key takes its own floor. The
+    start-row keys, size**2 and up, score single-datum releases.
     """
 
     def __init__(self, profiles: Sequence[MarkovProfile]):
-        size, users, keys, probs = _stacked(profiles)
+        sizes = {p.size for p in profiles}
+        if len(sizes) != 1:
+            raise ValueError("need at least one profile, all over one alphabet")
+        users = np.repeat(np.arange(len(profiles)), [p.keys.size for p in profiles])
+        keys = np.concatenate([p.keys for p in profiles])
+        probs = np.concatenate([p.probs for p in profiles])
         keep = np.flatnonzero(probs > 0)
         order = keep[np.argsort(keys[keep], kind="stable")]  # users stay ascending within a key
         keys = keys[order]
         first = np.flatnonzero(np.diff(keys, prepend=-1))
-        self.size = size
+        self.size = sizes.pop()
         self.keys = keys[first]
         self.starts = np.append(first, keys.size)
         self.users = users[order]
-        self.log_p = np.log2(probs[order])
-        self.log_floor = np.log2([p.floor for p in profiles])
+        self.probs = probs[order]
+        self.log_p = np.log2(self.probs)
+        self.floor = np.array([p.floor for p in profiles])
+        self.log_floor = np.log2(self.floor)
 
     def scores(self, trace) -> np.ndarray:
         """log2-likelihood of one release under every profile, shape (n,)."""
@@ -200,77 +202,73 @@ class ProfileTable:
             total += term
         return total
 
+    @functools.cached_property
+    def _visits(self) -> tuple:
+        """The start rows as (n, size) CSR arrays, each user's visited symbols ascending:
+        their entries' positions in the key-major arrays plus one, and pi_u(x) - floor_u."""
+        import scipy.sparse  # only single-datum scoring needs it; the CLI starts without it
+        visits = self.size * self.size
+        lo = self.starts[np.searchsorted(self.keys, visits)]
+        entries = lo + np.argsort(self.users[lo:], kind="stable")  # keys stay ascending per user
+        symbols = np.repeat(self.keys - visits, np.diff(self.starts))[entries]
+        indptr = np.searchsorted(self.users[entries], np.arange(self.log_floor.size + 1))
+        excess = self.probs[entries] - self.floor[self.users[entries]]
+        shape = (self.log_floor.size, self.size)
+        return tuple(scipy.sparse.csr_array((data, symbols, indptr), shape=shape)
+                     for data in (entries + 1, excess))
 
-def floored_pi_matrix(profiles: Sequence[MarkovProfile]) -> np.ndarray:
-    """Per-user visit probabilities, shape (n, size), each profile's floor applied."""
-    size, users, keys, probs = _stacked(profiles)
-    visit = (keys >= size * size) & (probs > 0)
-    mat = np.repeat(np.array([[p.floor] for p in profiles]), size, axis=1)
-    mat[users[visit], keys[visit] - size * size] = probs[visit]
-    return mat
+    def datum_scores(self, released, mech=None, rows=None) -> np.ndarray:
+        """Scores of single-datum releases, as `release` returned them, from the start rows.
 
+        Every release under every profile, shape (len, n); with rows, release i
+        under profile rows[i] alone, shape (len,). A symbol y scores log2 pi_u(y),
+        or u's log2 floor. A GLH record (a, b, y) under `mech` scores log2(off_bucket
+        + shrink * mass); the hash's own chance, the same for all users, is dropped.
+        mass = floor_u * (preimage size) + the sum over u's visited x, ascending, of
+        (pi_u(x) - floor_u) [h(x) = y], in one CSR row loop for both forms alike.
+        """
+        entry, excess = self._visits
+        if isinstance(released, GlhBatch):
+            out = np.empty((excess.shape[0], len(released)) if rows is None else len(released))
 
-def rr_single_datum_scores(pi_floored: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Score matrix (trials, n) for single-symbol releases: log2 pi_i(y)."""
-    return np.log2(pi_floored[:, ys]).T
+            def fill(lo: int, hi: int, mask: np.ndarray) -> None:
+                if rows is None:  # each row from 0.0 adds excess * 1.0 or * 0.0, x ascending
+                    mass = excess @ mask.T.astype(np.float64)
+                    mass += np.multiply.outer(self.floor, mask.sum(axis=1))
+                    dest = out[:, lo:hi]
+                else:  # the same products, then the same row loop over them times 1.0
+                    claims = excess[rows[lo:hi]]
+                    claims.data *= mask[np.repeat(np.arange(hi - lo), np.diff(claims.indptr)),
+                                        claims.indices]
+                    mass = claims @ np.ones(self.size) + mask.sum(axis=1) * self.floor[rows[lo:hi]]
+                    dest = out[lo:hi]
+                mass *= mech.mu - mech.off_bucket
+                mass += mech.off_bucket
+                np.log2(mass, out=dest)
 
-
-def glh_single_datum_scores(pi_floored: np.ndarray, batch: GlhBatch,
-                            mech: GeneralLocalHash) -> np.ndarray:
-    """Score matrix (trials, n) for hashed single-symbol releases.
-
-    The likelihood of seeing bucket y under hash h for user i is
-    off_bucket + shrink * sum of pi_i over the preimage of y; the uniform
-    hash-choice factor is constant across users and dropped.
-    """
-    size = pi_floored.shape[1]
-    masks = np.empty((size, len(batch)), dtype=np.float64)
-
-    def fill(lo: int, hi: int, mask: np.ndarray) -> None:
-        masks[:, lo:hi] = mask.T
-
-    glh_match_chunks(batch, size, fill)
-    return _glh_log_likelihood(mech, pi_floored @ masks).T  # (n, trials) -> (trials, n)
-
-
-def claimant_scores(pi_floored: np.ndarray, rows: np.ndarray, released,
-                    mech) -> np.ndarray:
-    """Score of profile rows[i] against single-datum release i, as `release` returned it."""
-    if not isinstance(released, GlhBatch):
-        return np.log2(pi_floored[rows, released])
-    mass = np.empty(rows.size)
-
-    def fill(lo: int, hi: int, mask: np.ndarray) -> None:
-        mass[lo:hi] = (pi_floored[rows[lo:hi]] * mask).sum(axis=1)
-
-    glh_match_chunks(released, pi_floored.shape[1], fill)
-    return _glh_log_likelihood(mech, mass)
-
-
-def _glh_log_likelihood(mech: GeneralLocalHash, preimage_mass: np.ndarray) -> np.ndarray:
-    """log2 of the chance of a hashed bucket: off_bucket + shrink * preimage mass."""
-    return np.log2(mech.off_bucket + (mech.mu - mech.off_bucket) * preimage_mass)
-
-
-def _kernel_sample(kernel: MechanismKernel, xs: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Release each symbol x through kernel column x by inverse-CDF sampling."""
-    xs = integer_symbols(xs)
-    if xs.size and (xs.min() < 0 or xs.max() >= kernel.input_size):
-        raise ValueError("symbol outside the kernel's input alphabet")
-    return probcore.inverse_cdf(probcore.cdf_table(kernel.matrix.T), xs, rng.random(xs.size))
+            glh_match_chunks(released, self.size, fill)
+            return out.T
+        ys = integer_symbols(released)
+        if ys.size and (ys.min() < 0 or ys.max() >= self.size):
+            raise ValueError("release symbol outside the alphabet")
+        if rows is not None:
+            at = entry[rows, ys]  # 0 where the user never visited y
+            return np.where(at > 0, self.log_p[at - 1], self.log_floor[rows])
+        hits = entry.tocsc()[:, ys]  # column t: the users who visited ys[t]
+        out = np.tile(self.log_floor, (ys.size, 1))
+        trial = np.repeat(np.arange(ys.size), np.diff(hits.indptr))
+        out[trial, hits.indices] = self.log_p[hits.data - 1]
+        return out
 
 
 def release(mechanism, xs: np.ndarray, rng: np.random.Generator):
-    """Release xs through None (as is), RR, GLH (a `GlhBatch`) or a square MechanismKernel."""
+    """Release xs through None (as is), RR, or GLH (a `GlhBatch`)."""
     if mechanism is None:
         return xs
     if isinstance(mechanism, RandomizedResponse):
         return rr_sample_batch(mechanism, xs, rng).ys
     if isinstance(mechanism, GeneralLocalHash):
         return glh_sample_batch(mechanism, xs, rng)
-    if isinstance(mechanism, MechanismKernel):
-        return _kernel_sample(mechanism, xs, rng)
     raise ValueError(f"unsupported mechanism {mechanism!r}")
 
 
@@ -305,10 +303,7 @@ def simulate_score_trials(population: PopulationModel, mechanism,
 
     if all(isinstance(m, SingleDatum) for m in population.models):
         us, released = sample_releases(population, mechanism, trials, rng)
-        pi_floored = floored_pi_matrix(profiles)
-        if isinstance(released, GlhBatch):
-            return us, glh_single_datum_scores(pi_floored, released, mechanism)
-        return us, rr_single_datum_scores(pi_floored, released)
+        return us, ProfileTable(profiles).datum_scores(released, mechanism)
 
     # trace-valued data: every trial's chain steps in lockstep, one release for all
     if isinstance(mechanism, GeneralLocalHash):
@@ -325,7 +320,10 @@ def simulate_score_trials(population: PopulationModel, mechanism,
 def identification_error_rate(population: PopulationModel, mechanism,
                               profiles: Sequence[MarkovProfile], trials: int,
                               rng: np.random.Generator) -> float:
-    """Fraction of trials where the best-score decision names the wrong user."""
+    """Fraction of trials where the best-score decision names the wrong user.
+
+    The decision is the first-index argmax: a tie goes to the lowest user index.
+    """
     us, scores = simulate_score_trials(population, mechanism, profiles, trials, rng)
     decisions = np.argmax(scores, axis=1)
     return float((decisions != us).mean())

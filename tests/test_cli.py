@@ -180,8 +180,9 @@ class TestDataErrors:
         "0,0.5\n0,0.5\n",
         "0,0.5\n1,0.4\n",
         "0,1.5\n1,-0.5\n",
+        "0,0.5,junk\n1,0.5\n",
     ], ids=["negative_symbol", "symbol_is_size", "duplicate_symbol", "sum_below_1",
-            "probability_outside_0_1"])
+            "probability_outside_0_1", "extra_field"])
     def test_bad_truth_rows_exit_2(self, capsys, tmp_path, rows):
         records = tmp_path / "records.csv"
         records.write_text("user_idx,y\n0,0\n1,1\n2,2\n3,3\n")
@@ -575,6 +576,20 @@ class TestSynthSimulate:
         manifest = json.loads(open(text.strip()).read())
         assert manifest["status"] == "complete"
         assert (out / "pse_sweep.csv").exists()
+
+    def test_simulate_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # a BLAS product may sum in an order set by its thread count; no score may use one
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        bundles = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            subprocess.run([sys.executable, "-m", "reidrisk.cli", "simulate", "--seed", "3",
+                            "--out", str(out)], env=env, check=True, capture_output=True,
+                           timeout=300)
+            bundles.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert len(bundles[0]) == 4 and bundles[0] == bundles[1]
 
     def test_synth_flag_overrides(self, capsys, tmp_path):
         out = tmp_path / "d"

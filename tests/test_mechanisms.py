@@ -44,8 +44,7 @@ import reidrisk.mechanisms as mechanisms
 from reidrisk.estimation import glh_counts
 from reidrisk.probcore import CategoricalDistribution, PopulationModel, make_rng
 from reidrisk.pse import harvest_scores_sparse
-from reidrisk.reid import (claimant_scores, floored_pi_matrix, glh_single_datum_scores,
-                           train_profile)
+from reidrisk.reid import ProfileTable, train_profile
 
 
 # largest prime the modulus guard admits: (P-1)^2 + (P-1) < 2^63
@@ -630,7 +629,8 @@ class TestHashMatchKernel:
                          for a, b, y in zip(batch.a, batch.b, batch.ys)])
 
     def brute_scores(self, batch, profiles, mech):
-        mass = floored_pi_matrix(profiles) @ self.brute_masks(batch).T.astype(np.float64)
+        pi = np.array([np.where(p.pi > 0, p.pi, p.floor) for p in profiles])
+        mass = pi @ self.brute_masks(batch).T.astype(np.float64)
         return np.log2(mech.off_bucket + (mech.mu - mech.off_bucket) * mass).T
 
     def test_chunks_tile_the_records(self, batch, monkeypatch):
@@ -644,7 +644,7 @@ class TestHashMatchKernel:
         assert np.array_equal(glh_counts(batch, self.SIZE), want)
 
     def test_glh_single_datum_scores(self, batch, profiles, mech):
-        got = glh_single_datum_scores(floored_pi_matrix(profiles), batch, mech)
+        got = ProfileTable(profiles).datum_scores(batch, mech)
         assert np.allclose(got, self.brute_scores(batch, profiles, mech), rtol=0, atol=1e-12)
 
     def test_harvest_scores_sparse(self, monkeypatch, profiles, mech):
@@ -825,22 +825,22 @@ class TestMatchPool:
         return glh_sample_batch(mech, make_rng(4).integers(0, self.SIZE, self.N), make_rng(5))
 
     @pytest.fixture(scope="class")
-    def pi(self):
+    def table(self):
         rng = make_rng(6)
-        return floored_pi_matrix([train_profile(rng.integers(0, self.SIZE, 300), self.SIZE,
-                                                owner=i) for i in range(4)])
+        return ProfileTable([train_profile(rng.integers(0, self.SIZE, 300), self.SIZE, owner=i)
+                             for i in range(4)])
 
     @pytest.fixture(scope="class")
     def rows(self):
         return make_rng(7).integers(0, 4, self.N)
 
     @pytest.fixture(scope="class")
-    def reference(self, batch, mech, pi, rows):
+    def reference(self, batch, mech, table, rows):
         """Each reader's output in one chunk run inline, as the single-threaded walk gave it."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mechanisms, "_match_workers", lambda: 1)
-            return (glh_counts(batch, self.SIZE), glh_single_datum_scores(pi, batch, mech),
-                    claimant_scores(pi, rows, batch, mech))
+            return (glh_counts(batch, self.SIZE), table.datum_scores(batch, mech),
+                    table.datum_scores(batch, mech, rows=rows))
 
     @pytest.fixture(params=[1, 2, 3])
     def width(self, request, monkeypatch):
@@ -858,10 +858,10 @@ class TestMatchPool:
         assert spans == [(lo, min(lo + chunk, self.N)) for lo in range(0, self.N, chunk)]
         assert len(spans) > 10
 
-    def test_readers_identical_at_any_width(self, batch, mech, pi, rows, reference, width):
+    def test_readers_identical_at_any_width(self, batch, mech, table, rows, reference, width):
         assert np.array_equal(glh_counts(batch, self.SIZE), reference[0])
-        assert np.array_equal(glh_single_datum_scores(pi, batch, mech), reference[1])
-        assert np.array_equal(claimant_scores(pi, rows, batch, mech), reference[2])
+        assert np.array_equal(table.datum_scores(batch, mech), reference[1])
+        assert np.array_equal(table.datum_scores(batch, mech, rows=rows), reference[2])
 
     def test_counts_lose_no_update_under_contention(self, monkeypatch):
         # one record per chunk, four workers and frequent thread switches: a count

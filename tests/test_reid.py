@@ -13,6 +13,8 @@ from reidrisk.mechanisms import (
     GlhBatch,
     MechanismKernel,
     RandomizedResponse,
+    glh_sample_batch,
+    hash_buckets,
     rr_sample_batch,
 )
 from reidrisk.probcore import (
@@ -33,13 +35,9 @@ from reidrisk.reid import (
     DetCurve,
     MarkovProfile,
     ProfileTable,
-    _kernel_sample,
     _pair_keys,
     far_frr_det,
-    floored_pi_matrix,
-    glh_single_datum_scores,
     identification_error_rate,
-    rr_single_datum_scores,
     sample_releases,
     simulate_score_trials,
     train_profile,
@@ -92,8 +90,6 @@ class TestProfileTraining:
         table = ProfileTable([train_profile([0, 1, 1], 3)])
         with pytest.raises(ValueError, match="integers"):
             table.scores([0.9, 1.5])
-        with pytest.raises(ValueError, match="integers"):
-            _kernel_sample(MechanismKernel(3, 3, np.eye(3)), np.array([0.5]), make_rng(0))
         assert (train_profile(np.array([0.0, 1.0, 1.0]), 3).probs.tobytes()
                 == train_profile([0, 1, 1], 3).probs.tobytes())
 
@@ -159,31 +155,67 @@ class TestLogLikelihood:
                 ProfileTable([p]).scores(release)
 
 
+def floored_visits(profiles):
+    """Dense (n, size) visit probabilities, each profile's floor where pi is 0."""
+    return np.array([np.where(p.pi > 0, p.pi, p.floor) for p in profiles])
+
+
+def brute_glh_scores(profiles, batch, mech):
+    """(records, n) GLH scores from each record's preimage, found by hashing every symbol."""
+    xs = np.arange(profiles[0].size)
+    pi = floored_visits(profiles)
+    shrink = mech.mu - mech.off_bucket
+    return np.array([[math.log2(mech.off_bucket + shrink * row[pre].sum()) for row in pi]
+                     for pre in (hash_buckets(int(a), int(b), xs, batch.prime, batch.g) == y
+                                 for a, b, y in zip(batch.a, batch.b, batch.ys))])
+
+
+@st.composite
+def visit_tables(draw):
+    """(size, profiles): visit rows with per-profile floors, zero entries, and supports
+    that often hold symbols 0 and size - 1."""
+    size = draw(st.integers(1, 12))
+    profiles = []
+    for owner in range(draw(st.integers(1, 5))):
+        support = draw(st.sets(st.sampled_from([0, size - 1]) | st.integers(0, size - 1),
+                               min_size=1, max_size=size))
+        weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e-9]),
+                                min_size=len(support), max_size=len(support)))
+        weights[0] = weights[0] or 1.0
+        probs = np.array(weights) / sum(weights)
+        floor = draw(st.sampled_from([1e-8, 1e-3, 0.03, 0.5]))
+        profiles.append(MarkovProfile(owner=owner, size=size, floor=floor, probs=probs,
+                                      keys=size * size + np.array(sorted(support))))
+    return size, profiles
+
+
 class TestSingleReleaseScores:
     def test_floored_pi_matrix(self):
+        # the scores of symbols 0, 1, 2 read out log2 of the floored visit table
         p0 = train_profile([0, 0], alphabet=3)
         p1 = train_profile([1, 2], alphabet=3)
-        mat = floored_pi_matrix([p0, p1])
-        assert np.allclose(mat[0], [1.0, p0.floor, p0.floor])
-        assert np.allclose(mat[1], [p0.floor, 0.5, 0.5])
+        scores = ProfileTable([p0, p1]).datum_scores(np.arange(3))
+        want = [[1.0, p0.floor, p0.floor], [p0.floor, 0.5, 0.5]]
+        assert np.array_equal(scores.T, np.log2(want))
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 2**32 - 1))
     def test_rr_scores_match_brute_force(self, seed):
         rng = make_rng(seed)
         n, size, trials = 4, 6, 9
-        pi = rng.random((n, size)) + 1e-3
-        pi /= pi.sum(axis=1, keepdims=True)
+        profiles = [train_profile(rng.integers(0, size, 5), size, owner=i,
+                                  floor=float(rng.choice([1e-8, 0.3])))
+                    for i in range(n)]
         ys = rng.integers(0, size, size=trials)
-        got = rr_single_datum_scores(pi, ys)
-        want = np.array([[math.log2(pi[i, y]) for i in range(n)] for y in ys])
-        assert np.allclose(got, want, atol=1e-12)
+        got = ProfileTable(profiles).datum_scores(ys)
+        want = np.array([[math.log2(p.pi[y] or p.floor) for p in profiles] for y in ys])
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.array_equal(got, np.log2(floored_visits(profiles)[:, ys]).T)
 
     def test_glh_scores_match_brute_force(self):
         rng = make_rng(23)
         n, size, trials, prime, g = 3, 5, 8, 13, 2
-        pi = rng.random((n, size)) + 1e-3
-        pi /= pi.sum(axis=1, keepdims=True)
+        profiles = [train_profile(rng.integers(0, size, 4), size, owner=i) for i in range(n)]
         batch = GlhBatch(
             a=rng.integers(1, prime, size=trials),
             b=rng.integers(0, prime, size=trials),
@@ -192,15 +224,42 @@ class TestSingleReleaseScores:
             g=g,
         )
         mech = GeneralLocalHash(1.0, g, CarterWegman(prime, g))
-        got = glh_single_datum_scores(pi, batch, mech)
-        shrink = mech.mu - mech.off_bucket
-        want = np.empty((trials, n))
-        for t in range(trials):
-            pre = [x for x in range(size)
-                   if ((batch.a[t] * x + batch.b[t]) % prime) % g + 1 == batch.ys[t]]
-            for i in range(n):
-                want[t, i] = math.log2(mech.off_bucket + shrink * pi[i, pre].sum())
-        assert np.allclose(got, want, atol=1e-10)
+        got = ProfileTable(profiles).datum_scores(batch, mech)
+        assert np.allclose(got, brute_glh_scores(profiles, batch, mech), rtol=0, atol=1e-12)
+
+    @settings(deadline=None, max_examples=150)
+    @given(visit_tables(), st.integers(0, 2**32 - 1), st.sampled_from(["none", "rr", "glh"]))
+    def test_claimant_scores_equal_all_user_scores(self, case, seed, mech_name):
+        # the per-claimant form gives the all-users form's float for each (release, user)
+        size, profiles = case
+        rng = make_rng(seed)
+        xs = rng.integers(0, size, 40)
+        xs[:2] = 0, size - 1
+        mech = {"none": None,
+                "rr": RandomizedResponse(1.0, size) if size > 1 else None,
+                "glh": GeneralLocalHash.with_production_family(2.0, int(rng.integers(2, 6)),
+                                                               size)}[mech_name]
+        released = (glh_sample_batch(mech, xs, rng) if mech_name == "glh"
+                    else rr_sample_batch(mech, xs, rng).ys if mech is not None else xs)
+        table = ProfileTable(profiles)
+        every = table.datum_scores(released, mech)
+        assert every.shape == (xs.size, len(profiles))
+        rows = rng.integers(0, len(profiles), xs.size)
+        assert np.array_equal(table.datum_scores(released, mech, rows=rows),
+                              every[np.arange(xs.size), rows])
+        if mech_name == "glh":
+            want = brute_glh_scores(profiles, released, mech)
+        else:
+            want = np.log2(floored_visits(profiles)[:, released]).T
+        assert np.allclose(every, want, rtol=0, atol=1e-12)
+
+    def test_release_outside_the_alphabet_refused(self):
+        table = ProfileTable([train_profile([0, 1], 2)])
+        for ys in ([2], [-1], [0.5]):
+            with pytest.raises(ValueError):
+                table.datum_scores(np.array(ys))
+            with pytest.raises(ValueError):
+                table.datum_scores(np.array(ys), rows=np.zeros(1, dtype=np.int64))
 
 
 class TestSimulation:
@@ -218,19 +277,20 @@ class TestSimulation:
         err = identification_error_rate(pop, None, profiles, 300, make_rng(0))
         assert err == 0.0
 
-    def test_identity_kernel_matches_clear_release(self):
-        pop = point_mass_population([0, 1, 2], size=3)
-        profiles = [train_profile([s], alphabet=3, owner=i) for i, s in enumerate([0, 1, 2])]
-        err = identification_error_rate(pop, MechanismKernel.identity(3), profiles, 300, make_rng(1))
-        assert err == 0.0
-
-    def test_indistinguishable_users_fail_at_chance(self):
-        # Four users with identical behavior and identical profiles: ties
-        # always resolve to user 0, so the error rate is P(U != 0) = 3/4.
+    @pytest.mark.parametrize("mech", [None, RandomizedResponse(1.0, 5),
+                                      GeneralLocalHash.with_production_family(1.0, 2, 5)],
+                             ids=["none", "rr", "glh"])
+    def test_indistinguishable_users_fail_at_chance(self, mech):
+        # Four users with identical behavior and identical profiles score
+        # bit-equal under every mechanism, and the first-index argmax names
+        # user 0, so the error rate is P(U != 0) = 3/4.
         d = CategoricalDistribution.uniform(5)
         pop = PopulationModel.single_datum(CategoricalDistribution.uniform(4), [d] * 4)
         profiles = [train_profile([0, 1, 2, 3, 4], alphabet=5, owner=i) for i in range(4)]
-        err = identification_error_rate(pop, None, profiles, 4000, make_rng(2))
+        us, scores = simulate_score_trials(pop, mech, profiles, 4000, make_rng(2))
+        assert (scores == scores[:, :1]).all()
+        err = identification_error_rate(pop, mech, profiles, 4000, make_rng(2))
+        assert err == float((us != 0).mean())
         assert abs(err - 0.75) < 5 * math.sqrt(0.1875 / 4000)
 
     def test_more_noise_means_more_errors(self):
@@ -283,8 +343,9 @@ class TestSimulation:
     def test_unsupported_mechanism_rejected(self):
         pop = point_mass_population([0, 1], size=2)
         profiles = [train_profile([s], 2, owner=i) for i, s in enumerate([0, 1])]
-        with pytest.raises(ValueError):
-            simulate_score_trials(pop, "not a mechanism", profiles, 10, make_rng(0))
+        for mech in ("not a mechanism", MechanismKernel.identity(2)):
+            with pytest.raises(ValueError, match="unsupported mechanism"):
+                simulate_score_trials(pop, mech, profiles, 10, make_rng(0))
 
     def test_argument_validation(self):
         pop = point_mass_population([0, 1], size=2)
@@ -483,10 +544,6 @@ class TestSamplersSkipZeroProbabilitySymbols:
         assert us.tolist() == [0, 0, 0, 0]
         assert released.tolist() == [3, 3, 3, 3]
 
-    def test_kernel_release(self):
-        assert _kernel_sample(MechanismKernel(4, 4, np.eye(4)), np.array([1, 2, 3]),
-                              StubDraws(0.0)).tolist() == [1, 2, 3]
-
     def test_lockstep_chains(self):
         pis = np.array([[0.0, 1.0, 0.0]])
         trans = np.array([[[0.0, 0.5, 0.5]] * 3])
@@ -496,14 +553,6 @@ class TestSamplersSkipZeroProbabilitySymbols:
         pop = PopulationModel.single_datum(CategoricalDistribution.uniform(1),
                                            [CategoricalDistribution(12, TAILED)])
         assert sample_releases(pop, None, 3, StubDraws(LAST_DRAW))[1].tolist() == [10] * 3
-
-    def test_kernel_release_tail(self):
-        # MechanismKernel rescales each column by its sum; these columns still
-        # add up to 0.9999999999999996 over the positive entries 1..9
-        column = np.array([0.0] + [1 / 9] * 9 + [0.0])
-        kernel = MechanismKernel(11, 11, np.tile(column[:, None], (1, 11)))
-        assert _kernel_sample(kernel, np.array([0, 5, 10]),
-                              StubDraws(LAST_DRAW)).tolist() == [9] * 3
 
     def test_lockstep_chains_tail(self):
         trans = np.tile(TAILED, (1, 12, 1))
@@ -575,17 +624,6 @@ class TestInverseCdfDraws:
         assert us.tolist() == want_us.tolist()
         assert xs.tolist() == want.tolist()
 
-    def test_kernel_release_draws_as_the_dense_count(self):
-        kernel = MechanismKernel(6, 6, np.column_stack([ROUNDED, TAILED[:6] * 2] * 3))
-        xs = make_rng(4).integers(0, 6, 400)
-        got = _kernel_sample(kernel, xs, make_rng(9))
-        want = dense_count_reference(cdf_table(kernel.matrix.T), xs, make_rng(9).random(400))
-        assert got.tolist() == want.tolist()
-
-    def test_kernel_release_refuses_symbols_outside_the_alphabet(self):
-        for xs in ([3], [-1], [0, 5]):
-            with pytest.raises(ValueError, match="outside"):
-                _kernel_sample(MechanismKernel(3, 3, np.eye(3)), np.array(xs), make_rng(0))
 
 def dense_chains_reference(pis, trans, length, rng):
     """The former lockstep stepper: a dense count of each draw over its chain's CDF row."""
@@ -710,8 +748,7 @@ class TestProfileTable:
         assert [ProfileTable([p]).scores(release)[0] for p in profiles] == want
 
     @settings(deadline=None, max_examples=60)
-    @given(training_sets(), st.integers(0, 2**32 - 1),
-           st.sampled_from(["none", "rr", "kernel"]))
+    @given(training_sets(), st.integers(0, 2**32 - 1), st.sampled_from(["none", "rr"]))
     def test_trial_scores_match_per_symbol_reference(self, case, seed, mech_name):
         # every user follows a chain over the whole alphabet, all of one trace length
         size, traces, floors = case
@@ -722,10 +759,7 @@ class TestProfileTable:
                                rng.dirichlet(np.ones(size), size=size), trace_len=length)
                   for _ in range(n)]
         pop = PopulationModel(n, CategoricalDistribution(n, rng.dirichlet(np.ones(n))), models)
-        mech = {"none": None,
-                "rr": RandomizedResponse(1.0, size),
-                "kernel": MechanismKernel(size, size, rng.dirichlet(np.ones(size), size=size).T),
-                }[mech_name]
+        mech = {"none": None, "rr": RandomizedResponse(1.0, size)}[mech_name]
         trials = 12
         us, scores = simulate_score_trials(pop, mech, trained(size, traces, floors),
                                            trials, make_rng(seed))
@@ -733,12 +767,7 @@ class TestProfileTable:
         replay = make_rng(seed)
         want_us = sample(pop.prior, replay, trials)
         xs = lockstep_reference([models[u] for u in want_us], replay).ravel()
-        if mech is None:
-            ys = xs
-        elif isinstance(mech, RandomizedResponse):
-            ys = rr_sample_batch(mech, xs, replay).ys
-        else:
-            ys = _kernel_sample(mech, xs, replay)
+        ys = xs if mech is None else rr_sample_batch(mech, xs, replay).ys
         assert us.tolist() == want_us.tolist()
         for t, y in enumerate(ys.reshape(trials, length).tolist()):
             want = [reference_log_likelihood(tr, f, y) for tr, f in zip(traces, floors)]
@@ -751,7 +780,7 @@ class TestProfileTable:
         assert prof.transition_prob(0, 0) == 0.25
         assert ProfileTable([prof]).scores([0, 0, 1])[0] == -1.0 - 2.0 + 0.0
         assert ProfileTable([prof]).scores([2])[0] == -2.0
-        assert floored_pi_matrix([prof]).tolist() == [[0.5, 0.5, 0.25]]
+        assert ProfileTable([prof]).datum_scores(np.arange(3)).ravel().tolist() == [-1.0, -1.0, -2.0]
 
     def test_rejects_inconsistent_input(self):
         p2 = train_profile([0, 1], 2)
@@ -780,5 +809,5 @@ class TestProfileTable:
     def test_floored_pi_matrix_uses_each_profiles_floor(self):
         p0 = train_profile([0, 0], alphabet=2, floor=1e-3)
         p1 = train_profile([1, 1], alphabet=2, floor=1e-5)
-        mat = floored_pi_matrix([p0, p1])
-        assert mat.tolist() == [[1.0, 1e-3], [1e-5, 1.0]]
+        scores = ProfileTable([p0, p1]).datum_scores(np.arange(2))
+        assert np.array_equal(scores.T, np.log2([[1.0, 1e-3], [1e-5, 1.0]]))
