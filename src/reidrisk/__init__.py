@@ -36,8 +36,8 @@ from .probcore import (Alphabet, CategoricalDistribution, MarkovSource,
 from .pse import (ConvergenceReport, KnnKlEstimate, ScoreSample,
                   convergence_probe, harvest_scores, harvest_scores_sparse,
                   knn_kl_estimate, pse_estimate)
-from .reid import (DetCurve, MarkovProfile, far_frr_det,
-                   identification_error_rate, simulate_score_trials,
-                   train_profile)
+from .reid import (DetCurve, MarkovProfile, ProfileTable, far_frr_det,
+                   identification_error_rate, probe_score_trials,
+                   simulate_score_trials, train_profile)
 
 __version__ = "0.1.0"

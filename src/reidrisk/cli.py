@@ -256,9 +256,8 @@ def _attack(args):
 
 def _cmd_reid(args) -> int:
     cfg, setup, mech, rng = _attack(args)
-    us, scores = reid.simulate_score_trials(setup.probe_pop, mech, setup.profiles,
-                                            cfg.reid_trials, rng)
-    err = float((np.argmax(scores, axis=1) != us).mean())
+    us, scores = reid.probe_score_trials(setup.probes, mech, setup.table, cfg.reid_trials, rng)
+    err = reid.identification_error_rate(us, scores)
     det = reid.far_frr_det(*pse.split_scores(scores, us))
     payload = {"error_rate": err, "n": scores.shape[1], "trials": int(us.size),
                "mechanism": args.mechanism, "epsilon": args.epsilon,
@@ -304,8 +303,7 @@ def _cmd_pse(args) -> int:
         k = args.k if args.k is not None else pse.DEFAULT_K
     else:
         cfg, setup, mech, rng = _attack(args)
-        sample = pse.harvest_scores(setup.probe_pop, mech, setup.profiles,
-                                    cfg.pse_trials, rng)
+        sample = pse.harvest_scores(setup.probes, mech, setup.table, cfg.pse_trials, rng)
         extra = {"mechanism": args.mechanism, "epsilon": args.epsilon,
                  "config_hash": cfg.config_hash()}
         k = args.k if args.k is not None else cfg.pse_k

@@ -364,13 +364,6 @@ def _glh_bucket_count(glh_g: Optional[int], epsilon: float) -> int:
     return g
 
 
-def _probe_population(probes: np.ndarray, size: int) -> PopulationModel:
-    """Uniform prior over users, each deterministically holding its probe datum."""
-    n = probes.size
-    dists = [CategoricalDistribution.point_mass(size, int(x)) for x in probes]
-    return PopulationModel.single_datum(CategoricalDistribution.uniform(n), dists)
-
-
 def attack_mechanism(name: str, epsilon: float, size: int, glh_g: Optional[int] = None):
     """Mechanism `none`, `rr` or `glh` at epsilon; GLH has glh_g buckets, else the optimal g."""
     if name == "none":
@@ -385,17 +378,16 @@ def attack_mechanism(name: str, epsilon: float, size: int, glh_g: Optional[int] 
 
 @dataclass(frozen=True)
 class AttackSetup:
-    """What the profile matcher attacks: one profile and one probe datum per user."""
+    """What the profile matcher attacks: user u holds probes[u], profile u of the table."""
 
     size: int
-    profiles: list
     probes: np.ndarray
-    probe_pop: PopulationModel
+    table: reid.ProfileTable
 
 
 def attack_setup(config: ExperimentConfig, rngs: Iterator[np.random.Generator],
                  run_stage=lambda name, fn: fn()) -> AttackSetup:
-    """Dataset, split, knowledge-selected profiles, probes and probe population.
+    """Dataset, split, the table of knowledge-selected profiles, and the probes.
 
     The dataset is `checkins_path` when set, else synthetic from the next
     stream of rngs. Each probe is the first evaluation event. The dataset,
@@ -410,11 +402,10 @@ def attack_setup(config: ExperimentConfig, rngs: Iterator[np.random.Generator],
     size = data.alphabet.size
     train_ds, eval_ds = run_stage("split", lambda: split_traces(data))
     source = eval_ds if config.knowledge == "max" else train_ds
-    profiles = run_stage("profiles", lambda: [reid.train_profile(t, size, owner=i)
-                                              for i, t in enumerate(source.traces)])
+    table = run_stage("profiles", lambda: reid.ProfileTable(
+        [reid.train_profile(t, size, owner=i) for i, t in enumerate(source.traces)]))
     probes = np.array([t[0] for t in eval_ds.traces], dtype=np.int64)
-    return AttackSetup(size=size, profiles=profiles, probes=probes,
-                       probe_pop=_probe_population(probes, size))
+    return AttackSetup(size=size, probes=probes, table=table)
 
 
 @dataclass
@@ -465,7 +456,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
     stream_iter = iter(probcore.spawn_streams(
         seed, 4 + 2 * len(config.epsilons) + len(config.g_sweep)))
     setup = attack_setup(config, stream_iter, run_stage)
-    n, size, probes = len(setup.profiles), setup.size, setup.probes
+    n, size, probes = setup.probes.size, setup.size, setup.probes
 
     # stage: closed-form bound sweep
     def stage_bounds():
@@ -499,11 +490,10 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
                 mech = attack_mechanism(mech_name, eps, size, g)
                 alpha = (bounds.pie_bound_rr(eps, n, size) if mech_name == "rr"
                          else bounds.pie_bound_glh(eps, g, n, size))
-                sample = pse.harvest_scores(setup.probe_pop, mech, setup.profiles,
-                                            config.pse_trials, rng)
+                sample = pse.harvest_scores(probes, mech, setup.table, config.pse_trials, rng)
                 est = pse.pse_estimate(sample, k=config.pse_k, jitter_seed=seed)
-                err = reid.identification_error_rate(setup.probe_pop, mech, setup.profiles,
-                                                     config.reid_trials, rng)
+                err = reid.identification_error_rate(*reid.probe_score_trials(
+                    probes, mech, setup.table, config.reid_trials, rng))
                 fano_ldp = bounds.fano_lower_bound(
                     bounds.pie_bound_ldp(eps, n, size), n=n).value
                 fano_mech = bounds.fano_lower_bound(alpha, n=n).value

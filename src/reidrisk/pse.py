@@ -10,6 +10,9 @@ the sorted sample, and one binary search over such runs finds every k-th
 distance in memory linear in the samples. The estimate converges to the
 true divergence as samples grow, and on small enumerable instances it is
 validated against exact computation by the oracle module.
+
+Scores are harvested from single-datum attacks: user u holds probes[u], an
+int array of one symbol per user, and one `ProfileTable` holds the profiles.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .probcore import LN2, SingleDatum, make_rng
-from .reid import ProfileTable, sample_releases, simulate_score_trials
+from .probcore import LN2, make_rng
+from .reid import ProfileTable, _check_probes, probe_score_trials, sample_releases
 
 DEFAULT_K = 5
 
@@ -63,7 +66,7 @@ def split_scores(scores: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, np.nda
     return genuine, scores[mask]
 
 
-def harvest_scores(population, mechanism, profiles, trials: int,
+def harvest_scores(probes, mechanism, table: ProfileTable, trials: int,
                    rng: np.random.Generator, meta: Optional[dict] = None) -> ScoreSample:
     """Simulate releases and split every (release, profile) score by ownership.
 
@@ -71,7 +74,7 @@ def harvest_scores(population, mechanism, profiles, trials: int,
     n-1 impostor scores. A single-user population yields no impostor scores
     and the sample is flagged unusable.
     """
-    us, scores = simulate_score_trials(population, mechanism, profiles, trials, rng)
+    us, scores = probe_score_trials(probes, mechanism, table, trials, rng)
     genuine, impostor = split_scores(scores, us)
     info = {"trials": trials, "n_users": scores.shape[1]}
     if meta:
@@ -79,29 +82,26 @@ def harvest_scores(population, mechanism, profiles, trials: int,
     return ScoreSample(genuine=genuine, impostor=impostor, meta=info)
 
 
-def harvest_scores_sparse(population, mechanism, profiles, n_genuine: int,
+def harvest_scores_sparse(probes, mechanism, table: ProfileTable, n_genuine: int,
                           n_impostor: int, rng: np.random.Generator,
                           meta: Optional[dict] = None) -> ScoreSample:
     """Sample genuine and impostor score pairs directly, never full matrices.
 
-    Each genuine draw releases one datum of a prior-sampled user and scores
+    Each genuine draw releases the probe of a prior-sampled user and scores
     it against that user's own profile; each impostor draw scores a fresh
     release against a claimant chosen uniformly among the other users. Memory
     stays flat in the population size, so sample counts can grow into the
-    millions (needed to resolve bounds of a few millibits). Single-datum
-    populations only.
+    millions (needed to resolve bounds of a few millibits).
     """
-    n = population.n
+    probes = _check_probes(probes, table)
+    n = probes.size
     if n < 2:
         raise ValueError("need at least two users for impostor scores")
-    if not all(isinstance(m, SingleDatum) for m in population.models):
-        raise ValueError("sparse harvesting supports single-datum populations only")
     if n_genuine < 1 or n_impostor < 1:
         raise ValueError("need positive sample counts")
-    table = ProfileTable(profiles)
-    us, released = sample_releases(population, mechanism, n_genuine, rng)
+    us, released = sample_releases(probes, mechanism, n_genuine, rng)
     genuine = table.datum_scores(released, mechanism, rows=us)
-    us_i, released_i = sample_releases(population, mechanism, n_impostor, rng)
+    us_i, released_i = sample_releases(probes, mechanism, n_impostor, rng)
     claim = (us_i + 1 + rng.integers(0, n - 1, n_impostor)) % n
     impostor = table.datum_scores(released_i, mechanism, rows=claim)
     info = {"n_genuine": int(n_genuine), "n_impostor": int(n_impostor),

@@ -19,9 +19,10 @@ profile's term, or its own log2 floor where the key is absent. The terms
 are added in trace order, so every score is the same float64 sum as a
 per-symbol loop.
 
-Single-datum releases score from the start-row entries alone: a lookup, or for
-a hashed release a sum over each profile's few visited symbols, with no
-(n x size) array and no BLAS product, whose summation order follows its threads.
+In a single-datum attack user u holds probes[u], one int per user. Releases
+score from the start-row entries alone: a lookup, or for a hashed release a
+sum over each profile's few visited symbols, with no (n x size) array and no
+BLAS product, whose summation order follows its threads.
 
 `train_profile` sorts a trace's transition and start-row keys in one
 buffer. A key's count is the length of its run and a row's total the length
@@ -33,8 +34,8 @@ only when it is a whole number, never truncated.
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -43,7 +44,7 @@ import numpy as np
 from . import probcore
 from .mechanisms import (GeneralLocalHash, GlhBatch, RandomizedResponse, glh_match_chunks,
                          glh_sample_batch, integer_symbols, rr_sample_batch)
-from .probcore import PopulationModel, SingleDatum
+from .probcore import CategoricalDistribution, PopulationModel
 
 DEFAULT_FLOOR = 1e-8
 
@@ -184,6 +185,8 @@ class ProfileTable:
         self.log_p = np.log2(self.probs)
         self.floor = np.array([p.floor for p in profiles])
         self.log_floor = np.log2(self.floor)
+        self._visit_rows = None
+        self._visit_lock = threading.Lock()  # threads that share a table build its rows once
 
     def scores(self, trace) -> np.ndarray:
         """log2-likelihood of one release under every profile, shape (n,)."""
@@ -202,20 +205,22 @@ class ProfileTable:
             total += term
         return total
 
-    @functools.cached_property
     def _visits(self) -> tuple:
         """The start rows as (n, size) CSR arrays, each user's visited symbols ascending:
         their entries' positions in the key-major arrays plus one, and pi_u(x) - floor_u."""
-        import scipy.sparse  # only single-datum scoring needs it; the CLI starts without it
-        visits = self.size * self.size
-        lo = self.starts[np.searchsorted(self.keys, visits)]
-        entries = lo + np.argsort(self.users[lo:], kind="stable")  # keys stay ascending per user
-        symbols = np.repeat(self.keys - visits, np.diff(self.starts))[entries]
-        indptr = np.searchsorted(self.users[entries], np.arange(self.log_floor.size + 1))
-        excess = self.probs[entries] - self.floor[self.users[entries]]
-        shape = (self.log_floor.size, self.size)
-        return tuple(scipy.sparse.csr_array((data, symbols, indptr), shape=shape)
-                     for data in (entries + 1, excess))
+        with self._visit_lock:
+            if self._visit_rows is None:
+                import scipy.sparse  # only single data need it; the CLI starts without it
+                visits = self.size * self.size
+                lo = self.starts[np.searchsorted(self.keys, visits)]
+                entries = lo + np.argsort(self.users[lo:], kind="stable")  # keys ascend per user
+                symbols = np.repeat(self.keys - visits, np.diff(self.starts))[entries]
+                indptr = np.searchsorted(self.users[entries], np.arange(self.floor.size + 1))
+                excess = self.probs[entries] - self.floor[self.users[entries]]
+                shape = (self.floor.size, self.size)
+                self._visit_rows = tuple(scipy.sparse.csr_array((d, symbols, indptr), shape=shape)
+                                         for d in (entries + 1, excess))
+        return self._visit_rows
 
     def datum_scores(self, released, mech=None, rows=None) -> np.ndarray:
         """Scores of single-datum releases, as `release` returned them, from the start rows.
@@ -227,7 +232,7 @@ class ProfileTable:
         mass = floor_u * (preimage size) + the sum over u's visited x, ascending, of
         (pi_u(x) - floor_u) [h(x) = y], in one CSR row loop for both forms alike.
         """
-        entry, excess = self._visits
+        entry, excess = self._visits()
         if isinstance(released, GlhBatch):
             out = np.empty((excess.shape[0], len(released)) if rows is None else len(released))
 
@@ -272,44 +277,53 @@ def release(mechanism, xs: np.ndarray, rng: np.random.Generator):
     raise ValueError(f"unsupported mechanism {mechanism!r}")
 
 
-def sample_releases(population: PopulationModel, mechanism, count: int,
-                    rng: np.random.Generator) -> tuple:
-    """Vectorized (user, released datum) draws for single-datum populations.
+def sample_releases(probes, mechanism, count: int, rng: np.random.Generator) -> tuple:
+    """Vectorized (user, released probe) draws, users from the uniform prior."""
+    probes = _as_symbols(probes)
+    us = probcore.sample(CategoricalDistribution.uniform(probes.size), rng, count)
+    rng.random(count)  # the draw the point-mass inverse CDF took; kept so no stream moves
+    return us, release(mechanism, probes[us], rng)
 
-    Users come from the prior, their data by inverse CDF, releases from `release`.
-    """
-    us = probcore.sample(population.prior, rng, count)
-    xs = probcore.inverse_cdf(probcore.cdf_table(population.conditional_matrix()), us,
-                              rng.random(count))
-    return us, release(mechanism, xs, rng)
+
+def _check_probes(probes, table: ProfileTable) -> np.ndarray:
+    """probes as int64 symbols of the table's alphabet, one per profile; else ValueError."""
+    probes = _as_symbols(probes)
+    if probes.size != table.floor.size:
+        raise ValueError(f"need one profile per user: {table.floor.size} for {probes.size}")
+    if probes.min() < 0 or probes.max() >= table.size:
+        raise ValueError("probe symbol outside the alphabet")
+    return probes
+
+
+def probe_score_trials(probes, mechanism, table: ProfileTable, trials: int,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(true_users, scores): `sample_releases` of the probes, each release scored
+    under every profile of the table, scores of shape (trials, n)."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    us, released = sample_releases(_check_probes(probes, table), mechanism, trials, rng)
+    return us, table.datum_scores(released, mechanism)
 
 
 def simulate_score_trials(population: PopulationModel, mechanism,
                           profiles: Sequence[MarkovProfile], trials: int,
                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (user, datum, release) triples and score each release.
+    """Draw (user, trace, release) triples and score each released trace.
 
     Returns (true_users, scores) with scores of shape (trials, n). The
-    mechanism is anything `release` takes; the hashed one needs a
-    single-datum population. A trace population must hold chains of one
-    dimension and one trace length. Its draws are all users, then all
-    chains stepped in lockstep, then one release of every trial's symbols.
+    population must hold chains of one dimension and one trace length, and the
+    mechanism is None or RR; single data go through `probe_score_trials`. The
+    draws are all users, then all chains stepped in lockstep, then one release
+    of every trial's symbols.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    n = population.n
-    if len(profiles) != n:
+    if len(profiles) != population.n:
         raise ValueError("need one profile per user")
-
-    if all(isinstance(m, SingleDatum) for m in population.models):
-        us, released = sample_releases(population, mechanism, trials, rng)
-        return us, ProfileTable(profiles).datum_scores(released, mechanism)
-
-    # trace-valued data: every trial's chain steps in lockstep, one release for all
+    probcore._chain_shape(population.models)  # refuses single data and mixed or ragged chains
     if isinstance(mechanism, GeneralLocalHash):
         raise ValueError("hashed releases of whole traces are not supported; "
-                         "use single-datum populations for the hashed mechanism")
-    probcore._chain_shape(population.models)  # refuses a mixed or ragged population
+                         "use single-datum probes for the hashed mechanism")
     table = ProfileTable(profiles)
     us = probcore.sample(population.prior, rng, trials)
     xs = probcore.sample_traces([population.models[u] for u in us], rng)
@@ -317,16 +331,13 @@ def simulate_score_trials(population: PopulationModel, mechanism,
     return us, np.stack([table.scores(y) for y in ys])
 
 
-def identification_error_rate(population: PopulationModel, mechanism,
-                              profiles: Sequence[MarkovProfile], trials: int,
-                              rng: np.random.Generator) -> float:
-    """Fraction of trials where the best-score decision names the wrong user.
+def identification_error_rate(us: np.ndarray, scores: np.ndarray) -> float:
+    """Fraction of trials whose best-score decision names the wrong user.
 
-    The decision is the first-index argmax: a tie goes to the lowest user index.
+    Row t of the (trials, n) scores belongs to true user us[t]. The decision is
+    the first-index argmax: a tie goes to the lowest user index.
     """
-    us, scores = simulate_score_trials(population, mechanism, profiles, trials, rng)
-    decisions = np.argmax(scores, axis=1)
-    return float((decisions != us).mean())
+    return float((np.argmax(scores, axis=1) != us).mean())
 
 
 @dataclass(frozen=True)

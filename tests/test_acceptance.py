@@ -16,7 +16,7 @@ from reidrisk.cli import main
 from reidrisk.estimation import (expected_l2_glh, expected_l2_glh_limit,
                                  expected_l2_glh_theta, expected_l2_rr,
                                  l2_and_relative_error)
-from reidrisk.pipeline import (SynthesisSpec, _probe_population, split_traces,
+from reidrisk.pipeline import (SynthesisSpec, split_traces,
                                synth_population, zipf_law)
 from reidrisk.pse import harvest_scores_sparse, knn_kl_estimate
 
@@ -156,10 +156,9 @@ def test_acceptance_6_pse_alpha_fano_sandwich(capsys):
                          train_len=16, eval_len=16)
     pop, ds = synth_population(spec, streams[0])
     train_ds, eval_ds = split_traces(ds)
-    profiles = [rr.train_profile(t, 1000, owner=i)
-                for i, t in enumerate(train_ds.traces)]
+    table = rr.ProfileTable([rr.train_profile(t, 1000, owner=i)
+                             for i, t in enumerate(train_ds.traces)])
     probes = np.array([t[0] for t in eval_ds.traces])
-    ppop = _probe_population(probes, 1000)
 
     n, size = 10**4, 10**3
     si = 1
@@ -175,15 +174,14 @@ def test_acceptance_6_pse_alpha_fano_sandwich(capsys):
                 mech = rr.GeneralLocalHash.with_production_family(eps, g, size)
                 alpha = rr.pie_bound_glh(eps, g, n, size)
                 ng, ni = 2 * 10**5, 4 * 10**5
-            sample = harvest_scores_sparse(ppop, mech, profiles, ng, ni,
+            sample = harvest_scores_sparse(probes, mech, table, ng, ni,
                                            streams[si])
             si += 1
             est = knn_kl_estimate(sample.genuine, sample.impostor, k=63,
                                   jitter_seed=606)
-            us, scores = rr.simulate_score_trials(ppop, mech, profiles, 1500,
-                                                  streams[si])
+            err = rr.identification_error_rate(*rr.probe_score_trials(probes, mech, table, 1500,
+                                                                      streams[si]))
             si += 1
-            err = float((np.argmax(scores, axis=1) != us).mean())
             fano_mech = rr.fano_lower_bound(alpha, n=n).value
             fano_ldp = rr.fano_lower_bound(rr.pie_bound_ldp(eps, n, size), n=n).value
             point_ok = (est.bits <= alpha and err >= fano_mech and err >= fano_ldp)

@@ -42,7 +42,7 @@ from reidrisk.mechanisms import (
 )
 import reidrisk.mechanisms as mechanisms
 from reidrisk.estimation import glh_counts
-from reidrisk.probcore import CategoricalDistribution, PopulationModel, make_rng
+from reidrisk.probcore import make_rng
 from reidrisk.pse import harvest_scores_sparse
 from reidrisk.reid import ProfileTable, train_profile
 
@@ -651,12 +651,13 @@ class TestHashMatchKernel:
         import reidrisk.pse as pse
         import reidrisk.reid as reid
 
-        # record what the harvester releases and who released it
+        # record what the harvester releases, from which data, and who released it
         sample_batch, sample_users = reid.glh_sample_batch, pse.sample_releases
-        batches, owners = [], []
+        batches, data, owners = [], [], []
 
-        def capture_batch(*args, **kwargs):
-            batches.append(sample_batch(*args, **kwargs))
+        def capture_batch(mech, xs, rng):
+            data.append(xs)
+            batches.append(sample_batch(mech, xs, rng))
             return batches[-1]
 
         def capture_users(*args, **kwargs):
@@ -666,9 +667,10 @@ class TestHashMatchKernel:
 
         monkeypatch.setattr(reid, "glh_sample_batch", capture_batch)
         monkeypatch.setattr(pse, "sample_releases", capture_users)
-        uniform = CategoricalDistribution.uniform(self.SIZE)
-        pop = PopulationModel.single_datum(CategoricalDistribution.uniform(3), [uniform] * 3)
-        sample = harvest_scores_sparse(pop, mech, profiles, self.N, self.N, make_rng(3))
+        probes = make_rng(4).integers(0, self.SIZE, 3)
+        sample = harvest_scores_sparse(probes, mech, ProfileTable(profiles), self.N, self.N,
+                                       make_rng(3))
+        assert all(np.array_equal(xs, probes[us]) for xs, us in zip(data, owners))
 
         genuine = self.brute_scores(batches[0], profiles, mech)
         assert np.allclose(sample.genuine, genuine[np.arange(self.N), owners[0]],

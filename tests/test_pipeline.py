@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from reidrisk import reid
 from reidrisk.pipeline import (
     DataError,
     ExperimentConfig,
@@ -329,3 +330,17 @@ class TestRunExperiment:
         cfg = small_config(checkins_path=str(data), min_events=2)
         res = run_experiment(cfg, tmp_path / "run")
         assert res.manifest["status"] == "complete"
+
+    def test_one_profile_table_per_run(self, tmp_path, monkeypatch):
+        # every (epsilon, mechanism) point of the attack stage scores with the one table
+        built = []
+        init = reid.ProfileTable.__init__
+
+        def counting_init(self, profiles):
+            built.append(len(profiles))
+            init(self, profiles)
+
+        monkeypatch.setattr(reid.ProfileTable, "__init__", counting_init)
+        res = run_experiment(ExperimentConfig(), tmp_path / "run")
+        assert res.manifest["status"] == "complete"
+        assert built == [ExperimentConfig().n_users]

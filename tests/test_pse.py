@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reidrisk.mechanisms import GeneralLocalHash, RandomizedResponse
-from reidrisk.probcore import CategoricalDistribution, MarkovSource, PopulationModel, make_rng
+from reidrisk.probcore import make_rng
 from reidrisk.pse import (
     ConvergenceReport,
     KnnKlEstimate,
@@ -20,16 +20,16 @@ from reidrisk.pse import (
     knn_kl_estimate,
     pse_estimate,
 )
-from reidrisk.reid import train_profile
+from reidrisk.reid import ProfileTable, probe_score_trials, train_profile
 
 # KL(N(0,1) || N(1,1)) = (1/2) log2(e), frozen from high precision.
 GAUSS_SHIFT_KL_BITS = 0.7213475204444817
 
 
-def point_mass_population(symbols, size):
-    prior = CategoricalDistribution.uniform(len(symbols))
-    dists = [CategoricalDistribution.point_mass(size, s) for s in symbols]
-    return PopulationModel.single_datum(prior, dists)
+def clear_profiles(probes, size):
+    """(probes, table) where user i's profile was trained on its own probe alone."""
+    probes = np.array(probes)
+    return probes, ProfileTable([train_profile([s], size, owner=i) for i, s in enumerate(probes)])
 
 
 def brute_kth(queries, refs, k, self_in_refs):
@@ -58,82 +58,100 @@ class TestScoreSample:
 
 class TestHarvesting:
     def test_dense_counts(self):
-        pop = point_mass_population([0, 1, 2], size=3)
-        profiles = [train_profile([s], 3, owner=i) for i, s in enumerate([0, 1, 2])]
-        sample = harvest_scores(pop, None, profiles, trials=40, rng=make_rng(0), meta={"tag": "x"})
+        probes, table = clear_profiles([0, 1, 2], 3)
+        sample = harvest_scores(probes, None, table, trials=40, rng=make_rng(0), meta={"tag": "x"})
         assert sample.genuine.size == 40
         assert sample.impostor.size == 40 * 2
         assert sample.meta["tag"] == "x" and sample.meta["n_users"] == 3
 
     def test_dense_clear_release_scores_are_exact(self):
-        pop = point_mass_population([0, 1], size=2)
-        profiles = [train_profile([s], 2, owner=i) for i, s in enumerate([0, 1])]
-        sample = harvest_scores(pop, None, profiles, trials=25, rng=make_rng(1))
+        probes, table = clear_profiles([0, 1], 2)
+        sample = harvest_scores(probes, None, table, trials=25, rng=make_rng(1))
         assert np.all(sample.genuine == 0.0)  # log2 1
-        assert np.allclose(sample.impostor, math.log2(profiles[0].floor))
+        assert np.allclose(sample.impostor, math.log2(table.floor[0]))
 
     def test_sparse_counts_and_meta(self):
-        pop = point_mass_population([0, 1, 2, 3], size=4)
-        profiles = [train_profile([s], 4, owner=i) for i, s in enumerate(range(4))]
-        sample = harvest_scores_sparse(pop, None, profiles, 100, 300, make_rng(2))
+        probes, table = clear_profiles(range(4), 4)
+        sample = harvest_scores_sparse(probes, None, table, 100, 300, make_rng(2))
         assert sample.genuine.size == 100 and sample.impostor.size == 300
         assert sample.meta["n_users"] == 4
 
     def test_sparse_clear_release_scores_are_exact(self):
-        pop = point_mass_population([0, 1, 2], size=3)
-        profiles = [train_profile([s], 3, owner=i) for i, s in enumerate([0, 1, 2])]
-        sample = harvest_scores_sparse(pop, None, profiles, 50, 150, make_rng(3))
+        probes, table = clear_profiles([0, 1, 2], 3)
+        sample = harvest_scores_sparse(probes, None, table, 50, 150, make_rng(3))
         assert np.all(sample.genuine == 0.0)
-        # A uniformly chosen WRONG claimant never matches a distinct point mass.
-        assert np.allclose(sample.impostor, math.log2(profiles[0].floor))
+        # A uniformly chosen WRONG claimant never matches a distinct probe.
+        assert np.allclose(sample.impostor, math.log2(table.floor[0]))
 
     def test_sparse_deterministic(self):
-        pop = point_mass_population([0, 1, 2], size=3)
-        profiles = [train_profile([s], 3, owner=i) for i, s in enumerate([0, 1, 2])]
+        probes, table = clear_profiles([0, 1, 2], 3)
         mech = RandomizedResponse(epsilon=1.0, size=3)
-        s1 = harvest_scores_sparse(pop, mech, profiles, 64, 64, make_rng(7))
-        s2 = harvest_scores_sparse(pop, mech, profiles, 64, 64, make_rng(7))
+        s1 = harvest_scores_sparse(probes, mech, table, 64, 64, make_rng(7))
+        s2 = harvest_scores_sparse(probes, mech, table, 64, 64, make_rng(7))
         assert np.array_equal(s1.genuine, s2.genuine)
         assert np.array_equal(s1.impostor, s2.impostor)
 
     def test_sparse_agrees_with_dense_in_law(self):
-        # Same population and mechanism: the two harvesters must estimate the
+        # Same probes and mechanism: the two harvesters must estimate the
         # same divergence up to sampling noise.
         rng = make_rng(11)
-        symbols = list(rng.integers(0, 8, size=6))
-        pop = point_mass_population(symbols, size=8)
-        profiles = [train_profile([s, s, int(rng.integers(8))], 8, owner=i)
-                    for i, s in enumerate(symbols)]
+        probes = rng.integers(0, 8, size=6)
+        table = ProfileTable([train_profile([s, s, int(rng.integers(8))], 8, owner=i)
+                              for i, s in enumerate(probes)])
         mech = RandomizedResponse(epsilon=2.0, size=8)
-        dense = harvest_scores(pop, mech, profiles, trials=4000, rng=make_rng(12))
-        sparse = harvest_scores_sparse(pop, mech, profiles, 4000, 20000, rng=make_rng(13))
+        dense = harvest_scores(probes, mech, table, trials=4000, rng=make_rng(12))
+        sparse = harvest_scores_sparse(probes, mech, table, 4000, 20000, rng=make_rng(13))
         d = pse_estimate(dense, k=5).bits
         s = pse_estimate(sparse, k=5).bits
         assert abs(d - s) < 0.12 * max(d, s)
 
     def test_sparse_validation(self):
-        pop = point_mass_population([0], size=2)
-        profiles = [train_profile([0], 2)]
+        probes, table = clear_profiles([0], 2)
         with pytest.raises(ValueError):
-            harvest_scores_sparse(pop, None, profiles, 10, 10, make_rng(0))
-        pop2 = point_mass_population([0, 1], size=2)
-        profiles2 = [train_profile([s], 2, owner=i) for i, s in enumerate([0, 1])]
+            harvest_scores_sparse(probes, None, table, 10, 10, make_rng(0))
+        probes2, table2 = clear_profiles([0, 1], 2)
         with pytest.raises(ValueError):
-            harvest_scores_sparse(pop2, None, profiles2, 0, 10, make_rng(0))
+            harvest_scores_sparse(probes2, None, table2, 0, 10, make_rng(0))
         with pytest.raises(ValueError):
-            harvest_scores_sparse(pop2, "bogus", profiles2, 10, 10, make_rng(0))
+            harvest_scores_sparse(probes2, "bogus", table2, 10, 10, make_rng(0))
 
     def test_sparse_rejects_trace_population(self):
-        m = MarkovSource(np.array([1.0, 0.0]), np.eye(2), trace_len=3)
-        pop = PopulationModel(2, CategoricalDistribution.uniform(2), (m, m))
-        profiles = [train_profile([0, 0], 2, owner=i) for i in range(2)]
+        # one trace per user is not a probe array: the probes must be 1-d
+        table = ProfileTable([train_profile([0, 0], 2, owner=i) for i in range(2)])
         with pytest.raises(ValueError):
-            harvest_scores_sparse(pop, None, profiles, 10, 10, make_rng(0))
+            harvest_scores_sparse(np.array([[0, 0, 1], [1, 1, 0]]), None, table, 10, 10,
+                                  make_rng(0))
+
+    @pytest.mark.parametrize("n_profiles", [2, 5])
+    @pytest.mark.parametrize("harvest", ["sparse", "dense", "trials"])
+    def test_one_profile_per_user(self, n_profiles, harvest):
+        # 2 profiles for 4 users once failed inside scipy with IndexError;
+        # 5 profiles for 4 users were accepted and the fifth never claimed
+        table = ProfileTable([train_profile([s % 4], 4, owner=s) for s in range(n_profiles)])
+        with pytest.raises(ValueError, match="one profile per user"):
+            self.call(harvest, np.arange(4), table)
+
+    @pytest.mark.parametrize("probes", [[0, 1, 2, 4], [0, -1, 2, 3], [0, 1.5, 2, 3],
+                                        [[0, 1], [2, 3]], []],
+                             ids=["past_size", "negative", "fraction", "two_d", "empty"])
+    @pytest.mark.parametrize("harvest", ["sparse", "dense", "trials"])
+    def test_probes_are_symbols_of_the_alphabet(self, probes, harvest):
+        table = ProfileTable([train_profile([s], 4, owner=s) for s in range(4)])
+        with pytest.raises(ValueError):
+            self.call(harvest, np.array(probes), table)
+
+    @staticmethod
+    def call(harvest, probes, table):
+        mech = RandomizedResponse(1.0, 4)
+        if harvest == "sparse":
+            return harvest_scores_sparse(probes, mech, table, 10, 10, make_rng(0))
+        if harvest == "dense":
+            return harvest_scores(probes, mech, table, 10, make_rng(0))
+        return probe_score_trials(probes, mech, table, 10, make_rng(0))
 
     def test_single_user_dense_sample_is_unusable(self):
-        pop = point_mass_population([1], size=2)
-        profiles = [train_profile([1], 2)]
-        sample = harvest_scores(pop, None, profiles, trials=5, rng=make_rng(0))
+        probes, table = clear_profiles([1], 2)
+        sample = harvest_scores(probes, None, table, trials=5, rng=make_rng(0))
         assert not sample.usable
         with pytest.raises(ValueError):
             pse_estimate(sample)

@@ -6,7 +6,6 @@ import shlex
 
 import numpy as np
 
-import reidrisk as rr
 from reidrisk import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -20,20 +19,19 @@ def library_block() -> str:
 
 
 def test_library_example_runs():
-    # the inputs the example leaves to the reader: symbols, traces and a population
+    # the inputs the example leaves to the reader: symbols, traces and one probe per user
     rng = np.random.default_rng(0)
     size, n = 64, 5
     scope = {
         "xs": rng.integers(0, size, 500),
         "size": size,
         "traces": [rng.integers(0, size, 16) for _ in range(n)],
-        "pop": rr.PopulationModel.single_datum(
-            rr.CategoricalDistribution.uniform(n),
-            [rr.CategoricalDistribution.uniform(size)] * n),
+        "probes": rng.integers(0, size, n),
     }
     exec(compile(library_block(), str(README), "exec"), scope)
     assert scope["est"].p_hat.shape == scope["glh_est"].p_hat.shape == (size,)
     assert scope["scores"].shape == (1000, n)
+    assert 0.0 <= scope["error"] <= 1.0
 
 
 def cli_examples() -> list:

@@ -38,17 +38,18 @@ from reidrisk.reid import (
     _pair_keys,
     far_frr_det,
     identification_error_rate,
+    probe_score_trials,
+    release,
     sample_releases,
     simulate_score_trials,
     train_profile,
 )
 
 
-def point_mass_population(symbols, size):
-    """Uniform-prior population where user i deterministically emits symbols[i]."""
-    prior = CategoricalDistribution.uniform(len(symbols))
-    dists = [CategoricalDistribution.point_mass(size, s) for s in symbols]
-    return PopulationModel.single_datum(prior, dists)
+def clear_profiles(probes, size):
+    """(probes, table) where user i's profile was trained on its own probe alone."""
+    probes = np.array(probes)
+    return probes, ProfileTable([train_profile([s], size, owner=i) for i, s in enumerate(probes)])
 
 
 class TestProfileTraining:
@@ -264,60 +265,51 @@ class TestSingleReleaseScores:
 
 class TestSimulation:
     def test_deterministic_under_seed(self):
-        pop = point_mass_population([0, 1, 2], size=3)
-        profiles = [train_profile([s], alphabet=3, owner=i) for i, s in enumerate([0, 1, 2])]
+        probes, table = clear_profiles([0, 1, 2], 3)
         mech = RandomizedResponse(epsilon=1.0, size=3)
-        us1, sc1 = simulate_score_trials(pop, mech, profiles, 200, make_rng(5))
-        us2, sc2 = simulate_score_trials(pop, mech, profiles, 200, make_rng(5))
+        us1, sc1 = probe_score_trials(probes, mech, table, 200, make_rng(5))
+        us2, sc2 = probe_score_trials(probes, mech, table, 200, make_rng(5))
         assert np.array_equal(us1, us2) and np.array_equal(sc1, sc2)
 
     def test_clear_releases_are_perfectly_identified(self):
-        pop = point_mass_population([0, 1, 2, 3], size=4)
-        profiles = [train_profile([s], alphabet=4, owner=i) for i, s in enumerate([0, 1, 2, 3])]
-        err = identification_error_rate(pop, None, profiles, 300, make_rng(0))
+        probes, table = clear_profiles([0, 1, 2, 3], 4)
+        err = identification_error_rate(*probe_score_trials(probes, None, table, 300, make_rng(0)))
         assert err == 0.0
 
     @pytest.mark.parametrize("mech", [None, RandomizedResponse(1.0, 5),
                                       GeneralLocalHash.with_production_family(1.0, 2, 5)],
                              ids=["none", "rr", "glh"])
     def test_indistinguishable_users_fail_at_chance(self, mech):
-        # Four users with identical behavior and identical profiles score
+        # Four users with identical probes and identical profiles score
         # bit-equal under every mechanism, and the first-index argmax names
         # user 0, so the error rate is P(U != 0) = 3/4.
-        d = CategoricalDistribution.uniform(5)
-        pop = PopulationModel.single_datum(CategoricalDistribution.uniform(4), [d] * 4)
-        profiles = [train_profile([0, 1, 2, 3, 4], alphabet=5, owner=i) for i in range(4)]
-        us, scores = simulate_score_trials(pop, mech, profiles, 4000, make_rng(2))
+        table = ProfileTable([train_profile([0, 1, 2, 3, 4], alphabet=5, owner=i)
+                              for i in range(4)])
+        us, scores = probe_score_trials(np.full(4, 2), mech, table, 4000, make_rng(2))
         assert (scores == scores[:, :1]).all()
-        err = identification_error_rate(pop, mech, profiles, 4000, make_rng(2))
+        err = identification_error_rate(us, scores)
         assert err == float((us != 0).mean())
         assert abs(err - 0.75) < 5 * math.sqrt(0.1875 / 4000)
 
     def test_more_noise_means_more_errors(self):
-        pop = point_mass_population([0, 1, 2, 3], size=4)
-        profiles = [train_profile([s], alphabet=4, owner=i) for i, s in enumerate([0, 1, 2, 3])]
+        probes, table = clear_profiles([0, 1, 2, 3], 4)
         errs = [
-            identification_error_rate(
-                pop, RandomizedResponse(epsilon=eps, size=4), profiles, 3000, make_rng(3)
-            )
+            identification_error_rate(*probe_score_trials(
+                probes, RandomizedResponse(epsilon=eps, size=4), table, 3000, make_rng(3)))
             for eps in (0.1, 1.0, 4.0)
         ]
         assert errs[0] > errs[1] > errs[2]
 
     def test_rr_error_rate_matches_exact_value(self):
-        # Distinct point-mass users: the decision is right iff the released
-        # symbol equals the true one OR the argmax tie resolves to the truth;
-        # here the correct-decision probability is keep + leak (the truth wins
-        # its own tie only when y = x, else a wrong user scores highest),
-        # so the error is (k-2)*leak... computed directly from the kernel.
+        # Distinct probes: user y is the only one whose profile holds symbol y,
+        # so the decision is right iff the released symbol equals the true one,
+        # with probability mu.
         eps, k, trials = 1.5, 4, 6000
-        pop = point_mass_population([0, 1, 2, 3], size=k)
-        profiles = [train_profile([s], alphabet=k, owner=i) for i, s in enumerate(range(k))]
+        probes, table = clear_profiles(range(k), k)
         mech = RandomizedResponse(epsilon=eps, size=k)
-        # Released symbol y identifies user y; correct iff y == x.
-        p_correct = mech.mu
-        err = identification_error_rate(pop, mech, profiles, trials, make_rng(4))
-        assert abs(err - (1 - p_correct)) < 5 * math.sqrt(0.25 / trials)
+        err = identification_error_rate(*probe_score_trials(probes, mech, table, trials,
+                                                            make_rng(4)))
+        assert abs(err - (1 - mech.mu)) < 5 * math.sqrt(0.25 / trials)
 
     def test_trace_population_round_trip(self):
         # Two users with disjoint deterministic chains are separable from
@@ -329,7 +321,8 @@ class TestSimulation:
             train_profile([0] * 8, alphabet=2, owner=0),
             train_profile([1] * 8, alphabet=2, owner=1),
         ]
-        err = identification_error_rate(pop, None, profiles, 100, make_rng(6))
+        err = identification_error_rate(*simulate_score_trials(pop, None, profiles, 100,
+                                                               make_rng(6)))
         assert err == 0.0
 
     def test_trace_population_rejects_hashed_mechanism(self):
@@ -341,19 +334,34 @@ class TestSimulation:
             simulate_score_trials(pop, mech, profiles, 10, make_rng(0))
 
     def test_unsupported_mechanism_rejected(self):
-        pop = point_mass_population([0, 1], size=2)
-        profiles = [train_profile([s], 2, owner=i) for i, s in enumerate([0, 1])]
+        probes, table = clear_profiles([0, 1], 2)
         for mech in ("not a mechanism", MechanismKernel.identity(2)):
             with pytest.raises(ValueError, match="unsupported mechanism"):
-                simulate_score_trials(pop, mech, profiles, 10, make_rng(0))
+                probe_score_trials(probes, mech, table, 10, make_rng(0))
 
     def test_argument_validation(self):
-        pop = point_mass_population([0, 1], size=2)
-        profiles = [train_profile([0], 2)]
+        probes, table = clear_profiles([0, 1], 2)
+        with pytest.raises(ValueError, match="one profile per user"):
+            probe_score_trials(probes[:1], None, table, 10, make_rng(0))
         with pytest.raises(ValueError):
-            simulate_score_trials(pop, None, profiles, 10, make_rng(0))  # wrong count
+            probe_score_trials(probes, None, table, 0, make_rng(0))
+        trace = MarkovSource(np.array([1.0, 0.0]), np.eye(2), trace_len=3)
+        pop = PopulationModel(2, CategoricalDistribution.uniform(2), (trace, trace))
         with pytest.raises(ValueError):
-            simulate_score_trials(pop, None, profiles * 2, 0, make_rng(0))
+            simulate_score_trials(pop, None, [train_profile([0], 2)], 10, make_rng(0))
+        with pytest.raises(ValueError):
+            simulate_score_trials(pop, None, [train_profile([0], 2)] * 2, 0, make_rng(0))
+
+    @pytest.mark.parametrize("mech", [None, RandomizedResponse(1.0, 3),
+                                      GeneralLocalHash.with_production_family(1.0, 2, 3)],
+                             ids=["none", "rr", "glh"])
+    def test_single_datum_population_refused(self, mech):
+        # single data are probes beside a table; the population form holds traces only
+        prior = CategoricalDistribution.uniform(2)
+        pop = PopulationModel.single_datum(prior, [CategoricalDistribution.point_mass(3, 1)] * 2)
+        profiles = [train_profile([1], 3, owner=i) for i in range(2)]
+        with pytest.raises(ValueError, match="MarkovSource"):
+            simulate_score_trials(pop, mech, profiles, 10, make_rng(0))
 
 
 class TestDetCurve:
@@ -540,7 +548,7 @@ class TestSamplersSkipZeroProbabilitySymbols:
     """No draw, 0.0 or the largest below 1, lands on a zero-probability symbol."""
 
     def test_single_datum_draws(self):
-        us, released = sample_releases(point_mass_population([3, 5], 8), None, 4, StubDraws(0.0))
+        us, released = sample_releases(np.array([3, 5]), None, 4, StubDraws(0.0))
         assert us.tolist() == [0, 0, 0, 0]
         assert released.tolist() == [3, 3, 3, 3]
 
@@ -548,11 +556,6 @@ class TestSamplersSkipZeroProbabilitySymbols:
         pis = np.array([[0.0, 1.0, 0.0]])
         trans = np.array([[[0.0, 0.5, 0.5]] * 3])
         assert step_chains(pis, trans, 3, StubDraws(0.0)).tolist() == [[1, 1, 1]]
-
-    def test_single_datum_tail(self):
-        pop = PopulationModel.single_datum(CategoricalDistribution.uniform(1),
-                                           [CategoricalDistribution(12, TAILED)])
-        assert sample_releases(pop, None, 3, StubDraws(LAST_DRAW))[1].tolist() == [10] * 3
 
     def test_lockstep_chains_tail(self):
         trans = np.tile(TAILED, (1, 12, 1))
@@ -614,15 +617,41 @@ class TestInverseCdfDraws:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sample_releases_draws_as_the_dense_count(self, seed):
-        dists = [CategoricalDistribution(6, ROUNDED), CategoricalDistribution(6, TAILED[:6] * 2)]
-        dists += [CategoricalDistribution(6, make_rng(seed + i).dirichlet(np.ones(6))) for i in range(3)]
-        pop = PopulationModel.single_datum(CategoricalDistribution.uniform(5), dists)
-        us, xs = sample_releases(pop, None, 500, make_rng(seed))
+        # the probes as one-hot rows, each symbol by a dense count over its row
+        probes = np.concatenate([[0, 5], make_rng(seed).integers(0, 6, 3)])
+        us, xs = sample_releases(probes, None, 500, make_rng(seed))
         rng = make_rng(seed)
-        want_us = sample(pop.prior, rng, 500)
-        want = dense_count_reference(cdf_table(pop.conditional_matrix()), want_us, rng.random(500))
+        want_us = sample(CategoricalDistribution.uniform(5), rng, 500)
+        want = dense_count_reference(cdf_table(np.eye(6)[probes]), want_us, rng.random(500))
         assert us.tolist() == want_us.tolist()
         assert xs.tolist() == want.tolist()
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 9), st.integers(1, 40), st.integers(1, 300), st.integers(0, 2**32 - 1),
+           st.sampled_from(["none", "rr", "glh"]))
+    def test_sample_releases_draws_as_the_point_mass_path(self, n, size, count, seed, mech_name):
+        # user u's probe as the one-hot row of a point mass: users from the prior,
+        # then one inverse-CDF draw per user over that row, then the release
+        rng = make_rng(seed)
+        probes = rng.integers(0, size, n)
+        probes[0], probes[-1] = 0, size - 1
+        mech = {"none": None,
+                "rr": RandomizedResponse(1.0, size) if size > 1 else None,
+                "glh": GeneralLocalHash.with_production_family(1.0, 3, size)}[mech_name]
+        draws = make_rng(seed + 1)
+        us, released = sample_releases(probes, mech, count, draws)
+        replay = make_rng(seed + 1)
+        want_us = sample(CategoricalDistribution.uniform(n), replay, count)
+        xs = inverse_cdf(cdf_table(np.eye(size)[probes]), want_us, replay.random(count))
+        want = release(mech, xs, replay)
+
+        def columns(r):
+            return np.stack([r.a, r.b, r.ys]) if isinstance(r, GlhBatch) else r
+
+        assert us.tolist() == want_us.tolist()
+        assert np.array_equal(xs, probes[us])
+        assert np.array_equal(columns(released), columns(want))
+        assert draws.random() == replay.random()
 
 
 def dense_chains_reference(pis, trans, length, rng):
@@ -811,3 +840,33 @@ class TestProfileTable:
         p1 = train_profile([1, 1], alphabet=2, floor=1e-5)
         scores = ProfileTable([p0, p1]).datum_scores(np.arange(2))
         assert np.array_equal(scores.T, np.log2([[1.0, 1e-3], [1e-5, 1.0]]))
+
+    def test_threads_sharing_a_table_build_its_start_rows_once(self, monkeypatch):
+        import threading
+        import time
+
+        import scipy.sparse
+
+        built, csr_array = [], scipy.sparse.csr_array
+
+        def slow_csr_array(*args, **kwargs):  # widens the window in which builds could overlap
+            built.append(threading.get_ident())
+            time.sleep(0.01)
+            return csr_array(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse, "csr_array", slow_csr_array)
+        table = ProfileTable([train_profile([i, i + 1], 6, owner=i) for i in range(5)])
+        start, results = threading.Barrier(4, timeout=10), []
+
+        def score():
+            start.wait()
+            results.append(table.datum_scores(np.arange(6)))
+
+        threads = [threading.Thread(target=score) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads) and len(results) == 4
+        assert len(built) == 2  # the entry and excess arrays, once
+        assert all(np.array_equal(r, results[0]) for r in results)
