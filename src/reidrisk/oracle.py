@@ -13,12 +13,14 @@ exceptions.
 Each exact quantity is computed by one kernel over a stack of instances
 (`_release_joints`, `_score_joints`, `_composed_joints` and
 `probcore._mutual_information_stack`); the public per-instance functions
-are stacks of one. The checker draws every instance first, then groups the
-instances by shape and evaluates each quantity in one array pass per
-group, a group cut into stacks of at most STACK_CELLS cells per array.
-Traced through `bench/run.py --workload verify` on a 2-core x86-64 host,
-this costs 0.35 ms per instance, where evaluating one instance at a time
-cost 2.07 ms.
+are stacks of one. The checker draws its instances BLOCK_INSTANCES at a
+time, as arrays: the checks the instance objects would run are made once
+per stack of equal-shaped draws. It then groups each block's instances by
+shape and evaluates each quantity in one array pass per group, a group cut
+into stacks of at most STACK_CELLS cells per array. Traced through
+`bench/run.py --workload verify` on a 2-core x86-64 host, this costs
+0.15 ms per instance, where building the objects of each drawn instance
+cost 0.22 ms and evaluating one instance at a time cost 2.07 ms.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ ENUMERATION_CAP = 10 ** 7
 TOL = 1e-9
 # cells of the largest array one stack of verify_bound_suite builds
 STACK_CELLS = 2 ** 14
+# instances verify_bound_suite draws and evaluates at a time
+BLOCK_INSTANCES = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -59,19 +63,24 @@ class SmallInstance:
     def __post_init__(self):
         n = self.population.n
         size = self.population.data_alphabet().size
-        if n > MAX_USERS or size > MAX_SYMBOLS:
-            raise ValueError(f"instance too large: n={n}, size={size}")
-        if self.kernel.input_size != size:
-            raise ValueError("kernel input alphabet does not match the population")
-        cells = n * size * self.kernel.output_size
-        if cells > ENUMERATION_CAP:
-            raise ValueError(f"enumeration size {cells} exceeds cap {ENUMERATION_CAP}")
+        _check_shape(n, size, self.kernel.input_size, self.kernel.output_size)
         if self.pair_conditional is not None:
             pj = np.asarray(self.pair_conditional, dtype=np.float64)
             if pj.shape != (n, size, size):
                 raise ValueError("pair conditional must have shape (n, size, size)")
             _checked_pairs(pj)
             object.__setattr__(self, "pair_conditional", pj)
+
+
+def _check_shape(n: int, size: int, kernel_in: int, kernel_out: int) -> None:
+    """ValueError unless n users over `size` symbols and a kernel of that shape are enumerable."""
+    if n > MAX_USERS or size > MAX_SYMBOLS:
+        raise ValueError(f"instance too large: n={n}, size={size}")
+    if kernel_in != size:
+        raise ValueError("kernel input alphabet does not match the population")
+    cells = n * size * kernel_out
+    if cells > ENUMERATION_CAP:
+        raise ValueError(f"enumeration size {cells} exceeds cap {ENUMERATION_CAP}")
 
 
 def _checked_pairs(pairs: np.ndarray) -> None:
@@ -226,25 +235,37 @@ def _dirichlet_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     return gam / gam.sum(axis=1, keepdims=True)
 
 
-def random_small_instance(rng: np.random.Generator) -> tuple[SmallInstance, float]:
-    """One random instance: symmetric-Dirichlet rows, 5% point-mass injections."""
+def _draw_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+    """(prior, p(x | u), epsilon) of one random instance, the masses not yet checked.
+
+    Symmetric-Dirichlet rows; half the priors are uniform and a tenth of the
+    rest point masses, and 5% of the conditionals are point-mass rows.
+    """
     n = int(rng.integers(2, 7))
     size = int(rng.integers(2, 7))
     epsilon = float(rng.uniform(0.0, 5.0))
     if rng.random() < 0.5:
-        prior = CategoricalDistribution.uniform(n)
+        prior = np.full(n, 1.0 / n)
     elif rng.random() < 0.1:
-        prior = CategoricalDistribution.point_mass(n, int(rng.integers(n)))
+        prior = np.zeros(n)
+        prior[int(rng.integers(n))] = 1.0
     else:
-        prior = CategoricalDistribution(n, _dirichlet_rows(rng, 1, n)[0])
+        prior = _dirichlet_rows(rng, 1, n)[0]
     if rng.random() < 0.05:
         cond = np.zeros((n, size))
         cond[np.arange(n), rng.integers(0, size, size=n)] = 1.0
     else:
         cond = _dirichlet_rows(rng, n, size)
-    population = PopulationModel.single_datum(prior, CategoricalDistribution.rows(size, cond))
-    instance = SmallInstance(population=population, kernel=rr_kernel(epsilon, size))
-    return instance, epsilon
+    return prior, cond, epsilon
+
+
+def random_small_instance(rng: np.random.Generator) -> tuple[SmallInstance, float]:
+    """One random instance released by randomized response, and its budget."""
+    prior, cond, epsilon = _draw_instance(rng)
+    n, size = cond.shape
+    population = PopulationModel.single_datum(CategoricalDistribution(n, prior),
+                                              CategoricalDistribution.rows(size, cond))
+    return SmallInstance(population=population, kernel=rr_kernel(epsilon, size)), epsilon
 
 
 class _Draw(NamedTuple):
@@ -354,50 +375,52 @@ def _exact_quantities(draws: list, p: dict) -> dict:
     return out
 
 
-def verify_bound_suite(count: int, rng_or_seed: Union[int, np.random.Generator],
-                       instance_generator: Optional[Callable] = None) -> BoundViolationReport:
-    """Hunt for counterexamples to every inequality on random small instances.
+def _draw_block(rng: np.random.Generator, count: int,
+                instance_generator: Optional[Callable]) -> list:
+    """The next `count` _Draws of the suite's stream, in stream order.
 
-    For each instance the exact enumerated quantities are tested, with
-    tolerance 1e-9, against: the data-processing caps, the generic
-    privacy-budget cap, both mechanism-specific shrink caps, post-processing
-    monotonicity, mixture convexity, score-level information never exceeding
-    release-level information (with equality for the likelihood matcher),
-    two-release linear composition under full correlation and independence,
-    and the Fano error bounds against exact Bayes error.
-
-    Every instance is drawn first: the generator, then the hash bucket count,
-    the post-processing channel, the second budget and the mixture weight,
-    all from the one stream. The exact quantities are then evaluated a stack
-    of equal-shaped instances at a time, and violations are reported in
-    instance order, each instance's in the order of the checks above. A refused instance
-    raises the ValueError the per-instance functions raise; where several are
-    refused, the one raised need not be the earliest.
+    Each draw takes the instance, then the hash bucket count, the
+    post-processing channel, the second budget and the mixture weight. With
+    no generator the instance is `_draw_instance`'s arrays, and the checks
+    the objects of `random_small_instance` run are made on stacks of
+    equal-shaped draws, where its kernels are built too.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if isinstance(rng_or_seed, np.random.Generator):
-        rng = rng_or_seed
-    else:
-        rng = probcore.make_rng(int(rng_or_seed))
-    gen = instance_generator or random_small_instance
-
     draws = []
     for _ in range(count):
-        instance, epsilon = gen(rng)
-        pop = instance.population
-        n, size = pop.n, pop.data_alphabet().size
-        if instance.kernel.output_size != size:
-            raise ValueError("channel input alphabet must equal kernel output alphabet")
+        if instance_generator is None:
+            prior, cond, epsilon = _draw_instance(rng)
+            kernel = None
+        else:
+            instance, epsilon = instance_generator(rng)
+            pop = instance.population
+            prior, cond, kernel = pop.prior.p, pop.conditional_matrix(), instance.kernel.matrix
+            if instance.kernel.output_size != pop.data_alphabet().size:
+                raise ValueError("channel input alphabet must equal kernel output alphabet")
+        n, size = cond.shape
         g = int(rng.integers(2, 4))
         hashed = g ** size * n * size * g <= ENUMERATION_CAP and g ** size <= 4096
         out2 = int(rng.integers(2, 5))
         post = _dirichlet_rows(rng, size, out2).T
         eps2 = float(rng.uniform(0.0, 5.0))
         w = float(rng.random())
-        draws.append(_Draw(pop.prior.p, pop.conditional_matrix(), instance.kernel.matrix,
-                           epsilon, g, hashed, post, eps2, w))
+        draws.append(_Draw(prior, cond, kernel, epsilon, g, hashed, post, eps2, w))
+    if instance_generator is None:
+        for (n, size), idx, s in _stacks(draws, "prior cond epsilon", lambda d: d.cond.shape,
+                                         lambda n, size: n * size * size):
+            prior = probcore._checked_masses(s.prior, "distribution")
+            rows = probcore._checked_masses(s.cond.reshape(-1, size), "distribution")
+            cond = rows.reshape(s.cond.shape)
+            keep, leak = np.array([_keep_leak(e, size)[:2] for e in s.epsilon]).T
+            kernels = _checked_columns(_rr_matrices(keep, leak, size))
+            _check_shape(n, size, size, size)
+            for j, i in enumerate(idx):
+                draws[i] = draws[i]._replace(prior=prior[j], cond=cond[j], kernel=kernels[j])
+    return draws
 
+
+def _block_report(draws: list, first: int) -> tuple[int, list]:
+    """(checks run, violations) of a block of draws whose first instance has index `first`."""
+    count = len(draws)
     # closed-form caps and kernel probabilities, one instance at a time
     p = {name: np.zeros(count) for name in
          ("ldp", "theta", "rr", "composed", "theta_g", "glh", "keep", "leak", "keep2", "leak2")}
@@ -448,7 +471,45 @@ def verify_bound_suite(count: int, rng_or_seed: Union[int, np.random.Generator],
     names = list(claims)
     lhs, rhs, applies = (np.column_stack(side) for side in zip(*claims.values()))
     violated = applies & (lhs > rhs + TOL)
-    violations = tuple(Violation(int(i), names[c], float(lhs[i, c]), float(rhs[i, c]))
-                       for i, c in zip(*np.nonzero(violated)))
-    return BoundViolationReport(instances_checked=count, checks_run=int(applies.sum()),
-                                violations=violations)
+    violations = [Violation(first + int(i), names[c], float(lhs[i, c]), float(rhs[i, c]))
+                  for i, c in zip(*np.nonzero(violated))]
+    return int(applies.sum()), violations
+
+
+def verify_bound_suite(count: int, rng_or_seed: Union[int, np.random.Generator],
+                       instance_generator: Optional[Callable] = None) -> BoundViolationReport:
+    """Hunt for counterexamples to every inequality on random small instances.
+
+    For each instance the exact enumerated quantities are tested, with
+    tolerance 1e-9, against: the data-processing caps, the generic
+    privacy-budget cap, both mechanism-specific shrink caps, post-processing
+    monotonicity, mixture convexity, score-level information never exceeding
+    release-level information (with equality for the likelihood matcher),
+    two-release linear composition under full correlation and independence,
+    and the Fano error bounds against exact Bayes error.
+
+    Instances are drawn from the one stream BLOCK_INSTANCES at a time, so
+    memory does not grow with `count`. Each block is drawn whole, then its
+    exact quantities are evaluated a stack of equal-shaped instances at a
+    time. `instance_generator(rng)` returns (SmallInstance, epsilon); without
+    one, instances are drawn as `random_small_instance` draws them, as arrays.
+    Violations are reported in instance order, each instance's in the order
+    of the checks above. A refused instance raises the ValueError the
+    per-instance functions raise; where several are refused, the one raised
+    need not be the earliest.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if isinstance(rng_or_seed, np.random.Generator):
+        rng = rng_or_seed
+    else:
+        rng = probcore.make_rng(int(rng_or_seed))
+    checks, violations = 0, []
+    for first in range(0, count, BLOCK_INSTANCES):
+        # no name holds a block's draws, so they are freed before the next block is drawn
+        block_checks, block_violations = _block_report(
+            _draw_block(rng, min(BLOCK_INSTANCES, count - first), instance_generator), first)
+        checks += block_checks
+        violations += block_violations
+    return BoundViolationReport(instances_checked=count, checks_run=checks,
+                                violations=tuple(violations))

@@ -4,9 +4,10 @@
   (`__init__.py` is left out: it imports names to re-export them).
 - One function evaluates the pairwise hash: no other function reduces a
   value mod the hash modulus.
-- The instance loops of `oracle.verify_bound_suite` build no per-instance
-  exact quantity or channel object; every exact quantity is evaluated on
-  stacks of instances after the loops.
+- The instance loops of `oracle.verify_bound_suite` and of the functions
+  holding its draw and evaluation loops build no per-instance exact
+  quantity, distribution, population or channel object; every exact
+  quantity is evaluated on stacks of instances after the loops.
 """
 
 import ast
@@ -119,9 +120,21 @@ def other(fam, x, P):
 
 # calls the loops of the oracle suite must not make
 PER_INSTANCE_CALLS = {"exact_pie", "exact_pse", "exact_composed_pie", "mutual_information",
-                      "SmallInstance", "MechanismKernel"}
+                      "SmallInstance", "MechanismKernel", "CategoricalDistribution",
+                      "PopulationModel", "rr_kernel", "random_small_instance"}
+# the suite and the functions holding its draw and evaluation loops
+SUITE_FUNCTIONS = ("verify_bound_suite", "_draw_block", "_block_report")
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
+
+
+def called_names(call: ast.Call) -> set:
+    """The PER_INSTANCE_CALLS names a call makes: f(...), mod.f(...) or Cls.make(...)."""
+    func = call.func
+    names = {getattr(func, "id", None), getattr(func, "attr", None)}
+    if isinstance(func, ast.Attribute):
+        names |= {getattr(func.value, "id", None), getattr(func.value, "attr", None)}
+    return names & PER_INSTANCE_CALLS
 
 
 def per_instance_calls(tree: ast.Module, function: str = "verify_bound_suite"):
@@ -137,16 +150,15 @@ def per_instance_calls(tree: ast.Module, function: str = "verify_bound_suite"):
     for loop in (node for d in defs for node in ast.walk(d) if isinstance(node, LOOPS)):
         for call in ast.walk(loop):
             if isinstance(call, ast.Call):
-                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-                if name in PER_INSTANCE_CALLS:
-                    found.add((call.lineno, name))
+                found.update((call.lineno, name) for name in called_names(call))
     return sorted(found)
 
 
 def test_oracle_suite_loops_stay_stacked():
     path = PACKAGE / "oracle.py"
-    found = per_instance_calls(ast.parse(path.read_text(), filename=str(path)))
-    assert found == [], f"per-instance calls in the loops of verify_bound_suite: {found}"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = {function: per_instance_calls(tree, function) for function in SUITE_FUNCTIONS}
+    assert found == dict.fromkeys(SUITE_FUNCTIONS, []), f"per-instance calls in the loops: {found}"
 
 
 def test_per_instance_calls_finds_each_form():
@@ -158,6 +170,7 @@ def verify_bound_suite(count, x, xs):
         k = MechanismKernel(2, 2, a)
         while k:
             probcore.mutual_information(k)
+        pop = PopulationModel.single_datum(a, probcore.CategoricalDistribution.rows(2, k))
     total = [exact_composed_pie(i) for i in xs]
     return SmallInstance(total, k)
 def other():
@@ -166,5 +179,5 @@ def other():
 """
     assert per_instance_calls(ast.parse(source)) == [
         (5, "exact_pse"), (6, "MechanismKernel"), (8, "mutual_information"),
-        (9, "exact_composed_pie")]
+        (9, "CategoricalDistribution"), (9, "PopulationModel"), (10, "exact_composed_pie")]
     assert per_instance_calls(ast.parse("def other():\n    pass\n")) is None

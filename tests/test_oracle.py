@@ -4,6 +4,7 @@ violation to prove the checker can actually fail."""
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from reidrisk.oracle import (
     _bayes_errors,
     _composed_joints,
     _Draw,
+    _draw_block,
     _exact_quantities,
     _likelihood_labels,
     _likelihoods,
@@ -273,6 +275,71 @@ class TestRandomInstances:
             assert 2 <= inst.population.data_alphabet().size <= 6
             assert 0.0 <= eps <= 5.0
             assert inst.kernel is not None
+
+
+class TestSuiteDraws:
+    """The suite's array draws against the objects of random_small_instance."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.sampled_from([1, 64, 2 ** 14]))
+    def test_arrays_are_the_instances_draw_for_draw(self, seed, count, cells):
+        instances = []
+
+        def gen(rng):
+            instances.append(random_small_instance(rng))
+            return instances[-1]
+
+        arrays, objects = make_rng(seed), make_rng(seed)
+        oracle.STACK_CELLS, saved = cells, oracle.STACK_CELLS
+        try:
+            got = _draw_block(arrays, count, None)
+        finally:
+            oracle.STACK_CELLS = saved
+        want = _draw_block(objects, count, gen)
+        assert len(got) == len(instances) == count
+        for d, e, (inst, eps) in zip(got, want, instances):
+            pop = inst.population
+            for a, b in ((d.prior, pop.prior.p), (d.cond, pop.conditional_matrix()),
+                         (d.kernel, inst.kernel.matrix)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert d.epsilon == eps
+            assert (d.g, d.hashed, d.post.tobytes(), d.eps2, d.w) == \
+                (e.g, e.hashed, e.post.tobytes(), e.eps2, e.w)
+        assert arrays.random() == objects.random()
+
+
+def faulty_rows(fault, call):
+    """oracle._dirichlet_rows with `fault` planted in the last row of its `call`-th result."""
+    real = oracle._dirichlet_rows
+    calls = []
+
+    def rows(rng, n, cols):
+        out = real(rng, n, cols)
+        calls.append(1)
+        if len(calls) == call + 1:
+            out[-1, 0] = {"nan": np.nan, "negative": -out[-1, 0],
+                          "drift": out[-1, 0] + 1e-6}[fault]
+        return out
+    return rows
+
+
+class TestDrawRefusals:
+    # at seed 3, Dirichlet draws 9 and 10 (counted from 0) are the prior and
+    # the conditional of instance 3, one of several instances of its shape
+    @pytest.mark.parametrize("call", [9, 10])
+    @pytest.mark.parametrize("fault,message", [
+        ("nan", "^distribution mass nan is not finite$"),
+        ("negative", "^distribution has negative entries$"),
+        ("drift", r"^distribution mass 1\.000001\d* deviates from 1 by more than 1e-09$"),
+    ])
+    def test_planted_fault_raises_the_instances_error(self, monkeypatch, call, fault, message):
+        errors = []
+        for generator in (None, random_small_instance):
+            monkeypatch.setattr(oracle, "_dirichlet_rows", faulty_rows(fault, call))
+            with pytest.raises(ValueError, match=message) as err:
+                verify_bound_suite(20, 3, instance_generator=generator)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
 
 
 class TestVerifySuite:
@@ -530,6 +597,28 @@ class TestPinnedReports:
         monkeypatch.setattr(oracle, "STACK_CELLS", cells)
         assert [verify_bound_suite(80, 5).to_dict(),
                 verify_bound_suite(12, 99, instance_generator=planting_generator()).to_dict()] == want
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_small_blocks_give_the_same_report(self, monkeypatch, block):
+        want = [verify_bound_suite(80, 5).to_dict(),
+                verify_bound_suite(12, 99, instance_generator=planting_generator()).to_dict()]
+        monkeypatch.setattr(oracle, "BLOCK_INSTANCES", block)
+        assert [verify_bound_suite(80, 5).to_dict(),
+                verify_bound_suite(12, 99, instance_generator=planting_generator()).to_dict()] == want
+
+    def test_no_block_outlives_its_report(self, monkeypatch):
+        # memory stays flat in the count: a block's draws are freed before the next is drawn
+        monkeypatch.setattr(oracle, "BLOCK_INSTANCES", 5)
+        kernels, alive = [], []
+
+        def gen(rng):
+            alive.append(sum(ref() is not None for ref in kernels))
+            inst, eps = random_small_instance(rng)
+            kernels.append(weakref.ref(inst.kernel.matrix))
+            return inst, eps
+
+        verify_bound_suite(15, 3, instance_generator=gen)
+        assert alive == [0, 1, 2, 3, 4] * 3
 
     def test_nan_kernel_is_refused(self):
         def gen(rng):
