@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .probcore import SUM_TOL, Alphabet, _as_alphabet
+from .probcore import SUM_TOL, Alphabet, _as_alphabet, integer_symbols
 
 # smallest prime above 2^31; default modulus for the pairwise hash family
 PRODUCTION_PRIME = 2147483659
@@ -169,23 +169,6 @@ class GlhBatch:
 
     def __len__(self):
         return len(self.ys)
-
-
-def integer_symbols(values) -> np.ndarray:
-    """values as an int64 array; ValueError for any value that is not an int64 integer.
-
-    Signed integer input passes after a dtype check alone. Unsigned and float
-    input must equal its int64 cast, so 0.7 is refused where a plain cast
-    would silently read it as 0.
-    """
-    arr = np.asarray(values)
-    if arr.dtype.kind == "i":
-        return arr.astype(np.int64, copy=False)
-    with np.errstate(invalid="ignore"):  # a NaN or out-of-range float casts to garbage, refused below
-        ints = arr.astype(np.int64) if arr.dtype.kind in "uf" else None
-    if ints is None or not np.array_equal(ints, arr):
-        raise ValueError("symbols must be integers inside the 64-bit range")
-    return ints
 
 
 def rr_sample_batch(mech: RandomizedResponse, xs: np.ndarray, rng: np.random.Generator) -> RrBatch:

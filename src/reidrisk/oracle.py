@@ -3,8 +3,9 @@
 Everything the closed-form modules claim is recomputed here by exhaustive
 enumeration: exact identity information of a release, exact score-level
 information for a given matcher, exact Bayes error, and exact composed
-releases. Each instance carries exactly one channel kernel, so every exact
-quantity has one implementation; hashed randomization is the kernel of the
+releases. An instance is the prior p(u) and the rows p(x | u), as arrays,
+plus exactly one channel kernel, so every exact quantity has one
+implementation; hashed randomization is the kernel of the
 exhaustive hash family, with the hash member part of the release. A
 randomized checker draws many small random instances and verifies every
 inequality the package relies on, reporting violations as data rather than
@@ -14,8 +15,8 @@ Each exact quantity is computed by one kernel over a stack of instances
 (`_release_joints`, `_score_joints`, `_composed_joints` and
 `probcore._mutual_information_stack`); the public per-instance functions
 are stacks of one. The checker draws its instances BLOCK_INSTANCES at a
-time, as arrays: the checks the instance objects would run are made once
-per stack of equal-shaped draws. It then groups each block's instances by
+time, as arrays: the checks `SmallInstance` would run are made once per
+stack of equal-shaped draws. It then groups each block's instances by
 shape and evaluates each quantity in one array pass per group, a group cut
 into stacks of at most STACK_CELLS cells per array. Traced through
 `bench/run.py --workload verify` on a 2-core x86-64 host, this costs
@@ -34,7 +35,6 @@ import numpy as np
 from . import bounds, probcore
 from .mechanisms import (ExhaustiveTable, MechanismKernel, _checked_columns, _keep_leak,
                          _rr_matrices, rr_kernel)
-from .probcore import CategoricalDistribution, PopulationModel
 
 MAX_USERS = 8
 MAX_SYMBOLS = 8
@@ -50,20 +50,31 @@ BLOCK_INSTANCES = 2 ** 12
 class SmallInstance:
     """An enumerable population plus the one channel `kernel` that releases its data.
 
-    Every mechanism is a kernel here: hashed randomization enters as
-    `ExhaustiveTable(size, g).kernel(epsilon)`, whose outputs are the pairs
-    (hash member, bucket). `pair_conditional` optionally carries
-    p(x1, x2 | u) for two-release composition checks.
+    The population is the prior p(u) over n users and the rows p(x | u) of
+    `cond`, shape (n, size); each is checked as a distribution and tiny
+    drift is renormalized. Every mechanism is a kernel here: hashed
+    randomization enters as `ExhaustiveTable(size, g).kernel(epsilon)`,
+    whose outputs are the pairs (hash member, bucket). `pair_conditional`
+    optionally carries p(x1, x2 | u) for two-release composition checks.
     """
 
-    population: PopulationModel
+    prior: np.ndarray
+    cond: np.ndarray
     kernel: MechanismKernel
     pair_conditional: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        n = self.population.n
-        size = self.population.data_alphabet().size
+        prior = np.asarray(self.prior, dtype=np.float64)
+        cond = np.asarray(self.cond, dtype=np.float64)
+        if cond.ndim != 2 or prior.shape != cond.shape[:1]:
+            raise ValueError("need exactly one data model per user")
+        n, size = cond.shape
+        prior = np.array(probcore._checked_masses(prior[None], "distribution")[0])
+        cond = np.array(probcore._checked_masses(cond, "distribution"))
         _check_shape(n, size, self.kernel.input_size, self.kernel.output_size)
+        for name, value in (("prior", prior), ("cond", cond)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         if self.pair_conditional is not None:
             pj = np.asarray(self.pair_conditional, dtype=np.float64)
             if pj.shape != (n, size, size):
@@ -92,8 +103,7 @@ def _checked_pairs(pairs: np.ndarray) -> None:
 
 def _stack_of_one(instance: SmallInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(prior, p(x | u), kernel matrix) of one instance, each with a leading axis of 1."""
-    pop = instance.population
-    return pop.prior.p[None], pop.conditional_matrix()[None], instance.kernel.matrix[None]
+    return instance.prior[None], instance.cond[None], instance.kernel.matrix[None]
 
 
 def _release_joints(prior: np.ndarray, cond: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -195,7 +205,7 @@ def exact_composed_pie(instance: SmallInstance, t: int = 2) -> float:
         raise ValueError("instance carries no pair conditional")
     prior, _, q = _stack_of_one(instance)
     out, size = q.shape[1:]
-    if instance.population.n * (size * out) ** 2 > ENUMERATION_CAP:
+    if len(instance.prior) * (size * out) ** 2 > ENUMERATION_CAP:
         raise ValueError("composed enumeration exceeds the size cap")
     joints = _composed_joints(prior, instance.pair_conditional[None], q)
     return float(probcore._mutual_information_stack(joints)[0])
@@ -262,10 +272,7 @@ def _draw_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, fl
 def random_small_instance(rng: np.random.Generator) -> tuple[SmallInstance, float]:
     """One random instance released by randomized response, and its budget."""
     prior, cond, epsilon = _draw_instance(rng)
-    n, size = cond.shape
-    population = PopulationModel.single_datum(CategoricalDistribution(n, prior),
-                                              CategoricalDistribution.rows(size, cond))
-    return SmallInstance(population=population, kernel=rr_kernel(epsilon, size)), epsilon
+    return SmallInstance(prior, cond, rr_kernel(epsilon, cond.shape[1])), epsilon
 
 
 class _Draw(NamedTuple):
@@ -382,8 +389,8 @@ def _draw_block(rng: np.random.Generator, count: int,
     Each draw takes the instance, then the hash bucket count, the
     post-processing channel, the second budget and the mixture weight. With
     no generator the instance is `_draw_instance`'s arrays, and the checks
-    the objects of `random_small_instance` run are made on stacks of
-    equal-shaped draws, where its kernels are built too.
+    `random_small_instance`'s SmallInstance and kernel run are made on
+    stacks of equal-shaped draws, where its kernels are built too.
     """
     draws = []
     for _ in range(count):
@@ -392,9 +399,8 @@ def _draw_block(rng: np.random.Generator, count: int,
             kernel = None
         else:
             instance, epsilon = instance_generator(rng)
-            pop = instance.population
-            prior, cond, kernel = pop.prior.p, pop.conditional_matrix(), instance.kernel.matrix
-            if instance.kernel.output_size != pop.data_alphabet().size:
+            prior, cond, kernel = instance.prior, instance.cond, instance.kernel.matrix
+            if instance.kernel.output_size != cond.shape[1]:
                 raise ValueError("channel input alphabet must equal kernel output alphabet")
         n, size = cond.shape
         g = int(rng.integers(2, 4))

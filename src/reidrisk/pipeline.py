@@ -28,7 +28,7 @@ from . import bounds, estimation, probcore, pse, reid
 from .mechanisms import (MAX_BUCKETS, GeneralLocalHash, RandomizedResponse, glh_sample_batch,
                          rr_sample_batch)
 from .probcore import (Alphabet, CategoricalDistribution, MarkovSource,
-                       PopulationModel)
+                       PopulationModel, integer_symbols)
 
 
 class DataError(Exception):
@@ -58,7 +58,10 @@ class TraceDataset:
             raise DataError("dataset holds no users")
         cleaned = []
         for i, t in enumerate(self.traces):
-            arr = np.asarray(t, dtype=np.int64)
+            try:
+                arr = integer_symbols(t)
+            except ValueError:
+                raise DataError(f"user {i} trace holds a non-integer symbol") from None
             if arr.size < 1:
                 raise DataError(f"user {i} has an empty trace")
             if arr.min() < 0 or arr.max() >= self.alphabet.size:

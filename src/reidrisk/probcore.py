@@ -2,7 +2,9 @@
 
 All information quantities are reported in bits; natural-log intermediates
 are converted by dividing by ln 2. Distributions and joint distributions
-are dense numpy arrays.
+are dense numpy arrays. A `PopulationModel` holds one Markov chain per
+user; single data stay arrays: p(x | u) rows in `oracle.SmallInstance`,
+one probe symbol per user in `reid`.
 
 Every draw of a symbol from a probability table goes through `inverse_cdf`,
 and every Markov chain steps through `step_chains`, all chains of a
@@ -75,6 +77,23 @@ def _as_alphabet(a: Union[Alphabet, int]) -> Alphabet:
     return a if isinstance(a, Alphabet) else Alphabet(int(a))
 
 
+def integer_symbols(values) -> np.ndarray:
+    """values as an int64 array; ValueError for any value that is not an int64 integer.
+
+    Signed integer input passes after a dtype check alone. Unsigned and float
+    input must equal its int64 cast, so 0.7 is refused where a plain cast
+    would silently read it as 0.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind == "i":
+        return arr.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):  # a NaN or out-of-range float casts to garbage, refused below
+        ints = arr.astype(np.int64) if arr.dtype.kind in "uf" else None
+    if ints is None or not np.array_equal(ints, arr):
+        raise ValueError("symbols must be integers inside the 64-bit range")
+    return ints
+
+
 def _checked_masses(stack: np.ndarray, what: str) -> np.ndarray:
     """Validate each stack[i] as one mass; renormalize tiny drift, reject more.
 
@@ -122,24 +141,6 @@ class CategoricalDistribution:
         return self.alphabet.size
 
     @classmethod
-    def rows(cls, alphabet: Union[Alphabet, int], matrix) -> list["CategoricalDistribution"]:
-        """One distribution per row of `matrix`, the rows checked in one pass."""
-        alphabet = _as_alphabet(alphabet)
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[1] != alphabet.size:
-            raise ValueError(f"probability rows shape {m.shape} does not match "
-                             f"alphabet size {alphabet.size}")
-        m = np.array(_checked_masses(m, "distribution"), copy=True)
-        m.setflags(write=False)
-        out = []
-        for row in m:
-            d = object.__new__(cls)
-            object.__setattr__(d, "alphabet", alphabet)
-            object.__setattr__(d, "p", row)
-            out.append(d)
-        return out
-
-    @classmethod
     def uniform(cls, alphabet: Union[Alphabet, int]) -> "CategoricalDistribution":
         alphabet = _as_alphabet(alphabet)
         return cls(alphabet, np.full(alphabet.size, 1.0 / alphabet.size))
@@ -153,13 +154,6 @@ class CategoricalDistribution:
 
     def __repr__(self):
         return f"CategoricalDistribution(size={self.size})"
-
-
-@dataclass(frozen=True)
-class SingleDatum:
-    """Per-user data model that emits one symbol per release."""
-
-    dist: CategoricalDistribution
 
 
 @dataclass(frozen=True)
@@ -196,9 +190,11 @@ class MarkovSource:
         if self.trace_len < 1:
             raise ValueError("trace length must be >= 1")
         if self.support is not None:
-            sup = np.asarray(self.support, dtype=np.int64)
+            sup = integer_symbols(self.support)
             if sup.size != init.size:
                 raise ValueError("support size must match chain dimension")
+            if (sup < 0).any():
+                raise ValueError("support symbols must be non-negative")
             object.__setattr__(self, "support", sup)
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "transitions", trans)
@@ -206,7 +202,10 @@ class MarkovSource:
 
 @dataclass(frozen=True)
 class PopulationModel:
-    """User prior plus one data model per user: the joint law of (U, X)."""
+    """User prior plus one Markov chain per user: the joint law of (U, trace).
+
+    The chains must share one dimension and one trace length.
+    """
 
     n: int
     prior: CategoricalDistribution
@@ -219,26 +218,8 @@ class PopulationModel:
             raise ValueError("prior must be a distribution over the n users")
         if len(self.models) != self.n:
             raise ValueError("need exactly one data model per user")
+        _chain_shape(self.models)
         object.__setattr__(self, "models", tuple(self.models))
-
-    @classmethod
-    def single_datum(cls, prior: CategoricalDistribution, dists: Sequence[CategoricalDistribution]) -> "PopulationModel":
-        return cls(prior.size, prior, tuple(SingleDatum(d) for d in dists))
-
-    def data_alphabet(self) -> Alphabet:
-        m = self.models[0]
-        if isinstance(m, SingleDatum):
-            return m.dist.alphabet
-        raise ValueError("population has no single shared data alphabet")
-
-    def conditional_matrix(self) -> np.ndarray:
-        """Stack p(x | u) rows for single-datum populations: shape (n, |X|)."""
-        rows = []
-        for m in self.models:
-            if not isinstance(m, SingleDatum):
-                raise ValueError("conditional matrix is defined for single-datum models only")
-            rows.append(m.dist.p)
-        return np.array(rows)
 
 
 def entropy(d: CategoricalDistribution) -> float:
@@ -349,8 +330,7 @@ def step_chains(initial: np.ndarray, transitions: np.ndarray, length: int,
 def _chain_shape(models: Sequence) -> tuple[int, int]:
     """The (dimension, trace length) that every model shares; ValueError unless all are chains."""
     if not all(isinstance(m, MarkovSource) for m in models):
-        raise ValueError("every data model must be a MarkovSource; a population "
-                         "cannot mix single data and traces")
+        raise ValueError("every data model must be a MarkovSource")
     shapes = {(m.initial.size, m.trace_len) for m in models}
     if len(shapes) != 1:
         raise ValueError("chains must share one dimension and one trace length")

@@ -311,16 +311,15 @@ def simulate_score_trials(population: PopulationModel, mechanism,
     """Draw (user, trace, release) triples and score each released trace.
 
     Returns (true_users, scores) with scores of shape (trials, n). The
-    population must hold chains of one dimension and one trace length, and the
-    mechanism is None or RR; single data go through `probe_score_trials`. The
-    draws are all users, then all chains stepped in lockstep, then one release
-    of every trial's symbols.
+    population's chains share one dimension and one trace length, and the
+    mechanism is None or RR; single data are probes for `probe_score_trials`.
+    The draws are all users, then all chains stepped in lockstep, then one
+    release of every trial's symbols.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if len(profiles) != population.n:
         raise ValueError("need one profile per user")
-    probcore._chain_shape(population.models)  # refuses single data and mixed or ragged chains
     if isinstance(mechanism, GeneralLocalHash):
         raise ValueError("hashed releases of whole traces are not supported; "
                          "use single-datum probes for the hashed mechanism")

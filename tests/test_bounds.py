@@ -25,7 +25,7 @@ from reidrisk.bounds import (
     pie_bound_rr,
 )
 from reidrisk.oracle import SmallInstance, exact_pie
-from reidrisk.probcore import CategoricalDistribution, PopulationModel, entropy, mutual_information
+from reidrisk.probcore import CategoricalDistribution, entropy, mutual_information
 
 # A population / alphabet scale used throughout: about 1.37 million users
 # releasing symbols from a 10.5-million-point domain.
@@ -223,14 +223,9 @@ class TestUtilityOptimalBuckets:
 class TestDataProcessingCap:
     # I(U;X) caps the identity information of any release computed from X alone
     def test_cap_bounds_identity_information(self):
-        prior = CategoricalDistribution(3, [0.2, 0.5, 0.3])
-        dists = [
-            CategoricalDistribution(4, [0.7, 0.1, 0.1, 0.1]),
-            CategoricalDistribution(4, [0.1, 0.7, 0.1, 0.1]),
-            CategoricalDistribution(4, [0.25, 0.25, 0.25, 0.25]),
-        ]
-        pop = PopulationModel.single_datum(prior, dists)
-        joint = prior.p[:, None] * pop.conditional_matrix()
+        prior = np.array([0.2, 0.5, 0.3])
+        cond = np.array([[0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1], [0.25, 0.25, 0.25, 0.25]])
+        joint = prior[:, None] * cond
         h_x = entropy(CategoricalDistribution(4, joint.sum(axis=0)))
         assert mutual_information(joint) <= min(math.log2(3), math.log2(4), h_x) + 1e-12
 
@@ -238,15 +233,9 @@ class TestDataProcessingCap:
         # Any channel on X can only lose information about U.
         from reidrisk.mechanisms import rr_kernel
 
-        prior = CategoricalDistribution.uniform(3)
-        dists = [
-            CategoricalDistribution.point_mass(3, 0),
-            CategoricalDistribution.point_mass(3, 1),
-            CategoricalDistribution.point_mass(3, 2),
-        ]
-        pop = PopulationModel.single_datum(prior, dists)
-        inst_rr = SmallInstance(population=pop, kernel=rr_kernel(1.0, 3))
-        i_ux = mutual_information(prior.p[:, None] * pop.conditional_matrix())
+        prior, cond = np.full(3, 1 / 3), np.eye(3)
+        inst_rr = SmallInstance(prior, cond, rr_kernel(1.0, 3))
+        i_ux = mutual_information(prior[:, None] * cond)
         assert exact_pie(inst_rr) <= i_ux + 1e-12
 
 

@@ -170,7 +170,7 @@ def verify_bound_suite(count, x, xs):
         k = MechanismKernel(2, 2, a)
         while k:
             probcore.mutual_information(k)
-        pop = PopulationModel.single_datum(a, probcore.CategoricalDistribution.rows(2, k))
+        pop = PopulationModel.make(2, probcore.CategoricalDistribution.uniform(2), k)
     total = [exact_composed_pie(i) for i in xs]
     return SmallInstance(total, k)
 def other():

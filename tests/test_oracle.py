@@ -37,33 +37,30 @@ from reidrisk.oracle import (
     random_small_instance,
     verify_bound_suite,
 )
-from reidrisk.probcore import (CategoricalDistribution, PopulationModel, _mutual_information_stack,
-                               make_rng, mutual_information)
+from reidrisk.probcore import (CategoricalDistribution, _mutual_information_stack, make_rng,
+                               mutual_information)
 
 # KL(Bernoulli(3/4) || Bernoulli(1/2)) = 1 - H(3/4), frozen.
 ONE_MINUS_H34 = 0.18872187554086714
 
 
-def two_point_mass_population():
-    prior = CategoricalDistribution.uniform(2)
-    dists = [CategoricalDistribution.point_mass(2, 0), CategoricalDistribution.point_mass(2, 1)]
-    return PopulationModel.single_datum(prior, dists)
+def two_point_masses():
+    """(prior, p(x | u)) of two equally likely users, each always holding its own symbol."""
+    return np.full(2, 0.5), np.eye(2)
 
 
-def reference_joint_uhy(population, epsilon, g):
+def reference_joint_uhy(prior, cond, epsilon, g):
     """Joint p(u, (h, y)) of a hashed release, built member by member without a kernel.
 
     Outputs are ordered member-major: column f*g + b is member f, bucket b.
     """
-    size = population.data_alphabet().size
-    fam = ExhaustiveTable(size, g)
+    fam = ExhaustiveTable(cond.shape[1], g)
     onehot = np.eye(g)[fam.all_tables() - 1]  # (#funcs, size, g)
-    cond = population.conditional_matrix()
     bucket_q = rr_kernel(epsilon, g).matrix
     z_given_uh = np.einsum("ux,fxg->fug", cond, onehot)
     y_given_uh = np.einsum("fug,bg->fub", z_given_uh, bucket_q)
-    joint = y_given_uh.transpose(1, 0, 2).reshape(population.n, -1)
-    return population.prior.p[:, None] * joint / fam.count
+    joint = y_given_uh.transpose(1, 0, 2).reshape(len(prior), -1)
+    return prior[:, None] * joint / fam.count
 
 
 def reference_score_information(joint, prior, matcher):
@@ -76,63 +73,92 @@ def reference_score_information(joint, prior, matcher):
     return mutual_information(quotient)
 
 
-def hashed_instance(population, epsilon, g, **kwargs):
-    size = population.data_alphabet().size
-    return SmallInstance(population=population, kernel=ExhaustiveTable(size, g).kernel(epsilon),
-                         **kwargs)
+def hashed_instance(prior, cond, epsilon, g, **kwargs):
+    return SmallInstance(prior, cond, ExhaustiveTable(cond.shape[1], g).kernel(epsilon), **kwargs)
+
+
+# (prior, p(x | u), kernel, message) of refused instances, one fault each
+REFUSED_INSTANCES = {
+    "negative_prior_entry": ([1.5, -0.5], np.eye(2), rr_kernel(1.0, 2),
+                             "^distribution has negative entries$"),
+    "negative_row_entry": ([0.5, 0.5], [[0.5, 0.5], [1.1, -0.1]], rr_kernel(1.0, 2),
+                           "^distribution has negative entries$"),
+    "nan_row": ([0.5, 0.5], [[0.5, 0.5], [np.nan, 1.0]], rr_kernel(1.0, 2),
+                "^distribution mass nan is not finite$"),
+    "row_off_by_1e-6": ([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5 + 1e-6]], rr_kernel(1.0, 2),
+                        r"^distribution mass 1\.000001\d* deviates from 1 by more than 1e-09$"),
+    "users_disagree": (np.full(3, 1 / 3), np.eye(2), rr_kernel(1.0, 2),
+                       "^need exactly one data model per user$"),
+    "kernel_input_not_size": ([0.5, 0.5], np.eye(2), rr_kernel(1.0, 3),
+                              "^kernel input alphabet does not match the population$"),
+    "nine_users": (np.full(9, 1 / 9), np.eye(2)[[0] * 9], rr_kernel(1.0, 2),
+                   "^instance too large: n=9, size=2$"),
+    "nine_symbols": ([1.0], np.eye(9)[[0]], rr_kernel(1.0, 9),
+                     "^instance too large: n=1, size=9$"),
+}
 
 
 class TestSmallInstance:
+    @pytest.mark.parametrize("case", REFUSED_INSTANCES.values(), ids=REFUSED_INSTANCES.keys())
+    def test_refuses_each_fault(self, case):
+        prior, cond, kernel, message = case
+        with pytest.raises(ValueError, match=message):
+            SmallInstance(prior, cond, kernel)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_tiny_drift_is_renormalized_as_each_distribution(self, n, size, seed):
+        # every mass off 1 by up to 1e-12 is divided out as CategoricalDistribution divides it
+        rng = np.random.default_rng(seed)
+        prior = rng.dirichlet(np.ones(n)) * (1 + rng.uniform(-1e-12, 1e-12))
+        cond = rng.dirichlet(np.ones(size), size=n) * (1 + rng.uniform(-1e-12, 1e-12, (n, 1)))
+        inst = SmallInstance(prior, cond, MechanismKernel.identity(size))
+        assert inst.prior.tobytes() == CategoricalDistribution(n, prior).p.tobytes()
+        assert inst.cond.tobytes() == np.stack([CategoricalDistribution(size, r).p for r in cond]).tobytes()
+        assert not (inst.prior.flags.writeable or inst.cond.flags.writeable)
+
     def test_size_caps(self):
-        prior = CategoricalDistribution.uniform(9)
-        dists = [CategoricalDistribution.point_mass(2, 0)] * 9
-        pop = PopulationModel.single_datum(prior, dists)
         with pytest.raises(ValueError):
-            SmallInstance(population=pop, kernel=rr_kernel(1.0, 2))
+            SmallInstance(np.full(9, 1 / 9), np.eye(2)[[0] * 9], rr_kernel(1.0, 2))
 
     def test_kernel_alphabet_must_match(self):
         with pytest.raises(ValueError):
-            SmallInstance(population=two_point_mass_population(), kernel=rr_kernel(1.0, 3))
+            SmallInstance(*two_point_masses(), rr_kernel(1.0, 3))
 
     def test_pair_conditional_validation(self):
-        pop = two_point_mass_population()
         with pytest.raises(ValueError):
-            SmallInstance(population=pop, kernel=rr_kernel(1.0, 2),
+            SmallInstance(*two_point_masses(), rr_kernel(1.0, 2),
                           pair_conditional=np.ones((2, 2, 2)))
         ok = np.zeros((2, 2, 2))
         ok[0, 0, 0] = 1.0
         ok[1, 1, 1] = 1.0
-        SmallInstance(population=pop, kernel=rr_kernel(1.0, 2), pair_conditional=ok)
+        SmallInstance(*two_point_masses(), rr_kernel(1.0, 2), pair_conditional=ok)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_pair_conditional_with_a_non_finite_entry_is_refused(self, bad):
-        pop = two_point_mass_population()
         with pytest.raises(ValueError, match="pair conditional must be a distribution"):
-            SmallInstance(population=pop, kernel=rr_kernel(1.0, 2),
+            SmallInstance(*two_point_masses(), rr_kernel(1.0, 2),
                           pair_conditional=np.full((2, 2, 2), bad))
         one = np.zeros((2, 2, 2))
         one[:, 0, 0] = 1.0
         one[0, 1, 1] = bad
         with pytest.raises(ValueError, match="pair conditional must be a distribution"):
-            SmallInstance(population=pop, kernel=rr_kernel(1.0, 2), pair_conditional=one)
+            SmallInstance(*two_point_masses(), rr_kernel(1.0, 2), pair_conditional=one)
 
 
 class TestExactRelease:
     def test_binary_rr_frozen_value(self):
         # Two distinguishable users through binary RR at eps = ln 3:
         # I(U; Y) = 1 - H(3/4).
-        inst = SmallInstance(population=two_point_mass_population(),
-                             kernel=rr_kernel(math.log(3.0), 2))
+        inst = SmallInstance(*two_point_masses(), rr_kernel(math.log(3.0), 2))
         assert math.isclose(exact_pie(inst), ONE_MINUS_H34, rel_tol=1e-13)
 
     def test_clear_release_discloses_full_identity(self):
-        inst = SmallInstance(population=two_point_mass_population(),
-                             kernel=MechanismKernel.identity(2))
+        inst = SmallInstance(*two_point_masses(), MechanismKernel.identity(2))
         assert math.isclose(exact_pie(inst), 1.0, rel_tol=1e-13)
 
     def test_uniform_channel_discloses_nothing(self):
-        inst = SmallInstance(population=two_point_mass_population(),
-                             kernel=rr_kernel(0.0, 2))
+        inst = SmallInstance(*two_point_masses(), rr_kernel(0.0, 2))
         assert abs(exact_pie(inst)) < 1e-13
 
     def test_hashed_release_halves_binary_disclosure(self):
@@ -141,9 +167,8 @@ class TestExactRelease:
         # Hash choice is independent of identity, so
         # I(U; H, Y) = E_h I(U; Y | h) = 0.5 * I_binary_rr.
         eps = math.log(3.0)
-        pop = two_point_mass_population()
-        glh = hashed_instance(pop, eps, 2)
-        rr = SmallInstance(population=pop, kernel=rr_kernel(eps, 2))
+        glh = hashed_instance(*two_point_masses(), eps, 2)
+        rr = SmallInstance(*two_point_masses(), rr_kernel(eps, 2))
         assert glh.kernel.output_size == 8
         assert math.isclose(exact_pie(glh), 0.5 * exact_pie(rr), rel_tol=1e-12)
         assert math.isclose(exact_pie(glh), 0.5 * ONE_MINUS_H34, rel_tol=1e-12)
@@ -162,14 +187,12 @@ class TestHashedKernel:
         checked = 0
         while checked < 200:
             inst, eps = random_small_instance(rng)
-            pop = inst.population
-            size = pop.data_alphabet().size
+            prior, cond = inst.prior, inst.cond
             g = int(rng.integers(2, 4))
-            if g ** size > 4096:
+            if g ** cond.shape[1] > 4096:
                 continue
-            hashed = hashed_instance(pop, eps, g)
-            ref = reference_joint_uhy(pop, eps, g)
-            prior = pop.prior.p
+            hashed = hashed_instance(prior, cond, eps, g)
+            ref = reference_joint_uhy(prior, cond, eps, g)
             assert abs(exact_pie(hashed) - mutual_information(ref)) <= 1e-12
             for matcher in (likelihood_matcher, constant_matcher):
                 got = exact_pse(hashed, matcher).information_bits
@@ -183,12 +206,11 @@ class TestHashedKernel:
         checked = 0
         while checked < 10:
             inst, eps = random_small_instance(rng)
-            pop = inst.population
-            if pop.data_alphabet().size > 3:
+            cond = inst.cond
+            if cond.shape[1] > 3:
                 continue
-            cond = pop.conditional_matrix()
             pair = cond[:, :, None] * cond[:, None, :]
-            hashed = hashed_instance(pop, eps, 2, pair_conditional=pair)
+            hashed = hashed_instance(inst.prior, cond, eps, 2, pair_conditional=pair)
             one = exact_pie(hashed)
             two = exact_composed_pie(hashed, t=2)
             assert one - 1e-12 <= two <= 2 * one + 1e-12
@@ -205,17 +227,12 @@ class TestExactScores:
         rng = make_rng(3)
         cond = rng.random((3, 4))
         cond /= cond.sum(axis=1, keepdims=True)
-        pop = PopulationModel.single_datum(
-            CategoricalDistribution.uniform(3),
-            [CategoricalDistribution(4, row) for row in cond],
-        )
-        inst = SmallInstance(population=pop, kernel=rr_kernel(1.3, 4))
+        inst = SmallInstance(np.full(3, 1 / 3), cond, rr_kernel(1.3, 4))
         rep = exact_pse(inst, likelihood_matcher)
         assert math.isclose(rep.information_bits, exact_pie(inst), rel_tol=1e-11)
 
     def test_coarser_matchers_lose_information_and_accuracy(self):
-        inst = SmallInstance(population=two_point_mass_population(),
-                             kernel=rr_kernel(1.0, 2))
+        inst = SmallInstance(*two_point_masses(), rr_kernel(1.0, 2))
         suff = exact_pse(inst, likelihood_matcher)
         coarse = exact_pse(inst, argmax_matcher)
         const = exact_pse(inst, constant_matcher)
@@ -226,22 +243,20 @@ class TestExactScores:
     def test_argmax_matcher_on_binary_instance_keeps_everything(self):
         # With 2 symmetric users the argmax of the likelihood column is a
         # sufficient statistic of the release.
-        inst = SmallInstance(population=two_point_mass_population(),
-                             kernel=rr_kernel(math.log(3.0), 2))
+        inst = SmallInstance(*two_point_masses(), rr_kernel(math.log(3.0), 2))
         coarse = exact_pse(inst, argmax_matcher)
         assert math.isclose(coarse.information_bits, ONE_MINUS_H34, rel_tol=1e-12)
 
 
 class TestExactComposition:
     def _paired_instance(self, eps, correlated):
-        pop = two_point_mass_population()
-        cond = pop.conditional_matrix()
+        prior, cond = two_point_masses()
         if correlated:
             pair = np.zeros((2, 2, 2))
             pair[:, np.arange(2), np.arange(2)] = cond
         else:
             pair = cond[:, :, None] * cond[:, None, :]
-        return SmallInstance(population=pop, kernel=rr_kernel(eps, 2), pair_conditional=pair)
+        return SmallInstance(prior, cond, rr_kernel(eps, 2), pair_conditional=pair)
 
     def test_t1_is_single_release(self):
         inst = self._paired_instance(1.0, correlated=True)
@@ -261,7 +276,7 @@ class TestExactComposition:
         inst = self._paired_instance(1.0, correlated=False)
         with pytest.raises(ValueError):
             exact_composed_pie(inst, t=3)
-        no_pair = SmallInstance(population=two_point_mass_population(), kernel=rr_kernel(1.0, 2))
+        no_pair = SmallInstance(*two_point_masses(), rr_kernel(1.0, 2))
         with pytest.raises(ValueError):
             exact_composed_pie(no_pair, t=2)
 
@@ -271,8 +286,8 @@ class TestRandomInstances:
         rng = make_rng(55)
         for _ in range(50):
             inst, eps = random_small_instance(rng)
-            assert 2 <= inst.population.n <= 6
-            assert 2 <= inst.population.data_alphabet().size <= 6
+            assert 2 <= inst.cond.shape[0] <= 6
+            assert 2 <= inst.cond.shape[1] <= 6
             assert 0.0 <= eps <= 5.0
             assert inst.kernel is not None
 
@@ -298,9 +313,7 @@ class TestSuiteDraws:
         want = _draw_block(objects, count, gen)
         assert len(got) == len(instances) == count
         for d, e, (inst, eps) in zip(got, want, instances):
-            pop = inst.population
-            for a, b in ((d.prior, pop.prior.p), (d.cond, pop.conditional_matrix()),
-                         (d.kernel, inst.kernel.matrix)):
+            for a, b in ((d.prior, inst.prior), (d.cond, inst.cond), (d.kernel, inst.kernel.matrix)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
             assert d.epsilon == eps
             assert (d.g, d.hashed, d.post.tobytes(), d.eps2, d.w) == \
@@ -367,8 +380,7 @@ class TestVerifySuite:
 
         def gen(rng):
             calls.append(1)
-            inst = SmallInstance(population=two_point_mass_population(),
-                                 kernel=rr_kernel(1.0, 2))
+            inst = SmallInstance(*two_point_masses(), rr_kernel(1.0, 2))
             return inst, 1.0
 
         rep = verify_bound_suite(4, 0, instance_generator=gen)
@@ -378,8 +390,7 @@ class TestVerifySuite:
         # Lie about the privacy level: a nearly clear channel claimed to run
         # at epsilon = 0.01 must blow through the generic budget cap.
         def liar(rng):
-            inst = SmallInstance(population=two_point_mass_population(),
-                                 kernel=rr_kernel(5.0, 2))
+            inst = SmallInstance(*two_point_masses(), rr_kernel(5.0, 2))
             return inst, 0.01
 
         rep = verify_bound_suite(1, 0, instance_generator=liar)
@@ -408,9 +419,9 @@ def shaped_instances(seed, count, n, size, out, point_prior, point_rows, equal_c
     instances = []
     for _ in range(count):
         if point_prior:
-            prior = CategoricalDistribution.point_mass(n, int(rng.integers(n)))
+            prior = CategoricalDistribution.point_mass(n, int(rng.integers(n))).p
         else:
-            prior = CategoricalDistribution(n, rng.dirichlet(np.ones(n)))
+            prior = rng.dirichlet(np.ones(n))
         cond = rng.dirichlet(np.ones(size), size=n)
         if point_rows:
             cond[: n // 2 + 1] = np.eye(size)[rng.integers(0, size, n // 2 + 1)]
@@ -418,8 +429,7 @@ def shaped_instances(seed, count, n, size, out, point_prior, point_rows, equal_c
         if equal_columns and out > 1:
             q[1] = q[0]
             q /= q.sum(axis=0)
-        pop = PopulationModel.single_datum(prior, CategoricalDistribution.rows(size, cond))
-        instances.append(SmallInstance(population=pop, kernel=MechanismKernel(size, out, q)))
+        instances.append(SmallInstance(prior, cond, MechanismKernel(size, out, q)))
     return instances
 
 
@@ -436,8 +446,8 @@ class TestStackedKernels:
     @given(instance_shapes)
     def test_stack_matches_batch_of_one(self, shape):
         instances = shaped_instances(**shape)
-        prior = np.stack([i.population.prior.p for i in instances])
-        cond = np.stack([i.population.conditional_matrix() for i in instances])
+        prior = np.stack([i.prior for i in instances])
+        cond = np.stack([i.cond for i in instances])
         q = np.stack([i.kernel.matrix for i in instances])
         joints = _release_joints(prior, cond, q)
         likelihood = _likelihoods(prior, joints)
@@ -457,8 +467,7 @@ class TestStackedKernels:
                                   ("argmax", argmax_matcher), ("constant", constant_matcher)):
                 assert abs(info[name][b] - exact_pse(inst, matcher).information_bits) <= 1e-12
             assert abs(error[b] - exact_pse(inst, likelihood_matcher).bayes_error) <= 1e-12
-            paired = SmallInstance(population=inst.population, kernel=inst.kernel,
-                                   pair_conditional=pairs[b])
+            paired = SmallInstance(inst.prior, inst.cond, inst.kernel, pair_conditional=pairs[b])
             assert abs(composed[b] - exact_composed_pie(paired)) <= 1e-12
             # the stacked groups are the matchers' groups
             columns = [likelihood[b, :, y] for y in range(joints.shape[2])]
@@ -475,16 +484,14 @@ class TestStackedKernels:
         instances, draws = [], []
         for _ in range(12):
             inst, eps = random_small_instance(rng)
-            pop = inst.population
-            n, size = pop.n, pop.data_alphabet().size
+            n, size = inst.cond.shape
             if rng.random() < 0.3:
                 cond = np.eye(size)[rng.integers(0, size, n)]
-                prior = CategoricalDistribution.point_mass(n, 0) if rng.random() < 0.5 else pop.prior
-                pop = PopulationModel.single_datum(prior, CategoricalDistribution.rows(size, cond))
-                inst = SmallInstance(population=pop, kernel=inst.kernel)
+                prior = np.eye(n)[0] if rng.random() < 0.5 else inst.prior
+                inst = SmallInstance(prior, cond, inst.kernel)
             g = int(rng.integers(2, 4))
             post = rng.dirichlet(np.ones(int(rng.integers(2, 5))), size=size).T
-            draws.append(_Draw(pop.prior.p, pop.conditional_matrix(), inst.kernel.matrix, eps, g,
+            draws.append(_Draw(inst.prior, inst.cond, inst.kernel.matrix, eps, g,
                                g ** size <= 4096, post, float(rng.uniform(0, 5)), float(rng.random())))
             instances.append(inst)
         p = {name: np.zeros(len(draws)) for name in ("keep", "leak", "keep2", "leak2")}
@@ -506,11 +513,10 @@ class TestStackedKernels:
 
 def reference_quantities(inst, d):
     """Each exact quantity of one suite instance, from the per-instance public functions."""
-    pop, q = inst.population, inst.kernel
-    size = q.input_size
-    cond, prior = pop.conditional_matrix(), pop.prior.p
+    prior, cond, q = inst.prior, inst.cond, inst.kernel
+    n, size = cond.shape
     q2 = rr_kernel(d.eps2, size)
-    full = np.zeros((pop.n, size, size))
+    full = np.zeros((n, size, size))
     full[:, np.arange(size), np.arange(size)] = cond
     suff = exact_pse(inst, likelihood_matcher)
     ref = {
@@ -518,21 +524,21 @@ def reference_quantities(inst, d):
         "i_ux": mutual_information(prior[:, None] * cond),
         "i_xy": mutual_information((prior @ cond)[:, None] * q.matrix.T),
         "i_post": exact_pie(SmallInstance(
-            population=pop, kernel=postprocess(q, MechanismKernel(size, len(d.post), d.post)))),
-        "i_mixed": exact_pie(SmallInstance(population=pop, kernel=mixture_kernel(d.w, q, q2))),
-        "i_uy2": exact_pie(SmallInstance(population=pop, kernel=q2)),
+            prior, cond, postprocess(q, MechanismKernel(size, len(d.post), d.post)))),
+        "i_mixed": exact_pie(SmallInstance(prior, cond, mixture_kernel(d.w, q, q2))),
+        "i_uy2": exact_pie(SmallInstance(prior, cond, q2)),
         "suff": suff.information_bits,
         "suff_error": suff.bayes_error,
         "coarse": exact_pse(inst, argmax_matcher).information_bits,
         "constant": exact_pse(inst, constant_matcher).information_bits,
-        "i_full": exact_composed_pie(SmallInstance(population=pop, kernel=q, pair_conditional=full)),
+        "i_full": exact_composed_pie(SmallInstance(prior, cond, q, pair_conditional=full)),
         "i_pair": exact_composed_pie(SmallInstance(
-            population=pop, kernel=q, pair_conditional=cond[:, :, None] * cond[:, None, :])),
-        "uniform": np.allclose(prior, 1.0 / pop.n, atol=1e-12),
+            prior, cond, q, pair_conditional=cond[:, :, None] * cond[:, None, :])),
+        "uniform": np.allclose(prior, 1.0 / n, atol=1e-12),
         "beta_u": 1.0 - prior.max(),
     }
     if d.hashed:
-        ref["i_uhy"] = exact_pie(hashed_instance(pop, d.epsilon, d.g))
+        ref["i_uhy"] = exact_pie(hashed_instance(prior, cond, d.epsilon, d.g))
     return ref
 
 
@@ -633,8 +639,7 @@ class TestPinnedReports:
 
     def test_kernel_of_other_outputs_is_refused(self):
         def gen(rng):
-            pop = two_point_mass_population()
-            return SmallInstance(population=pop, kernel=ExhaustiveTable(2, 2).kernel(1.0)), 1.0
+            return SmallInstance(*two_point_masses(), ExhaustiveTable(2, 2).kernel(1.0)), 1.0
 
         with pytest.raises(ValueError, match="channel input alphabet must equal kernel output"):
             verify_bound_suite(2, 0, instance_generator=gen)

@@ -106,6 +106,12 @@ class TestTraceDataset:
         with pytest.raises(DataError, match="empty trace"):
             TraceDataset(Alphabet(3), (np.array([], dtype=np.int64),))
 
+    @pytest.mark.parametrize("trace", [[0.7, 1.2, 2.9], [0.0, math.nan]], ids=["fraction", "nan"])
+    def test_rejects_non_integer_symbols(self, trace):
+        # a cast would read [0.7, 1.2, 2.9] as [0, 1, 2]
+        with pytest.raises(DataError, match="^user 1 trace holds a non-integer symbol$"):
+            TraceDataset(Alphabet(3), (np.array([0, 1]), np.array(trace)))
+
 
 class TestSplit:
     def test_first_half_rounds_up(self):

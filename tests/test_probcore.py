@@ -13,7 +13,6 @@ from reidrisk.probcore import (
     CategoricalDistribution,
     MarkovSource,
     PopulationModel,
-    SingleDatum,
     entropy,
     make_rng,
     mutual_information,
@@ -99,27 +98,6 @@ class TestCategoricalDistribution:
     def test_uniform(self):
         d = CategoricalDistribution.uniform(8)
         assert np.allclose(d.p, 1 / 8)
-
-
-    @settings(deadline=None, max_examples=60)
-    @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
-    def test_rows_equal_one_distribution_per_row(self, n, size, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.gamma(1.0, 1.0, size=(n, size))
-        m /= m.sum(axis=1, keepdims=True)
-        rows = CategoricalDistribution.rows(size, m)
-        assert [d.p.tolist() for d in rows] == [CategoricalDistribution(size, r).p.tolist() for r in m]
-        assert all(d.alphabet.size == size and not d.p.flags.writeable for d in rows)
-
-    @pytest.mark.parametrize("m,match", [
-        ([[0.5, 0.5], [1.1, -0.1]], "negative entries"),
-        ([[0.5, 0.5], [math.nan, 1.0]], "not finite"),
-        ([[0.6, 0.6], [0.5, 0.5]], "deviates from 1"),
-        ([[1.0, 0.0, 0.0]], "does not match alphabet size"),
-    ])
-    def test_rows_refuse_any_bad_row(self, m, match):
-        with pytest.raises(ValueError, match=match):
-            CategoricalDistribution.rows(2, m)
 
 
 class TestEntropyAndKl:
@@ -260,6 +238,17 @@ class TestMarkovSource:
         with pytest.raises(ValueError):
             MarkovSource(np.array([1.0, 0.0]), np.eye(2), trace_len=2, support=np.array([1]))
 
+    @pytest.mark.parametrize("support,message", [
+        ([2.5], "symbols must be integers"),
+        ([math.nan], "symbols must be integers"),
+        ([5, -1], "support symbols must be non-negative"),
+    ])
+    def test_support_refuses_what_is_not_a_symbol(self, support, message):
+        # a cast would read 2.5 as symbol 2
+        k = len(support)
+        with pytest.raises(ValueError, match=message):
+            MarkovSource(np.full(k, 1 / k), np.eye(k), trace_len=2, support=support)
+
     def test_refuses_nan_entries(self):
         # NaN slips through both a `< 0` check and a mass check
         with pytest.raises(ValueError, match="non-finite"):
@@ -271,26 +260,16 @@ class TestMarkovSource:
 
 class TestPopulationModel:
     def test_single_datum_construction(self):
+        # a population holds chains; single data are arrays (oracle.SmallInstance, reid probes)
         prior = CategoricalDistribution.uniform(2)
-        dists = [CategoricalDistribution.point_mass(3, 0), CategoricalDistribution.point_mass(3, 2)]
-        pop = PopulationModel.single_datum(prior, dists)
-        assert pop.n == 2
-        assert pop.data_alphabet().size == 3
-        assert isinstance(pop.models[0], SingleDatum)
-
-    def test_conditional_matrix_rows(self):
-        prior = CategoricalDistribution(2, [0.25, 0.75])
-        dists = [CategoricalDistribution(3, [0.5, 0.3, 0.2]), CategoricalDistribution.point_mass(3, 1)]
-        pop = PopulationModel.single_datum(prior, dists)
-        cm = pop.conditional_matrix()
-        assert cm.shape == (2, 3)
-        assert np.allclose(cm[0], [0.5, 0.3, 0.2]) and np.allclose(cm[1], [0, 1, 0])
+        dists = (CategoricalDistribution.point_mass(3, 0), CategoricalDistribution.point_mass(3, 2))
+        with pytest.raises(ValueError, match="^every data model must be a MarkovSource$"):
+            PopulationModel(2, prior, dists)
 
     def test_prior_size_mismatch(self):
-        prior = CategoricalDistribution.uniform(3)
-        dists = [CategoricalDistribution.point_mass(2, 0)] * 2
-        with pytest.raises(ValueError):
-            PopulationModel.single_datum(prior, dists)
+        chain = MarkovSource(np.array([1.0, 0.0]), np.eye(2), trace_len=2)
+        with pytest.raises(ValueError, match="prior must be a distribution over the n users"):
+            PopulationModel(2, CategoricalDistribution.uniform(3), (chain, chain))
 
 
 class TestStreams:

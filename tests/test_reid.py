@@ -21,7 +21,6 @@ from reidrisk.probcore import (
     CategoricalDistribution,
     MarkovSource,
     PopulationModel,
-    SingleDatum,
     cdf_table,
     inverse_cdf,
     make_rng,
@@ -356,12 +355,13 @@ class TestSimulation:
                                       GeneralLocalHash.with_production_family(1.0, 2, 3)],
                              ids=["none", "rr", "glh"])
     def test_single_datum_population_refused(self, mech):
-        # single data are probes beside a table; the population form holds traces only
-        prior = CategoricalDistribution.uniform(2)
-        pop = PopulationModel.single_datum(prior, [CategoricalDistribution.point_mass(3, 1)] * 2)
-        profiles = [train_profile([1], 3, owner=i) for i in range(2)]
+        # single data are probes beside a table; a population holds chains only
         with pytest.raises(ValueError, match="MarkovSource"):
-            simulate_score_trials(pop, mech, profiles, 10, make_rng(0))
+            PopulationModel(2, CategoricalDistribution.uniform(2),
+                            (CategoricalDistribution.point_mass(3, 1),) * 2)
+        probes, table = clear_profiles([1, 1], 3)
+        us, scores = probe_score_trials(probes, mech, table, 10, make_rng(0))
+        assert us.shape == (10,) and scores.shape == (10, 2)
 
 
 class TestDetCurve:
@@ -753,16 +753,15 @@ class TestChainSteppers:
 
     def test_refuses_mixed_and_ragged_chains(self):
         chain = MarkovSource(np.array([1.0, 0.0]), np.eye(2), trace_len=3)
-        datum = SingleDatum(CategoricalDistribution.point_mass(2, 0))
+        datum = CategoricalDistribution.point_mass(2, 0)
         wider = MarkovSource(np.array([1.0, 0.0, 0.0]), np.eye(3), trace_len=3)
         longer = MarkovSource(chain.initial, chain.transitions, trace_len=4)
-        profiles = [train_profile([0, 1], 3, owner=i) for i in range(2)]
-        for other, why in ((datum, "mix"), (wider, "one dimension"), (longer, "one trace length")):
+        for other, why in ((datum, "MarkovSource"), (wider, "one dimension"),
+                           (longer, "one trace length")):
             with pytest.raises(ValueError, match=why):
                 sample_traces([chain, other], make_rng(0))
-            pop = PopulationModel(2, CategoricalDistribution(2, [1.0, 0.0]), (chain, other))
             with pytest.raises(ValueError, match=why):  # refused although user 1 is never drawn
-                simulate_score_trials(pop, None, profiles, 5, make_rng(0))
+                PopulationModel(2, CategoricalDistribution(2, [1.0, 0.0]), (chain, other))
 
 
 class TestProfileTable:
