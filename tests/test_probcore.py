@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reidrisk.mechanisms import MechanismKernel
+from reidrisk.oracle import SmallInstance
 from reidrisk.probcore import (
     SUM_TOL,
     Alphabet,
@@ -98,6 +100,17 @@ class TestCategoricalDistribution:
     def test_uniform(self):
         d = CategoricalDistribution.uniform(8)
         assert np.allclose(d.p, 1 / 8)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_rows_equal_one_distribution_per_row(self, n, size, seed):
+        # p(x | u) rows are held as one array by oracle.SmallInstance
+        rng = np.random.default_rng(seed)
+        m = rng.gamma(1.0, 1.0, size=(n, size))
+        m /= m.sum(axis=1, keepdims=True)
+        rows = SmallInstance(np.full(n, 1 / n), m, MechanismKernel.identity(size)).cond
+        assert rows.tolist() == [CategoricalDistribution(size, r).p.tolist() for r in m]
+        assert rows.shape == (n, size) and not rows.flags.writeable
 
 
 class TestEntropyAndKl:
@@ -265,6 +278,14 @@ class TestPopulationModel:
         dists = (CategoricalDistribution.point_mass(3, 0), CategoricalDistribution.point_mass(3, 2))
         with pytest.raises(ValueError, match="^every data model must be a MarkovSource$"):
             PopulationModel(2, prior, dists)
+
+    def test_conditional_matrix_rows(self):
+        # single-datum p(x | u) rows live in oracle.SmallInstance, not in a PopulationModel
+        prior = CategoricalDistribution(2, [0.25, 0.75])
+        cond = [[0.5, 0.3, 0.2], CategoricalDistribution.point_mass(3, 1).p]
+        cm = SmallInstance(prior.p, cond, MechanismKernel.identity(3)).cond
+        assert cm.shape == (2, 3)
+        assert np.allclose(cm[0], [0.5, 0.3, 0.2]) and np.allclose(cm[1], [0, 1, 0])
 
     def test_prior_size_mismatch(self):
         chain = MarkovSource(np.array([1.0, 0.0]), np.eye(2), trace_len=2)
