@@ -20,11 +20,11 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
-from . import bounds, estimation, probcore, pse, reid
+from . import bounds, estimation, mechanisms, probcore, pse, reid
 from .mechanisms import (MAX_BUCKETS, GeneralLocalHash, RandomizedResponse, glh_sample_batch,
                          rr_sample_batch)
 from .probcore import (Alphabet, CategoricalDistribution, MarkovSource,
@@ -46,7 +46,11 @@ class PipelineError(Exception):
 
 @dataclass(frozen=True)
 class TraceDataset:
-    """Per-user symbol traces over one alphabet, with provenance."""
+    """Per-user symbol traces over one alphabet, with provenance.
+
+    Each trace is held as a read-only copy, so the alphabet check made here
+    holds for as long as the dataset lives.
+    """
 
     alphabet: Alphabet
     traces: tuple
@@ -59,13 +63,14 @@ class TraceDataset:
         cleaned = []
         for i, t in enumerate(self.traces):
             try:
-                arr = integer_symbols(t)
+                arr = np.array(integer_symbols(t))
             except ValueError:
                 raise DataError(f"user {i} trace holds a non-integer symbol") from None
             if arr.size < 1:
                 raise DataError(f"user {i} has an empty trace")
             if arr.min() < 0 or arr.max() >= self.alphabet.size:
                 raise DataError(f"user {i} trace leaves the alphabet")
+            arr.setflags(write=False)
             cleaned.append(arr)
         object.__setattr__(self, "traces", tuple(cleaned))
 
@@ -212,33 +217,6 @@ def synth_population(spec: SynthesisSpec, rng: np.random.Generator
     return population, dataset
 
 
-_CONFIG_FIELDS: dict = {
-    "schema_version": int,
-    "seed": int,
-    "threads": int,
-    "n_users": int,
-    "size": int,
-    "zipf_exponent": float,
-    "concentration": float,
-    "support_size": int,
-    "train_len": int,
-    "eval_len": int,
-    "checkins_path": (str, type(None)),
-    "min_events": int,
-    "epsilons": (list, tuple),
-    "glh_g": (int, type(None)),
-    "knowledge": str,
-    "reid_trials": int,
-    "pse_trials": int,
-    "pse_k": int,
-    "threshold_level": float,
-    "phis": (list, tuple),
-    "theta_for_g_sweep": float,
-    "g_sweep": (list, tuple),
-    "beta_min": (float, type(None)),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat, typed experiment description; serializes to a flat JSON object."""
@@ -292,26 +270,33 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
+        """The config of a flat JSON object whose keys and types are the fields'.
+
+        An Optional[t] field takes t or null, a tuple field a JSON list, and
+        a float field also an int.
+        """
         with open(path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise DataError("config must be a flat JSON object")
-        unknown = set(raw) - set(_CONFIG_FIELDS)
+        hints = get_type_hints(cls)
+        unknown = set(raw) - set(hints)
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
-        for key, want in _CONFIG_FIELDS.items():
+        for key, hint in hints.items():
             if key not in raw:
                 continue
             value = raw[key]
+            want = tuple(list if t is tuple else t for t in get_args(hint) or (hint,))
+            if float in want and type(value) is int:
+                try:
+                    value = raw[key] = float(value)
+                except OverflowError:
+                    raise DataError(f"config key {key} lies beyond the float range") from None
             # JSON true/false pass isinstance(int), and no key takes a boolean
-            if isinstance(value, bool) or (
+            if isinstance(value, bool) or not isinstance(value, want) or (
                     isinstance(value, list) and any(isinstance(v, bool) for v in value)):
                 raise DataError(f"config key {key} has the wrong type")
-            if not isinstance(value, want):
-                if want is float and isinstance(value, int):
-                    raw[key] = float(value)
-                else:
-                    raise DataError(f"config key {key} has the wrong type")
         try:
             return cls(**raw)
         except (TypeError, ValueError) as exc:
@@ -325,11 +310,7 @@ class ExperimentConfig:
                              train_len=self.train_len, eval_len=self.eval_len)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["epsilons"] = list(self.epsilons)
-        d["phis"] = list(self.phis)
-        d["g_sweep"] = list(self.g_sweep)
-        return d
+        return asdict(self)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -337,6 +318,8 @@ class ExperimentConfig:
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
@@ -452,84 +435,75 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
         stages.append({"name": name, "status": "ok"})
         return out
 
-    def record_file(path):
+    def write_table(name, header, rows):
+        """Write a report with config,seed in front of every line, and record its sha256."""
+        path = os.path.join(out_dir, name)
+        _write_csv(path, ["config", "seed", *header], ([tag, seed, *row] for row in rows))
         with open(path, "rb") as fh:
-            files[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
+            files[name] = hashlib.sha256(fh.read()).hexdigest()
 
     stream_iter = iter(probcore.spawn_streams(
         seed, 4 + 2 * len(config.epsilons) + len(config.g_sweep)))
     setup = attack_setup(config, stream_iter, run_stage)
     n, size, probes = setup.probes.size, setup.size, setup.probes
+    p_true = np.bincount(probes, minlength=size).astype(np.float64) / n
 
-    # stage: closed-form bound sweep
+    # stage: closed-form caps and Fano floors per epsilon, which the later stages read
     def stage_bounds():
-        rows = []
+        reports, rows = [], []
         for eps in config.epsilons:
-            g = _glh_bucket_count(config.glh_g, eps)
-            rep = bounds.bound_report(n=n, size=size, epsilon=eps, g=g)
+            rep = bounds.bound_report(n=n, size=size, epsilon=eps,
+                                      g=_glh_bucket_count(config.glh_g, eps))
             fano = rep.fano
-            rows.append([tag, seed, eps, g, rep.theta_rr, rep.alpha_ldp, rep.alpha_rr,
+            rows.append([eps, rep.g, rep.theta_rr, rep.alpha_ldp, rep.alpha_rr,
                          rep.theta_glh, rep.alpha_glh,
                          fano["ldp"]["value"], fano["rr"]["value"], fano["glh"]["value"]])
-        path = os.path.join(out_dir, "bounds_sweep.csv")
-        _write_csv(path, ["config", "seed", "epsilon", "g", "theta_rr", "alpha_ldp",
-                          "alpha_rr", "theta_glh", "alpha_glh",
-                          "fano_ldp", "fano_rr", "fano_glh"], rows)
-        record_file(path)
-        return rows
+            reports.append(rep)
+        write_table("bounds_sweep.csv", ["epsilon", "g", "theta_rr", "alpha_ldp", "alpha_rr",
+                                         "theta_glh", "alpha_glh",
+                                         "fano_ldp", "fano_rr", "fano_glh"], rows)
+        return reports
 
-    bound_rows = run_stage("bounds", stage_bounds)
+    reports = run_stage("bounds", stage_bounds)
 
     # stage: attack sweep (error rate and score-level information per epsilon)
     def stage_attack():
         point_streams = [next(stream_iter) for _ in config.epsilons]
 
         def one_point(i):
-            eps = config.epsilons[i]
-            rng = point_streams[i]
-            g = _glh_bucket_count(config.glh_g, eps)
+            rep, rng = reports[i], point_streams[i]
             out = []
-            for mech_name in ("rr", "glh"):
-                mech = attack_mechanism(mech_name, eps, size, g)
-                alpha = (bounds.pie_bound_rr(eps, n, size) if mech_name == "rr"
-                         else bounds.pie_bound_glh(eps, g, n, size))
+            for mech_name, alpha in (("rr", rep.alpha_rr), ("glh", rep.alpha_glh)):
+                mech = attack_mechanism(mech_name, rep.epsilon, size, rep.g)
                 sample = pse.harvest_scores(probes, mech, setup.table, config.pse_trials, rng)
                 est = pse.pse_estimate(sample, k=config.pse_k, jitter_seed=seed)
                 err = reid.identification_error_rate(*reid.probe_score_trials(
                     probes, mech, setup.table, config.reid_trials, rng))
-                fano_ldp = bounds.fano_lower_bound(
-                    bounds.pie_bound_ldp(eps, n, size), n=n).value
-                fano_mech = bounds.fano_lower_bound(alpha, n=n).value
-                out.append([tag, seed, eps, mech_name, g if mech_name == "glh" else "",
+                out.append([rep.epsilon, mech_name, rep.g if mech_name == "glh" else None,
                             est.bits, est.raw_bits, alpha,
                             sample.genuine.size, sample.impostor.size,
-                            err, fano_ldp, fano_mech])
+                            err, rep.fano["ldp"]["value"], rep.fano[mech_name]["value"]])
             return out
 
-        workers = config.threads if config.threads > 0 else (os.cpu_count() or 1)
+        workers = config.threads if config.threads > 0 else mechanisms._match_workers()
         if workers > 1 and len(config.epsilons) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 chunks = list(pool.map(one_point, range(len(config.epsilons))))
         else:
             chunks = [one_point(i) for i in range(len(config.epsilons))]
-        rows = [row for chunk in chunks for row in chunk]
-        pse_path = os.path.join(out_dir, "pse_sweep.csv")
-        _write_csv(pse_path,
-                   ["config", "seed", "epsilon", "mechanism", "g", "pse_bits",
-                    "pse_raw_bits", "alpha_bound", "n_genuine", "n_impostor",
-                    "error_rate", "fano_ldp", "fano_mech"], rows)
-        record_file(pse_path)
-        return rows
+        write_table("pse_sweep.csv", ["epsilon", "mechanism", "g", "pse_bits", "pse_raw_bits",
+                                      "alpha_bound", "n_genuine", "n_impostor",
+                                      "error_rate", "fano_ldp", "fano_mech"],
+                    [row for chunk in chunks for row in chunk])
 
     run_stage("attack", stage_attack)
 
     # stage: estimator utility over epsilon
     def stage_utility_eps():
         rng = next(stream_iter)
-        p_true = np.bincount(probes, minlength=size).astype(np.float64) / probes.size
         rows = []
-        for eps in config.epsilons:
-            g = _glh_bucket_count(config.glh_g, eps)
+        for rep in reports:
+            eps, g = rep.epsilon, rep.g
             rr_batch = rr_sample_batch(RandomizedResponse(eps, size), probes, rng)
             est_rr = estimation.estimate_rr(rr_batch, eps, size)
             thr_rr = estimation.apply_significance_threshold(
@@ -544,22 +518,16 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
                     phi = min(requested_phi, size)  # top-phi of however many symbols exist
                     raw = estimation.l2_and_relative_error(p_true, est.p_hat, phi)
                     cut = estimation.l2_and_relative_error(p_true, thr.p_hat, phi)
-                    rows.append([tag, seed, eps, mech_name, phi,
-                                 raw.l2_sum, _none(raw.mean_relative_error),
-                                 cut.l2_sum, _none(cut.mean_relative_error)])
-        path = os.path.join(out_dir, "utility_eps.csv")
-        _write_csv(path, ["config", "seed", "epsilon", "mechanism", "phi",
-                          "l2_raw", "rel_err_raw", "l2_thresholded",
-                          "rel_err_thresholded"], rows)
-        record_file(path)
-        return rows
+                    rows.append([eps, mech_name, phi, raw.l2_sum, raw.mean_relative_error,
+                                 cut.l2_sum, cut.mean_relative_error])
+        write_table("utility_eps.csv", ["epsilon", "mechanism", "phi", "l2_raw", "rel_err_raw",
+                                        "l2_thresholded", "rel_err_thresholded"], rows)
 
     run_stage("utility_eps", stage_utility_eps)
 
     # stage: bucket-count sweep at fixed shrink factor
     def stage_utility_g():
         theta = config.theta_for_g_sweep
-        p_true = np.bincount(probes, minlength=size).astype(np.float64) / probes.size
         top = int(np.argmax(p_true))
         rows = []
         for g in config.g_sweep:
@@ -569,24 +537,17 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
             batch = glh_sample_batch(glh, probes, rng)
             est = estimation.estimate_glh(batch, eps, size)
             sq_err = float((est.p_hat[top] - p_true[top]) ** 2)
-            rows.append([tag, seed, g, eps,
+            rows.append([g, eps,
                          estimation.expected_l2_glh_theta(theta, g, n, float(p_true[top])),
                          estimation.expected_l2_glh_limit(theta, n, float(p_true[top])),
                          sq_err])
-        path = os.path.join(out_dir, "utility_g.csv")
-        _write_csv(path, ["config", "seed", "g", "epsilon", "expected_l2_top",
-                          "limit_l2_top", "observed_sq_err_top"], rows)
-        record_file(path)
-        return rows
+        write_table("utility_g.csv", ["g", "epsilon", "expected_l2_top", "limit_l2_top",
+                                      "observed_sq_err_top"], rows)
 
     run_stage("utility_g", stage_utility_g)
 
     manifest = finish_manifest("complete")
     return ExperimentResult(out_dir=str(out_dir), manifest=manifest, files=files)
-
-
-def _none(v):
-    return "" if v is None else v
 
 
 def write_synth_checkins(dataset: TraceDataset, path) -> None:

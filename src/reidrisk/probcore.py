@@ -164,7 +164,8 @@ class MarkovSource:
     stay compact; `initial` and `transitions` are indexed by position within
     the support (identity support when None). Rows of `transitions` with any
     mass must sum to 1; all-zero rows mean the state was never left and are
-    resolved at lookup time by the consumer's floor rule.
+    resolved at lookup time by the consumer's floor rule. The three arrays are
+    held as read-only copies, so the checks made here hold for the chain's life.
     """
 
     initial: np.ndarray
@@ -173,8 +174,8 @@ class MarkovSource:
     support: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        init = np.asarray(self.initial, dtype=np.float64)
-        trans = np.asarray(self.transitions, dtype=np.float64)
+        init = np.array(self.initial, dtype=np.float64)
+        trans = np.array(self.transitions, dtype=np.float64)
         if init.ndim != 1 or trans.shape != (init.size, init.size):
             raise ValueError("initial/transition shapes are inconsistent")
         if not (np.all(np.isfinite(init)) and np.all(np.isfinite(trans))):
@@ -189,15 +190,16 @@ class MarkovSource:
             raise ValueError("transition rows with mass must sum to 1")
         if self.trace_len < 1:
             raise ValueError("trace length must be >= 1")
+        held = {"initial": init, "transitions": trans}
         if self.support is not None:
-            sup = integer_symbols(self.support)
+            sup = held["support"] = np.array(integer_symbols(self.support))
             if sup.size != init.size:
                 raise ValueError("support size must match chain dimension")
             if (sup < 0).any():
                 raise ValueError("support symbols must be non-negative")
-            object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "initial", init)
-        object.__setattr__(self, "transitions", trans)
+        for name, value in held.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

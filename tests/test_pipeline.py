@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from reidrisk import reid
+from reidrisk import mechanisms, pipeline, reid
 from reidrisk.pipeline import (
     DataError,
     ExperimentConfig,
@@ -111,6 +111,18 @@ class TestTraceDataset:
         # a cast would read [0.7, 1.2, 2.9] as [0, 1, 2]
         with pytest.raises(DataError, match="^user 1 trace holds a non-integer symbol$"):
             TraceDataset(Alphabet(3), (np.array([0, 1]), np.array(trace)))
+
+
+    def test_holds_read_only_copies(self):
+        # the alphabet check holds only if no later write reaches the stored traces
+        t = np.array([0, 1, 2])
+        ds = TraceDataset(Alphabet(3), (t,))
+        t[0] = 99
+        assert ds.traces[0].tolist() == [0, 1, 2]
+        with pytest.raises(ValueError, match="read-only"):
+            ds.traces[0][0] = 99
+        for half in split_traces(TraceDataset(Alphabet(3), (np.array([0, 1, 2, 1]),))):
+            assert not half.traces[0].flags.writeable
 
 
 class TestSplit:
@@ -260,6 +272,26 @@ class TestConfig:
         with pytest.raises(DataError, match="bad config"):
             ExperimentConfig.from_file(p)
 
+    def test_from_file_refuses_an_int_beyond_the_float_range(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text('{"zipf_exponent": 1' + "0" * 400 + "}")
+        with pytest.raises(DataError, match="^config key zipf_exponent lies beyond the float range$"):
+            ExperimentConfig.from_file(p)
+
+    @pytest.mark.parametrize("config", [
+        ExperimentConfig(),
+        ExperimentConfig(seed=9, threads=2, n_users=30, size=40, zipf_exponent=1.5,
+                         concentration=2.5, support_size=5, train_len=7, eval_len=9,
+                         checkins_path="visits.csv", min_events=3, epsilons=(0.25, 4.0),
+                         glh_g=6, knowledge="max", reid_trials=11, pse_trials=13, pse_k=2,
+                         threshold_level=0.1, phis=(3, 8), theta_for_g_sweep=0.25,
+                         g_sweep=(2, 3)),
+    ], ids=["default", "every_field_moved"])
+    def test_from_file_round_trips_to_dict(self, tmp_path, config):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config.to_dict()))
+        assert ExperimentConfig.from_file(p) == config
+
     def test_config_hash_tracks_content(self):
         a = ExperimentConfig(seed=1, epsilons=[1.0])
         b = ExperimentConfig(seed=1, epsilons=(1,))
@@ -326,6 +358,29 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "run" / "MANIFEST.json").read_text())
         assert manifest["status"] == "incomplete"
         assert manifest["stages"][-1]["status"] == "failed"
+
+    def test_unwritable_report_fails_its_stage(self, tmp_path):
+        out = tmp_path / "run"
+        (out / "pse_sweep.csv").mkdir(parents=True)
+        with pytest.raises(PipelineError) as exc:
+            run_experiment(small_config(), out)
+        assert exc.value.stage == "attack"
+        manifest = json.loads((out / "MANIFEST.json").read_text())
+        assert manifest["status"] == "incomplete"
+        assert manifest["stages"][-1]["name"] == "attack"
+        assert manifest["stages"][-1]["status"] == "failed"
+        assert sorted(manifest["files"]) == ["bounds_sweep.csv"]
+
+    def test_threads_0_counts_cpus_as_the_match_pool(self, tmp_path, monkeypatch):
+        # one CPU in the affinity set: the attack stage runs inline, whatever os.cpu_count says
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the attack stage built a thread pool")
+
+        monkeypatch.setattr(mechanisms, "_match_workers", lambda: 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        res = run_experiment(small_config(threads=0), tmp_path / "run")
+        assert res.manifest["status"] == "complete"
 
     def test_checkins_path_feeds_the_run(self, tmp_path):
         # synthesize, dump to the check-in format, re-run from the file

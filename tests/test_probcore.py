@@ -262,6 +262,17 @@ class TestMarkovSource:
         with pytest.raises(ValueError, match=message):
             MarkovSource(np.full(k, 1 / k), np.eye(k), trace_len=2, support=support)
 
+    def test_holds_read_only_copies(self):
+        # the checks hold only if no later write reaches the stored arrays
+        pi, tr, support = np.array([1.0, 0.0]), np.eye(2), np.array([3, 7])
+        m = MarkovSource(pi, tr, trace_len=2, support=support)
+        support[0], pi[0], tr[0, 0] = -5, 0.5, 0.25
+        assert m.support.tolist() == [3, 7]
+        assert m.initial.tolist() == [1.0, 0.0] and m.transitions[0, 0] == 1.0
+        for stored in (m.support, m.initial, m.transitions):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0
+
     def test_refuses_nan_entries(self):
         # NaN slips through both a `< 0` check and a mass check
         with pytest.raises(ValueError, match="non-finite"):
