@@ -243,7 +243,6 @@ class ExperimentConfig:
     phis: tuple = (20,)
     theta_for_g_sweep: float = 0.5
     g_sweep: tuple = (4, 64, 1024)
-    beta_min: Optional[float] = None
 
     def __post_init__(self):
         if self.schema_version != 1:

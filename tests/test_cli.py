@@ -159,6 +159,19 @@ class TestDataErrors:
                            "--out", str(tmp_path / "o"))
         assert code == 2 and "bogus_key" in err
 
+    @pytest.mark.parametrize("config,message", [
+        ({"beta_min": 0.9}, "unknown config keys: ['beta_min']"),
+        ({"zipf_exponent": 10 ** 400}, "config key zipf_exponent lies beyond the float range"),
+    ], ids=["beta_min", "int_beyond_float"])
+    def test_config_refusal_exits_2(self, capsys, tmp_path, config, message):
+        # no stage reads beta_min; a float field's huge int raised OverflowError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert code == 2 and message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_value_outside_alphabet_exits_2(self, capsys, tmp_path):
         p = tmp_path / "in.csv"
         p.write_text("user_idx,x\n0,9\n")
@@ -734,7 +747,7 @@ _CONFIG_VALUE = {
     "reid_trials": st.integers(0, 12), "pse_trials": st.integers(0, 12),
     "pse_k": st.integers(0, 4), "threshold_level": st.floats(0, 1),
     "phis": st.lists(st.integers(0, 12), max_size=2), "theta_for_g_sweep": st.floats(0, 1),
-    "g_sweep": st.lists(st.integers(1, 6), max_size=2), "beta_min": st.floats(0, 1),
+    "g_sweep": st.lists(st.integers(1, 6), max_size=2),
 }
 _ODD_VALUE = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.lists(st.integers()),
                        st.sampled_from([-1, 0, 1.5, math.nan, math.inf, "partial"]))
