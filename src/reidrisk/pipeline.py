@@ -269,7 +269,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        """The config of a flat JSON object whose keys and types are the fields'.
+        """Read a flat JSON object whose keys and value types are this class's fields.
 
         An Optional[t] field takes t or null, a tuple field a JSON list, and
         a float field also an int.
