@@ -83,8 +83,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--records", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--g", type=int, default=None,
-                   help="bucket count; inferred from GLH records")
     p.add_argument("--threshold-level", type=float, default=0.05)
     p.add_argument("--no-threshold", action="store_true")
     p.add_argument("--truth", default=None, help="optional symbol,p_true CSV")
@@ -219,7 +217,7 @@ def _cmd_estimate(args) -> int:
     if args.out is None:
         raise UsageError("estimate requires --out")
     _, batch = read_records(args.records)
-    n = len(batch.ys) if not isinstance(batch, GlhBatch) else len(batch)
+    n = len(batch.ys)
     if isinstance(batch, GlhBatch):
         est = estimation.estimate_glh(batch, args.epsilon, args.size)
         null_var = estimation.glh_null_variance(args.epsilon, int(batch.g), n)

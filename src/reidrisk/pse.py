@@ -18,8 +18,8 @@ int array of one symbol per user, and one `ProfileTable` holds the profiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,11 +34,10 @@ _JITTER_SCALE = 1e-10
 
 @dataclass(frozen=True)
 class ScoreSample:
-    """Genuine and impostor score sets with their provenance."""
+    """Genuine and impostor score sets."""
 
     genuine: np.ndarray
     impostor: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         g = np.asarray(self.genuine, dtype=np.float64)
@@ -67,7 +66,7 @@ def split_scores(scores: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def harvest_scores(probes, mechanism, table: ProfileTable, trials: int,
-                   rng: np.random.Generator, meta: Optional[dict] = None) -> ScoreSample:
+                   rng: np.random.Generator) -> ScoreSample:
     """Simulate releases and split every (release, profile) score by ownership.
 
     Each trial contributes one genuine score (the true user's profile) and
@@ -75,16 +74,11 @@ def harvest_scores(probes, mechanism, table: ProfileTable, trials: int,
     and the sample is flagged unusable.
     """
     us, scores = probe_score_trials(probes, mechanism, table, trials, rng)
-    genuine, impostor = split_scores(scores, us)
-    info = {"trials": trials, "n_users": scores.shape[1]}
-    if meta:
-        info.update(meta)
-    return ScoreSample(genuine=genuine, impostor=impostor, meta=info)
+    return ScoreSample(*split_scores(scores, us))
 
 
 def harvest_scores_sparse(probes, mechanism, table: ProfileTable, n_genuine: int,
-                          n_impostor: int, rng: np.random.Generator,
-                          meta: Optional[dict] = None) -> ScoreSample:
+                          n_impostor: int, rng: np.random.Generator) -> ScoreSample:
     """Sample genuine and impostor score pairs directly, never full matrices.
 
     Each genuine draw releases the probe of a prior-sampled user and scores
@@ -104,11 +98,7 @@ def harvest_scores_sparse(probes, mechanism, table: ProfileTable, n_genuine: int
     us_i, released_i = sample_releases(probes, mechanism, n_impostor, rng)
     claim = (us_i + 1 + rng.integers(0, n - 1, n_impostor)) % n
     impostor = table.datum_scores(released_i, mechanism, rows=claim)
-    info = {"n_genuine": int(n_genuine), "n_impostor": int(n_impostor),
-            "n_users": int(n)}
-    if meta:
-        info.update(meta)
-    return ScoreSample(genuine=genuine, impostor=impostor, meta=info)
+    return ScoreSample(genuine=genuine, impostor=impostor)
 
 
 @dataclass(frozen=True)

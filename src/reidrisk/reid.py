@@ -15,7 +15,7 @@ start state `src = size`. `ProfileTable` concatenates the tables of all n
 profiles, keeps the positive entries as log2 values and sorts them by key,
 then by user. Scoring a release against all n profiles is one `searchsorted`
 of its keys, then one vectorised step per release symbol that adds each
-profile's term, or its own log2 floor where the key is absent. The terms
+profile's term, or the log2 floor where the key is absent. The terms
 are added in trace order, so every score is the same float64 sum as a
 per-symbol loop.
 
@@ -46,7 +46,8 @@ from .mechanisms import (GeneralLocalHash, GlhBatch, RandomizedResponse, glh_mat
                          glh_sample_batch, integer_symbols, rr_sample_batch)
 from .probcore import CategoricalDistribution, PopulationModel
 
-DEFAULT_FLOOR = 1e-8
+DEFAULT_FLOOR = 1e-8  # every profile's value for a zero or missing entry
+_LOG_FLOOR = float(np.log2(DEFAULT_FLOOR))
 
 
 def _as_symbols(trace) -> np.ndarray:
@@ -62,19 +63,16 @@ class MarkovProfile:
 
     `keys` are strictly increasing `_pair_keys` and `probs` their
     probabilities; the visit frequencies are the row of the start state
-    src = size, and symbols never seen as a source simply have no row. The
-    floor is applied when a looked-up entry is zero or missing.
+    src = size, and symbols never seen as a source simply have no row.
+    `DEFAULT_FLOOR` is applied when a looked-up entry is zero or missing.
     """
 
     owner: int
     size: int
     keys: np.ndarray
     probs: np.ndarray
-    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
-        if not self.floor > 0:
-            raise ValueError("floor must be positive")
         if not 0 < self.size <= MAX_KEYED_ALPHABET:
             raise ValueError(f"alphabet size {self.size} outside [1, {MAX_KEYED_ALPHABET}]")
         keys = np.asarray(self.keys, dtype=np.int64)
@@ -111,7 +109,7 @@ class MarkovProfile:
         at = self.keys.searchsorted(key)
         if at < self.keys.size and self.keys[at] == key and self.probs[at] > 0:
             return float(self.probs[at])
-        return self.floor
+        return DEFAULT_FLOOR
 
 
 # Largest alphabet whose transition keys, the start row src = size included,
@@ -127,7 +125,7 @@ def _pair_keys(src, dst, size: int) -> np.ndarray:
 
 
 def train_profile(trace, alphabet: Union[probcore.Alphabet, int],
-                  floor: float = DEFAULT_FLOOR, owner: int = 0) -> MarkovProfile:
+                  owner: int = 0) -> MarkovProfile:
     """Count-and-normalize profile training.
 
     pi is the empirical symbol frequency of the trace (the start row, whose
@@ -154,7 +152,7 @@ def train_profile(trace, alphabet: Union[probcore.Alphabet, int],
     keys = pairs[edges[:-1]]
     row = keys - keys % size
     probs = (edges[1:] - edges[:-1]) / (pairs.searchsorted(row + size) - pairs.searchsorted(row))
-    return MarkovProfile(owner=owner, size=size, keys=keys, probs=probs, floor=floor)
+    return MarkovProfile(owner=owner, size=size, keys=keys, probs=probs)
 
 
 class ProfileTable:
@@ -162,7 +160,7 @@ class ProfileTable:
 
     Entries are sorted by key, then by user. `keys` holds each distinct key
     once and `starts[k]:starts[k + 1]` is its run of (user, p, log2 p)
-    entries. A profile without an entry for a key takes its own floor. The
+    entries. A profile without an entry for a key takes `DEFAULT_FLOOR`. The
     start-row keys, size**2 and up, score single-datum releases.
     """
 
@@ -183,8 +181,7 @@ class ProfileTable:
         self.users = users[order]
         self.probs = probs[order]
         self.log_p = np.log2(self.probs)
-        self.floor = np.array([p.floor for p in profiles])
-        self.log_floor = np.log2(self.floor)
+        self.n = len(profiles)
         self._visit_rows = None
         self._visit_lock = threading.Lock()  # threads that share a table build its rows once
 
@@ -196,10 +193,10 @@ class ProfileTable:
         wanted = _pair_keys(np.concatenate(([self.size], ys[:-1])), ys, self.size)
         at = np.minimum(np.searchsorted(self.keys, wanted), self.keys.size - 1)
         hits = self.keys[at] == wanted
-        total = np.zeros(self.log_floor.size)  # 0.0 + x == x: the sum stays exact
+        total = np.zeros(self.n)  # 0.0 + x == x: the sum stays exact
         for hit, lo, hi in zip(hits.tolist(), self.starts[at].tolist(),
                                self.starts[at + 1].tolist()):
-            term = self.log_floor.copy()
+            term = np.full(self.n, _LOG_FLOOR)
             if hit:
                 term[self.users[lo:hi]] = self.log_p[lo:hi]
             total += term
@@ -207,7 +204,7 @@ class ProfileTable:
 
     def _visits(self) -> tuple:
         """The start rows as (n, size) CSR arrays, each user's visited symbols ascending:
-        their entries' positions in the key-major arrays plus one, and pi_u(x) - floor_u."""
+        their entries' positions in the key-major arrays plus one, and pi_u(x) - floor."""
         with self._visit_lock:
             if self._visit_rows is None:
                 import scipy.sparse  # only single data need it; the CLI starts without it
@@ -215,9 +212,9 @@ class ProfileTable:
                 lo = self.starts[np.searchsorted(self.keys, visits)]
                 entries = lo + np.argsort(self.users[lo:], kind="stable")  # keys ascend per user
                 symbols = np.repeat(self.keys - visits, np.diff(self.starts))[entries]
-                indptr = np.searchsorted(self.users[entries], np.arange(self.floor.size + 1))
-                excess = self.probs[entries] - self.floor[self.users[entries]]
-                shape = (self.floor.size, self.size)
+                indptr = np.searchsorted(self.users[entries], np.arange(self.n + 1))
+                excess = self.probs[entries] - DEFAULT_FLOOR
+                shape = (self.n, self.size)
                 self._visit_rows = tuple(scipy.sparse.csr_array((d, symbols, indptr), shape=shape)
                                          for d in (entries + 1, excess))
         return self._visit_rows
@@ -227,10 +224,10 @@ class ProfileTable:
 
         Every release under every profile, shape (len, n); with rows, release i
         under profile rows[i] alone, shape (len,). A symbol y scores log2 pi_u(y),
-        or u's log2 floor. A GLH record (a, b, y) under `mech` scores log2(off_bucket
+        or the log2 floor. A GLH record (a, b, y) under `mech` scores log2(off_bucket
         + shrink * mass); the hash's own chance, the same for all users, is dropped.
-        mass = floor_u * (preimage size) + the sum over u's visited x, ascending, of
-        (pi_u(x) - floor_u) [h(x) = y], in one CSR row loop for both forms alike.
+        mass = floor * (preimage size) + the sum over u's visited x, ascending, of
+        (pi_u(x) - floor) [h(x) = y], in one CSR row loop for both forms alike.
         """
         entry, excess = self._visits()
         if isinstance(released, GlhBatch):
@@ -239,13 +236,13 @@ class ProfileTable:
             def fill(lo: int, hi: int, mask: np.ndarray) -> None:
                 if rows is None:  # each row from 0.0 adds excess * 1.0 or * 0.0, x ascending
                     mass = excess @ mask.T.astype(np.float64)
-                    mass += np.multiply.outer(self.floor, mask.sum(axis=1))
+                    mass += mask.sum(axis=1) * DEFAULT_FLOOR  # the same for every user
                     dest = out[:, lo:hi]
                 else:  # the same products, then the same row loop over them times 1.0
                     claims = excess[rows[lo:hi]]
                     claims.data *= mask[np.repeat(np.arange(hi - lo), np.diff(claims.indptr)),
                                         claims.indices]
-                    mass = claims @ np.ones(self.size) + mask.sum(axis=1) * self.floor[rows[lo:hi]]
+                    mass = claims @ np.ones(self.size) + mask.sum(axis=1) * DEFAULT_FLOOR
                     dest = out[lo:hi]
                 mass *= mech.mu - mech.off_bucket
                 mass += mech.off_bucket
@@ -258,9 +255,9 @@ class ProfileTable:
             raise ValueError("release symbol outside the alphabet")
         if rows is not None:
             at = entry[rows, ys]  # 0 where the user never visited y
-            return np.where(at > 0, self.log_p[at - 1], self.log_floor[rows])
+            return np.where(at > 0, self.log_p[at - 1], _LOG_FLOOR)
         hits = entry.tocsc()[:, ys]  # column t: the users who visited ys[t]
-        out = np.tile(self.log_floor, (ys.size, 1))
+        out = np.full((ys.size, self.n), _LOG_FLOOR)
         trial = np.repeat(np.arange(ys.size), np.diff(hits.indptr))
         out[trial, hits.indices] = self.log_p[hits.data - 1]
         return out
@@ -288,8 +285,8 @@ def sample_releases(probes, mechanism, count: int, rng: np.random.Generator) -> 
 def _check_probes(probes, table: ProfileTable) -> np.ndarray:
     """probes as int64 symbols of the table's alphabet, one per profile; else ValueError."""
     probes = _as_symbols(probes)
-    if probes.size != table.floor.size:
-        raise ValueError(f"need one profile per user: {table.floor.size} for {probes.size}")
+    if probes.size != table.n:
+        raise ValueError(f"need one profile per user: {table.n} for {probes.size}")
     if probes.min() < 0 or probes.max() >= table.size:
         raise ValueError("probe symbol outside the alphabet")
     return probes

@@ -81,8 +81,8 @@ class TestUsageErrors:
     UNREAD = [("oracle", "--config"), ("oracle", "--threads"), ("bounds", "--config"),
               ("bounds", "--threads"), ("bounds", "--seed"), ("obfuscate", "--config"),
               ("obfuscate", "--threads"), ("estimate", "--config"), ("estimate", "--threads"),
-              ("estimate", "--seed"), ("reid", "--threads"), ("pse", "--threads"),
-              ("synth", "--threads")]
+              ("estimate", "--seed"), ("estimate", "--g"), ("reid", "--threads"),
+              ("pse", "--threads"), ("synth", "--threads")]
 
     @pytest.mark.parametrize("cmd,option", UNREAD)
     def test_unread_shared_option_exits_1(self, capsys, tmp_path, cmd, option):
@@ -100,7 +100,7 @@ class TestUsageErrors:
             "synth": ["synth", "--n-users", "20", "--size", "16", "--out", str(tmp_path / "s")],
         }[cmd]
         assert main(argv) == 0
-        value = {"--config": "missing.json", "--threads": "-5", "--seed": "1"}[option]
+        value = {"--config": "missing.json", "--threads": "-5", "--seed": "1", "--g": "3"}[option]
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(argv + [option, value])

@@ -44,7 +44,7 @@ import reidrisk.mechanisms as mechanisms
 from reidrisk.estimation import glh_counts
 from reidrisk.probcore import make_rng
 from reidrisk.pse import harvest_scores_sparse
-from reidrisk.reid import ProfileTable, train_profile
+from reidrisk.reid import DEFAULT_FLOOR, ProfileTable, train_profile
 
 
 # largest prime the modulus guard admits: (P-1)^2 + (P-1) < 2^63
@@ -629,7 +629,7 @@ class TestHashMatchKernel:
                          for a, b, y in zip(batch.a, batch.b, batch.ys)])
 
     def brute_scores(self, batch, profiles, mech):
-        pi = np.array([np.where(p.pi > 0, p.pi, p.floor) for p in profiles])
+        pi = np.array([np.where(p.pi > 0, p.pi, DEFAULT_FLOOR) for p in profiles])
         mass = pi @ self.brute_masks(batch).T.astype(np.float64)
         return np.log2(mech.off_bucket + (mech.mu - mech.off_bucket) * mass).T
 

@@ -20,7 +20,7 @@ from reidrisk.pse import (
     knn_kl_estimate,
     pse_estimate,
 )
-from reidrisk.reid import ProfileTable, probe_score_trials, train_profile
+from reidrisk.reid import DEFAULT_FLOOR, ProfileTable, probe_score_trials, train_profile
 
 # KL(N(0,1) || N(1,1)) = (1/2) log2(e), frozen from high precision.
 GAUSS_SHIFT_KL_BITS = 0.7213475204444817
@@ -59,29 +59,27 @@ class TestScoreSample:
 class TestHarvesting:
     def test_dense_counts(self):
         probes, table = clear_profiles([0, 1, 2], 3)
-        sample = harvest_scores(probes, None, table, trials=40, rng=make_rng(0), meta={"tag": "x"})
+        sample = harvest_scores(probes, None, table, trials=40, rng=make_rng(0))
         assert sample.genuine.size == 40
         assert sample.impostor.size == 40 * 2
-        assert sample.meta["tag"] == "x" and sample.meta["n_users"] == 3
 
     def test_dense_clear_release_scores_are_exact(self):
         probes, table = clear_profiles([0, 1], 2)
         sample = harvest_scores(probes, None, table, trials=25, rng=make_rng(1))
         assert np.all(sample.genuine == 0.0)  # log2 1
-        assert np.allclose(sample.impostor, math.log2(table.floor[0]))
+        assert np.allclose(sample.impostor, math.log2(DEFAULT_FLOOR))
 
-    def test_sparse_counts_and_meta(self):
+    def test_sparse_counts(self):
         probes, table = clear_profiles(range(4), 4)
         sample = harvest_scores_sparse(probes, None, table, 100, 300, make_rng(2))
         assert sample.genuine.size == 100 and sample.impostor.size == 300
-        assert sample.meta["n_users"] == 4
 
     def test_sparse_clear_release_scores_are_exact(self):
         probes, table = clear_profiles([0, 1, 2], 3)
         sample = harvest_scores_sparse(probes, None, table, 50, 150, make_rng(3))
         assert np.all(sample.genuine == 0.0)
         # A uniformly chosen WRONG claimant never matches a distinct probe.
-        assert np.allclose(sample.impostor, math.log2(table.floor[0]))
+        assert np.allclose(sample.impostor, math.log2(DEFAULT_FLOOR))
 
     def test_sparse_deterministic(self):
         probes, table = clear_profiles([0, 1, 2], 3)

@@ -30,6 +30,7 @@ from reidrisk.probcore import (
     step_chains,
 )
 from reidrisk.reid import (
+    DEFAULT_FLOOR,
     MAX_KEYED_ALPHABET,
     DetCurve,
     MarkovProfile,
@@ -63,9 +64,9 @@ class TestProfileTraining:
 
     def test_unseen_entries_fall_back_to_floor(self):
         prof = train_profile([0, 0], alphabet=3)
-        assert prof.initial_prob(1) == prof.floor  # never visited
-        assert prof.transition_prob(2, 0) == prof.floor  # source never seen
-        assert prof.transition_prob(0, 1) == prof.floor  # destination never seen
+        assert prof.initial_prob(1) == DEFAULT_FLOOR  # never visited
+        assert prof.transition_prob(2, 0) == DEFAULT_FLOOR  # source never seen
+        assert prof.transition_prob(0, 1) == DEFAULT_FLOOR  # destination never seen
 
     def test_seen_entries_are_exact_not_renormalized(self):
         # The floor is a lookup-time fallback; stored rows keep exact MLE mass.
@@ -97,8 +98,6 @@ class TestProfileTraining:
         # size 2: transition keys 0..3, start row keys 4 and 5
         with pytest.raises(ValueError):
             MarkovProfile(owner=0, size=2, keys=[4, 5], probs=[0.7, 0.7])
-        with pytest.raises(ValueError):
-            MarkovProfile(owner=0, size=2, keys=[4, 5], probs=[0.5, 0.5], floor=0.0)
         for keys, probs in (([-1, 4, 5], [1.0, 0.5, 0.5]),  # key below the table
                             ([4, 5, 6], [0.5, 0.5, 1.0]),  # key past the start row
                             ([5, 4], [0.5, 0.5]),  # decreasing keys
@@ -130,7 +129,7 @@ class TestLogLikelihood:
 
     def test_floor_applies_to_missing_entries(self):
         prof = train_profile([0, 0, 0], alphabet=2)
-        want = math.log2(prof.floor) + math.log2(prof.floor)
+        want = math.log2(DEFAULT_FLOOR) + math.log2(DEFAULT_FLOOR)
         assert math.isclose(ProfileTable([prof]).scores([1, 1])[0], want, rel_tol=1e-12)
 
     def test_longer_own_trace_scores_higher_than_foreign(self):
@@ -156,8 +155,8 @@ class TestLogLikelihood:
 
 
 def floored_visits(profiles):
-    """Dense (n, size) visit probabilities, each profile's floor where pi is 0."""
-    return np.array([np.where(p.pi > 0, p.pi, p.floor) for p in profiles])
+    """Dense (n, size) visit probabilities, the floor where pi is 0."""
+    return np.array([np.where(p.pi > 0, p.pi, DEFAULT_FLOOR) for p in profiles])
 
 
 def brute_glh_scores(profiles, batch, mech):
@@ -172,8 +171,8 @@ def brute_glh_scores(profiles, batch, mech):
 
 @st.composite
 def visit_tables(draw):
-    """(size, profiles): visit rows with per-profile floors, zero entries, and supports
-    that often hold symbols 0 and size - 1."""
+    """(size, profiles): visit rows with zero entries, positive entries below the
+    floor, and supports that often hold symbols 0 and size - 1."""
     size = draw(st.integers(1, 12))
     profiles = []
     for owner in range(draw(st.integers(1, 5))):
@@ -183,8 +182,7 @@ def visit_tables(draw):
                                 min_size=len(support), max_size=len(support)))
         weights[0] = weights[0] or 1.0
         probs = np.array(weights) / sum(weights)
-        floor = draw(st.sampled_from([1e-8, 1e-3, 0.03, 0.5]))
-        profiles.append(MarkovProfile(owner=owner, size=size, floor=floor, probs=probs,
+        profiles.append(MarkovProfile(owner=owner, size=size, probs=probs,
                                       keys=size * size + np.array(sorted(support))))
     return size, profiles
 
@@ -195,7 +193,7 @@ class TestSingleReleaseScores:
         p0 = train_profile([0, 0], alphabet=3)
         p1 = train_profile([1, 2], alphabet=3)
         scores = ProfileTable([p0, p1]).datum_scores(np.arange(3))
-        want = [[1.0, p0.floor, p0.floor], [p0.floor, 0.5, 0.5]]
+        want = [[1.0, DEFAULT_FLOOR, DEFAULT_FLOOR], [DEFAULT_FLOOR, 0.5, 0.5]]
         assert np.array_equal(scores.T, np.log2(want))
 
     @settings(deadline=None, max_examples=25)
@@ -203,12 +201,10 @@ class TestSingleReleaseScores:
     def test_rr_scores_match_brute_force(self, seed):
         rng = make_rng(seed)
         n, size, trials = 4, 6, 9
-        profiles = [train_profile(rng.integers(0, size, 5), size, owner=i,
-                                  floor=float(rng.choice([1e-8, 0.3])))
-                    for i in range(n)]
+        profiles = [train_profile(rng.integers(0, size, 5), size, owner=i) for i in range(n)]
         ys = rng.integers(0, size, size=trials)
         got = ProfileTable(profiles).datum_scores(ys)
-        want = np.array([[math.log2(p.pi[y] or p.floor) for p in profiles] for y in ys])
+        want = np.array([[math.log2(p.pi[y] or DEFAULT_FLOOR) for p in profiles] for y in ys])
         assert np.allclose(got, want, rtol=0, atol=1e-12)
         assert np.array_equal(got, np.log2(floored_visits(profiles)[:, ys]).T)
 
@@ -401,7 +397,7 @@ class TestDetCurve:
             )
 
 
-def reference_log_likelihood(train, floor, release):
+def reference_log_likelihood(train, release):
     """log2 likelihood of a release from the raw counts of one training trace.
 
     Each term is np.log2 of a count ratio (or of the floor), added in release
@@ -409,18 +405,18 @@ def reference_log_likelihood(train, floor, release):
     """
     train = list(train)
     first = train.count(release[0]) / len(train)
-    total = np.log2(first if first > 0 else floor)
+    total = np.log2(first if first > 0 else DEFAULT_FLOOR)
     pairs = list(zip(train[:-1], train[1:]))
     for src, dst in zip(release[:-1], release[1:]):
         out_of_src = sum(1 for s, _ in pairs if s == src)
         hits = pairs.count((src, dst))
-        total += np.log2(hits / out_of_src if hits else floor)
+        total += np.log2(hits / out_of_src if hits else DEFAULT_FLOOR)
     return float(total)
 
 
 @st.composite
 def training_sets(draw):
-    """(size, training traces, per-profile floors) over a small alphabet.
+    """(size, training traces) over a small alphabet.
 
     Short traces leave sources and destinations unseen, and symbols never
     visited give zero pi entries.
@@ -429,13 +425,11 @@ def training_sets(draw):
     n = draw(st.integers(1, 4))
     traces = [draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8))
               for _ in range(n)]
-    floors = [draw(st.sampled_from([1e-8, 1e-5, 0.03])) for _ in range(n)]
-    return size, traces, floors
+    return size, traces
 
 
-def trained(size, traces, floors):
-    return [train_profile(t, size, floor=f, owner=i)
-            for i, (t, f) in enumerate(zip(traces, floors))]
+def trained(size, traces):
+    return [train_profile(t, size, owner=i) for i, t in enumerate(traces)]
 
 
 def per_source_transitions(symbols):
@@ -768,10 +762,10 @@ class TestProfileTable:
     @settings(deadline=None, max_examples=200)
     @given(training_sets(), st.data())
     def test_scores_match_per_symbol_reference(self, case, data):
-        size, traces, floors = case
-        profiles = trained(size, traces, floors)
+        size, traces = case
+        profiles = trained(size, traces)
         release = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=6))
-        want = [reference_log_likelihood(t, f, release) for t, f in zip(traces, floors)]
+        want = [reference_log_likelihood(t, release) for t in traces]
         assert ProfileTable(profiles).scores(release).tolist() == want
         assert [ProfileTable([p]).scores(release)[0] for p in profiles] == want
 
@@ -779,7 +773,7 @@ class TestProfileTable:
     @given(training_sets(), st.integers(0, 2**32 - 1), st.sampled_from(["none", "rr"]))
     def test_trial_scores_match_per_symbol_reference(self, case, seed, mech_name):
         # every user follows a chain over the whole alphabet, all of one trace length
-        size, traces, floors = case
+        size, traces = case
         n = len(traces)
         rng = make_rng(seed)
         length = int(rng.integers(1, 5))
@@ -789,7 +783,7 @@ class TestProfileTable:
         pop = PopulationModel(n, CategoricalDistribution(n, rng.dirichlet(np.ones(n))), models)
         mech = {"none": None, "rr": RandomizedResponse(1.0, size)}[mech_name]
         trials = 12
-        us, scores = simulate_score_trials(pop, mech, trained(size, traces, floors),
+        us, scores = simulate_score_trials(pop, mech, trained(size, traces),
                                            trials, make_rng(seed))
         # replay the documented draw order: users, lockstep chain steps, one release
         replay = make_rng(seed)
@@ -798,17 +792,19 @@ class TestProfileTable:
         ys = xs if mech is None else rr_sample_batch(mech, xs, replay).ys
         assert us.tolist() == want_us.tolist()
         for t, y in enumerate(ys.reshape(trials, length).tolist()):
-            want = [reference_log_likelihood(tr, f, y) for tr, f in zip(traces, floors)]
+            want = [reference_log_likelihood(tr, y) for tr in traces]
             assert scores[t].tolist() == want
 
     def test_zero_probability_entries_take_the_floor(self):
         # T(0,0) = 0, T(0,1) = 1 (keys 0, 1); pi = (0.5, 0.5, 0) (keys 9, 10, 11)
         prof = MarkovProfile(owner=0, size=3, keys=[0, 1, 9, 10, 11],
-                             probs=[0.0, 1.0, 0.5, 0.5, 0.0], floor=0.25)
-        assert prof.transition_prob(0, 0) == 0.25
-        assert ProfileTable([prof]).scores([0, 0, 1])[0] == -1.0 - 2.0 + 0.0
-        assert ProfileTable([prof]).scores([2])[0] == -2.0
-        assert ProfileTable([prof]).datum_scores(np.arange(3)).ravel().tolist() == [-1.0, -1.0, -2.0]
+                             probs=[0.0, 1.0, 0.5, 0.5, 0.0])
+        log_floor = float(np.log2(DEFAULT_FLOOR))
+        assert prof.transition_prob(0, 0) == DEFAULT_FLOOR
+        assert ProfileTable([prof]).scores([0, 0, 1])[0] == -1.0 + log_floor + 0.0
+        assert ProfileTable([prof]).scores([2])[0] == log_floor
+        assert (ProfileTable([prof]).datum_scores(np.arange(3)).ravel().tolist()
+                == [-1.0, -1.0, log_floor])
 
     def test_rejects_inconsistent_input(self):
         p2 = train_profile([0, 1], 2)
@@ -834,11 +830,18 @@ class TestProfileTable:
         with pytest.raises(ValueError):
             _pair_keys([0], [0], top + 1)
 
-    def test_floored_pi_matrix_uses_each_profiles_floor(self):
-        p0 = train_profile([0, 0], alphabet=2, floor=1e-3)
-        p1 = train_profile([1, 1], alphabet=2, floor=1e-5)
-        scores = ProfileTable([p0, p1]).datum_scores(np.arange(2))
-        assert np.array_equal(scores.T, np.log2([[1.0, 1e-3], [1e-5, 1.0]]))
+    def test_positive_entry_below_the_floor_is_used_as_is(self):
+        # T(0,0) = 1e-9 and pi(1) = 1e-9 (keys 0 and 5), both below the floor 1e-8
+        tiny = 1e-9
+        prof = MarkovProfile(owner=0, size=2, keys=[0, 1, 4, 5],
+                             probs=[tiny, 1.0 - tiny, 1.0 - tiny, tiny])
+        assert tiny < DEFAULT_FLOOR and prof.transition_prob(0, 0) == tiny
+        table = ProfileTable([prof])
+        assert table.scores([0, 0])[0] == np.log2(1.0 - tiny) + np.log2(tiny)
+        assert np.array_equal(table.datum_scores(np.arange(2)).ravel(),
+                              np.log2([1.0 - tiny, tiny]))
+        assert np.array_equal(table.datum_scores(np.array([1]), rows=np.array([0])),
+                              np.log2([tiny]))
 
     def test_threads_sharing_a_table_build_its_start_rows_once(self, monkeypatch):
         import threading
