@@ -97,7 +97,8 @@ def _build_parser() -> _Parser:
     p = command("pse", "seed out config", "score-level identity leakage in bits")
     p.add_argument("--scores", default=None,
                    help="label,score CSV with labels g/i; otherwise simulate")
-    p.add_argument("--mechanism", choices=["rr", "glh", "none"], default="rr")
+    p.add_argument("--mechanism", choices=["rr", "glh", "none"], default=None,
+                   help="default rr")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--g", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
@@ -293,13 +294,21 @@ def _read_scores_csv(path) -> pse.ScoreSample:
     return pse.ScoreSample(np.array(gen), np.array(imp))
 
 
+# what only a simulated pse reads; with --scores each is a usage error
+_SIMULATION_OPTIONS = ("config", "mechanism", "epsilon", "g", "trials", "knowledge")
+
+
 def _cmd_pse(args) -> int:
     seed = args.seed or 0
     if args.scores:
+        given = [f"--{name}" for name in _SIMULATION_OPTIONS if getattr(args, name) is not None]
+        if given:
+            raise UsageError(f"--scores takes no {', '.join(given)}")
         sample = _read_scores_csv(args.scores)
         extra = {}
         k = args.k if args.k is not None else pse.DEFAULT_K
     else:
+        args.mechanism = args.mechanism or "rr"  # unset by default, so --scores can refuse it
         cfg, setup, mech, rng = _attack(args)
         sample = pse.harvest_scores(setup.probes, mech, setup.table, cfg.pse_trials, rng)
         extra = {"mechanism": args.mechanism, "epsilon": args.epsilon,

@@ -77,17 +77,22 @@ class TestUsageErrors:
                          "--out", str(tmp_path / "o"))
         assert code == 1
 
-    # shared options each command does not read; argparse must refuse them
+    # options each command does not read: argparse refuses the shared ones and
+    # estimate's --g, and pse refuses the options of a simulated run with --scores
     UNREAD = [("oracle", "--config"), ("oracle", "--threads"), ("bounds", "--config"),
               ("bounds", "--threads"), ("bounds", "--seed"), ("obfuscate", "--config"),
               ("obfuscate", "--threads"), ("estimate", "--config"), ("estimate", "--threads"),
               ("estimate", "--seed"), ("estimate", "--g"), ("reid", "--threads"),
-              ("pse", "--threads"), ("synth", "--threads")]
+              ("pse", "--threads"), ("synth", "--threads")] + [
+        ("pse --scores", option) for option in ("--config", "--mechanism", "--epsilon", "--g",
+                                                "--trials", "--knowledge")]
 
     @pytest.mark.parametrize("cmd,option", UNREAD)
     def test_unread_shared_option_exits_1(self, capsys, tmp_path, cmd, option):
         (tmp_path / "values.csv").write_text("user_idx,x\n0,1\n1,3\n")
         (tmp_path / "records.csv").write_text("user_idx,y\n0,1\n1,3\n")
+        (tmp_path / "scores.csv").write_text(
+            "label,score\n" + "".join(f"g,{v}\ni,{v / 3}\n" for v in range(1, 9)))
         argv = {
             "oracle": ["oracle", "--count", "1"],
             "bounds": ["bounds", "--n", "10", "--size", "4", "--epsilon", "1"],
@@ -97,15 +102,22 @@ class TestUsageErrors:
                          "1", "--size", "4", "--out", str(tmp_path / "e")],
             "reid": ["reid", "--mechanism", "rr", "--epsilon", "1", "--trials", "20"],
             "pse": ["pse", "--mechanism", "rr", "--epsilon", "1", "--trials", "20"],
+            "pse --scores": ["pse", "--scores", str(tmp_path / "scores.csv")],
             "synth": ["synth", "--n-users", "20", "--size", "16", "--out", str(tmp_path / "s")],
         }[cmd]
         assert main(argv) == 0
-        value = {"--config": "missing.json", "--threads": "-5", "--seed": "1", "--g": "3"}[option]
+        value = {"--config": "missing.json", "--threads": "-5", "--seed": "1", "--g": "3",
+                 "--mechanism": "glh", "--epsilon": "7", "--trials": "20",
+                 "--knowledge": "max"}[option]
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(argv + [option, value])
-        assert exc.value.code == 1
-        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+        try:
+            code = main(argv + [option, value])
+        except SystemExit as exc:  # argparse's refusal
+            code = exc.code
+        assert code == 1
+        refusal = (f"--scores takes no {option}" if cmd == "pse --scores"
+                   else f"unrecognized arguments: {option} {value}")
+        assert refusal in capsys.readouterr().err
 
 
 class TestParserReuse:
