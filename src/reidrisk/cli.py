@@ -240,10 +240,12 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _attack(args):
-    """Config, attack setup, mechanism (`--g`, else `glh_g`) and stream for reid and pse."""
-    cfg = _effective_config(args, knowledge=args.knowledge,
-                            reid_trials=args.trials, pse_trials=args.trials)
+def _attack(args, **overrides):
+    """Config, attack setup, mechanism (`--g`, else `glh_g`) and stream for reid and pse.
+
+    The overrides are the config fields the command's own options set.
+    """
+    cfg = _effective_config(args, knowledge=args.knowledge, **overrides)
     if args.mechanism != "none" and args.epsilon is None:
         raise UsageError(f"{args.mechanism} requires --epsilon")
     streams = iter(spawn_streams(cfg.seed, 2))
@@ -254,7 +256,7 @@ def _attack(args):
 
 
 def _cmd_reid(args) -> int:
-    cfg, setup, mech, rng = _attack(args)
+    cfg, setup, mech, rng = _attack(args, reid_trials=args.trials)
     us, scores = reid.probe_score_trials(setup.probes, mech, setup.table, cfg.reid_trials, rng)
     err = reid.identification_error_rate(us, scores)
     det = reid.far_frr_det(*pse.split_scores(scores, us))
@@ -309,11 +311,11 @@ def _cmd_pse(args) -> int:
         k = args.k if args.k is not None else pse.DEFAULT_K
     else:
         args.mechanism = args.mechanism or "rr"  # unset by default, so --scores can refuse it
-        cfg, setup, mech, rng = _attack(args)
+        cfg, setup, mech, rng = _attack(args, pse_trials=args.trials, pse_k=args.k)
         sample = pse.harvest_scores(setup.probes, mech, setup.table, cfg.pse_trials, rng)
         extra = {"mechanism": args.mechanism, "epsilon": args.epsilon,
                  "config_hash": cfg.config_hash()}
-        k = args.k if args.k is not None else cfg.pse_k
+        k = cfg.pse_k
     est = pse.pse_estimate(sample, k=k, jitter_seed=seed)
     conv = pse.convergence_probe(sample, (0.25, 0.5, 1.0), k=k, seed=seed)
     payload = {"pse_bits": est.bits, "raw_bits": est.raw_bits, "k": est.k,

@@ -258,14 +258,21 @@ class ExperimentConfig:
             raise ValueError("epsilons must be >= 0")
         if any(p < 1 for p in self.phis):
             raise ValueError("phi values must be >= 1")
-        if self.glh_g is not None and self.glh_g < 2:
-            raise ValueError("glh_g must be >= 2")
-        if any(g < 2 for g in self.g_sweep):
-            raise ValueError("g_sweep values must be >= 2")
+        if self.glh_g is not None and not 2 <= self.glh_g <= MAX_BUCKETS:
+            raise ValueError(f"glh_g must lie in [2, {MAX_BUCKETS}]")
+        if any(not 2 <= g <= MAX_BUCKETS for g in self.g_sweep):
+            raise ValueError(f"g_sweep values must lie in [2, {MAX_BUCKETS}]")
         if not 0 < self.threshold_level < 1:
             raise ValueError("threshold_level must lie in (0, 1)")
         if not 0 < self.theta_for_g_sweep < 1:
             raise ValueError("theta_for_g_sweep must lie in (0, 1)")
+        self.synthesis_spec()  # the dataset stage's checks, made now
+        if self.n_users < 2:
+            raise ValueError("n_users must be >= 2: an attack needs impostors")
+        if min(self.reid_trials, self.pse_trials, self.pse_k) < 1:
+            raise ValueError("reid_trials, pse_trials and pse_k must be >= 1")
+        if self.pse_trials <= self.pse_k:
+            raise ValueError("pse_trials must exceed pse_k, the neighbour order")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -379,9 +386,13 @@ def attack_setup(config: ExperimentConfig, rngs: Iterator[np.random.Generator],
     split and profile steps run as `run_stage(name, fn)`.
     """
     def dataset():
-        if config.checkins_path:
-            return ingest_checkins(config.checkins_path, config.min_events)
-        return synth_population(config.synthesis_spec(), next(rngs))[1]
+        if not config.checkins_path:
+            return synth_population(config.synthesis_spec(), next(rngs))[1]
+        data = ingest_checkins(config.checkins_path, config.min_events)
+        if data.n_users < 2:
+            raise DataError(f"{config.checkins_path} keeps one user; "
+                            "an attack needs at least 2")
+        return data
 
     data = run_stage("dataset", dataset)
     size = data.alphabet.size

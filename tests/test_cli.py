@@ -174,15 +174,38 @@ class TestDataErrors:
     @pytest.mark.parametrize("config,message", [
         ({"beta_min": 0.9}, "unknown config keys: ['beta_min']"),
         ({"zipf_exponent": 10 ** 400}, "config key zipf_exponent lies beyond the float range"),
-    ], ids=["beta_min", "int_beyond_float"])
+        ({"n_users": 1}, "n_users must be >= 2"),
+        ({"n_users": 0}, "need n_users >= 1"),
+        ({"size": 8, "support_size": 9}, "support_size must lie in [1, size]"),
+        ({"glh_g": 2 ** 63}, "glh_g must lie in [2, 9223372036854775807]"),
+        ({"g_sweep": [4, 2 ** 63]}, "g_sweep values must lie in [2, 9223372036854775807]"),
+        ({"reid_trials": 0}, "reid_trials, pse_trials and pse_k must be >= 1"),
+        ({"pse_trials": 0}, "reid_trials, pse_trials and pse_k must be >= 1"),
+        ({"pse_k": 0}, "reid_trials, pse_trials and pse_k must be >= 1"),
+        ({"pse_trials": 5, "pse_k": 5}, "pse_trials must exceed pse_k"),
+        ({"checkins_path": "one_user.csv"}, "keeps one user; an attack needs at least 2"),
+    ], ids=["beta_min", "int_beyond_float", "one_user", "no_users", "support_beyond_size",
+            "glh_g_beyond_max", "g_sweep_beyond_max", "no_reid_trials", "no_pse_trials",
+            "pse_k_0", "pse_trials_not_above_k", "checkins_of_one_user"])
     def test_config_refusal_exits_2(self, capsys, tmp_path, config, message):
-        # no stage reads beta_min; a float field's huge int raised OverflowError
+        # each was refused only by a stage, if at all: no stage reads beta_min, and
+        # a float field's huge int raised OverflowError
+        if "checkins_path" in config:
+            data = tmp_path / config["checkins_path"]
+            data.write_text("user_id,timestamp,poi_id\n" + "".join(
+                f"u,{t},p{t % 3}\n" for t in range(12)))
+            config = {"checkins_path": str(data)}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "o"
         code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
         assert code == 2 and message in err and "Traceback" not in err
-        assert not out.exists()
+        if "checkins_path" in config:  # the file is read by the first stage, which fails
+            manifest = json.loads((out / "MANIFEST.json").read_text())
+            assert [s["name"] for s in manifest["stages"]] == ["dataset"]
+            assert manifest["files"] == {}
+        else:
+            assert not out.exists()
 
     def test_value_outside_alphabet_exits_2(self, capsys, tmp_path):
         p = tmp_path / "in.csv"
@@ -541,6 +564,17 @@ class TestAttackCommands:
         payload = json.loads(text)
         # tiny_config sets reid_trials 80 and pse_trials 120; n = 25 users
         assert payload["n_genuine"] == 120 and payload["n_impostor"] == 120 * 24
+
+    def test_trials_and_k_set_only_the_commands_own_fields(self, capsys, tiny_config):
+        # tiny_config's pse_k is 3. reid --trials 2 leaves pse_trials as it is, and
+        # pse --k sets pse_k, so the config's pse_trials > pse_k check holds for both
+        code, text, _ = run(capsys, "reid", "--config", tiny_config, "--epsilon", "1",
+                            "--trials", "2")
+        assert code == 0 and json.loads(text)["trials"] == 2
+        code, text, _ = run(capsys, "pse", "--config", tiny_config, "--epsilon", "1",
+                            "--trials", "4", "--k", "2")
+        payload = json.loads(text)
+        assert code == 0 and payload["n_genuine"] == 4 and payload["k"] == 2
 
     def test_reid_attacks_the_configured_checkins(self, capsys, tmp_path, tiny_config):
         data = tmp_path / "checkins.csv"
