@@ -12,12 +12,13 @@ stable e^(-eps) form, together with the bucket-count limit law.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .mechanisms import GlhBatch, RrBatch, _keep_leak, glh_match_chunks
 
@@ -102,14 +103,16 @@ def apply_significance_threshold(est: FrequencyEstimate, null_variance: float,
     """Zero every estimate not significantly above zero.
 
     The cutoff is z * sqrt(null_variance) where z is the standard-normal
-    upper quantile at level/size (union-bound corrected across symbols).
-    Surviving entries are kept untouched; the result is not renormalized.
+    upper quantile at level/size (union-bound corrected across symbols), or
+    +inf where 1 - level/size rounds to 1. Surviving entries are kept
+    untouched; the result is not renormalized.
     """
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
     if null_variance <= 0:
         raise ValueError("null variance must be positive")
-    z = float(ndtri(1.0 - level / est.size))
+    q = 1.0 - level / est.size
+    z = math.inf if q == 1.0 else NormalDist().inv_cdf(q)
     cutoff = z * float(np.sqrt(null_variance))
     kept = np.where(est.p_hat > cutoff, est.p_hat, 0.0)
     return replace(est, p_hat=kept, thresholded=True, threshold=cutoff)

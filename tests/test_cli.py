@@ -147,11 +147,12 @@ class TestParserReuse:
 
 class TestColdStart:
     def test_import_leaves_scipy_sparse_unloaded(self):
-        # every command pays a cold `import reidrisk.cli`; ProfileTable loads
-        # scipy.sparse only when it first scores single data
+        # every command pays a cold `import reidrisk.cli`, which loads no scipy module
+        # at all; ProfileTable loads scipy.sparse only when it first scores single data
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        probe = "import sys, reidrisk.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+        probe = ("import sys, reidrisk.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
         assert out.stdout == "[]\n"

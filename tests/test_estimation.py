@@ -154,10 +154,10 @@ class TestGlhEstimator:
 
 class TestSignificanceThreshold:
     def test_strictly_above_cutoff_survives(self):
-        from scipy.special import ndtri
+        from statistics import NormalDist
 
         null_var = 1e-4
-        z = float(ndtri(1 - 0.05 / 3))
+        z = NormalDist().inv_cdf(1 - 0.05 / 3)
         cutoff = z * 0.01
         est = FrequencyEstimate(
             size=3,
@@ -176,6 +176,13 @@ class TestSignificanceThreshold:
         est = FrequencyEstimate(size=100, p_hat=np.zeros(100), counts=np.zeros(100), n=10)
         out = apply_significance_threshold(est, 4.0, 0.05)
         assert math.isclose(out.threshold, Z_UNION_100 * 2.0, rel_tol=1e-12)
+
+    def test_level_below_float_resolution_keeps_nothing(self):
+        # 1 - 1e-300 / 4 rounds to 1.0, whose quantile is +inf: every estimate is zeroed
+        est = FrequencyEstimate(size=4, p_hat=np.array([1.0, 0.5, 0.0, -0.5]),
+                                counts=np.zeros(4), n=10)
+        out = apply_significance_threshold(est, 1e-4, 1e-300)
+        assert out.threshold == math.inf and not out.p_hat.any()
 
     def test_validation(self):
         est = FrequencyEstimate(size=2, p_hat=np.zeros(2), counts=np.zeros(2), n=1)
