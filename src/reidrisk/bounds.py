@@ -15,7 +15,7 @@ log2 |X|).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .mechanisms import _keep_leak
@@ -153,7 +153,8 @@ def epsilon_for_theta(theta: float, domain_size: int) -> float:
 def glh_utility_optimal_g(epsilon: float) -> float:
     """Reference bucket count e^eps + 1 (utility-optimal for frequency estimation).
 
-    Provided for comparison sweeps only; nothing in this package depends on it.
+    `pipeline._glh_bucket_count` rounds it to the GLH bucket count of an
+    attack or experiment that sets no `glh_g`.
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
@@ -180,25 +181,8 @@ class PieBoundReport:
     fano: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "schema_version": 1,
-            "n": self.n,
-            "size": self.size,
-            "epsilon": self.epsilon,
-            "t": self.t,
-            "theta_rr": self.theta_rr,
-            "alpha_ldp": self.alpha_ldp,
-            "alpha_rr": self.alpha_rr,
-            "g": self.g,
-            "theta_glh": self.theta_glh,
-            "alpha_glh": self.alpha_glh,
-            "beta_u_uniform": 1.0 - 1.0 / self.n,
-            "beta_min": self.beta_min,
-            "alpha_max_for_beta_min": self.alpha_max_for_beta_min,
-            "alpha_max_achievable": self.alpha_max_achievable,
-            "fano": self.fano,
-        }
-        return out
+        """The fields, plus the schema version and the no-information error 1 - 1/n."""
+        return {"schema_version": 1, **asdict(self), "beta_u_uniform": 1.0 - 1.0 / self.n}
 
     def table_row(self) -> str:
         cells = [f"n={self.n}", f"size={self.size}", f"eps={self.epsilon:.6g}", f"t={self.t}",
