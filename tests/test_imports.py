@@ -8,10 +8,14 @@
   holding its draw and evaluation loops build no per-instance exact
   quantity, distribution, population or channel object; every exact
   quantity is evaluated on stacks of instances after the loops.
+- Every name the package exports is reached by its own code outside the
+  def or class that defines it, by the README "Library" block or by a
+  benchmark, or is listed, with its reason, as kept for the tests alone.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -181,3 +185,85 @@ def other():
         (5, "exact_pse"), (6, "MechanismKernel"), (8, "mutual_information"),
         (9, "CategoricalDistribution"), (9, "PopulationModel"), (10, "exact_composed_pie")]
     assert per_instance_calls(ast.parse("def other():\n    pass\n")) is None
+
+
+# exports that no program path, README "Library" line or benchmark reaches: each
+# is kept for the tests alone, for the reason given
+_ORACLE_REFERENCE = "the oracle's per-instance reference, which its stacked suite is tested against"
+TEST_FACING = {
+    "exact_pse": _ORACLE_REFERENCE,
+    "exact_composed_pie": _ORACLE_REFERENCE,
+    "exact_bayes_error": _ORACLE_REFERENCE,
+    "mutual_information": _ORACLE_REFERENCE,
+    "postprocess": _ORACLE_REFERENCE,
+    "mixture_kernel": _ORACLE_REFERENCE,
+    "random_small_instance": "the one-instance draw the oracle tests check the suite's array "
+                             "draws against",
+    "entropy": "the reference the mutual-information tests check against",
+    "harvest_scores_sparse": "acceptance 6 draws its millions of score pairs with it",
+}
+README = PACKAGE.parent.parent / "README.md"
+BENCH = sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
+
+
+def exported_names(tree: ast.Module) -> set:
+    """Names the package's `__init__` re-exports from its modules."""
+    return {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for a in node.names}
+
+
+def reached_names(tree: ast.AST) -> set:
+    """Names read as `x` or `mod.x`, or named by a string "mod.x" as the benchmark's
+    tracer names its targets, except inside a def or class that is itself named x."""
+    found = set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            found.update({getattr(node, "id", None) or node.attr} - owners)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"\w+(\.\w+)+", node.value):
+            found.update(set(node.value.split(".")) - owners)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, frozenset())
+    return found
+
+
+def unreached_exports(init: str, sources: list) -> list:
+    """Sorted exports of the `init` source that none of the sources reaches."""
+    reached = set().union(*(reached_names(ast.parse(s)) for s in sources))
+    return sorted(exported_names(ast.parse(init)) - reached)
+
+
+def library_block() -> str:
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return "".join(re.findall(r"```python\n(.*?)```", section, flags=re.S))
+
+
+def test_every_export_is_reached():
+    sources = [p.read_text() for p in MODULES + BENCH] + [library_block()]
+    unreached = unreached_exports((PACKAGE / "__init__.py").read_text(), sources)
+    assert unreached == sorted(TEST_FACING), (
+        f"exports reached by no program path, README Library line or benchmark: {unreached}")
+
+
+def test_unreached_exports_finds_each_form():
+    init = ("from .a import (called, by_attribute, by_string, recursive, dead_class)\n"
+            "from .b import alias as dead\n")
+    module = """
+def called():
+    pass
+def recursive(n):
+    return recursive(n - 1)
+class dead_class:
+    def copy(self):
+        return dead_class()
+def user():
+    called()
+    dead = 1  # a store, not a read
+"""
+    library = "import reidrisk as rr\nrr.by_attribute()\nTARGETS = {'a.by_string': 1}\n"
+    assert unreached_exports(init, [module, library]) == ["dead", "dead_class", "recursive"]
