@@ -7,6 +7,10 @@ releases. An instance is the prior p(u) and the rows p(x | u), as arrays,
 plus exactly one channel kernel, so every exact quantity has one
 implementation; hashed randomization is the kernel of the
 exhaustive hash family, with the hash member part of the release. A
+release (member, bucket) tells only its preimage set, the symbols the
+member sends to that bucket, so the checker takes the hashed release on
+its preimage sets: 2^size columns, one per subset of the alphabet, in place
+of the g^size * g columns of that kernel, with the same information. A
 randomized checker draws many small random instances and verifies every
 inequality the package relies on, reporting violations as data rather than
 exceptions.
@@ -19,9 +23,10 @@ time, as arrays: the checks `SmallInstance` would run are made once per
 stack of equal-shaped draws. It then groups each block's instances by
 shape and evaluates each quantity in one array pass per group, a group cut
 into stacks of at most STACK_CELLS cells per array. Traced through
-`bench/run.py --workload verify` on a 2-core x86-64 host, this costs
-0.15 ms per instance, where building the objects of each drawn instance
-cost 0.22 ms and evaluating one instance at a time cost 2.07 ms.
+`bench/run.py --workload verify` on a 2-vCPU x86-64 host, this costs
+0.075 ms per instance (0.073-0.076 over 5 runs), where enumerating the
+hashed release over every (member, bucket) column cost 0.088 ms
+(0.080-0.100) in runs alternating with them.
 """
 
 from __future__ import annotations
@@ -33,14 +38,14 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from . import bounds, probcore
-from .mechanisms import (ExhaustiveTable, MechanismKernel, _checked_columns, _keep_leak,
-                         _rr_matrices, rr_kernel)
+from .mechanisms import MechanismKernel, _checked_columns, _keep_leak, _rr_matrices, rr_kernel
 
 MAX_USERS = 8
 MAX_SYMBOLS = 8
 ENUMERATION_CAP = 10 ** 7
 TOL = 1e-9
-# cells of the largest array one stack of verify_bound_suite builds
+# cells of the largest array one stack of verify_bound_suite builds; a hashed
+# release, taken on its preimage sets, holds n * 2^size cells per instance
 STACK_CELLS = 2 ** 14
 # instances verify_bound_suite draws and evaluates at a time
 BLOCK_INSTANCES = 2 ** 12
@@ -54,7 +59,9 @@ class SmallInstance:
     `cond`, shape (n, size); each is checked as a distribution and tiny
     drift is renormalized. Every mechanism is a kernel here: hashed
     randomization enters as `ExhaustiveTable(size, g).kernel(epsilon)`,
-    whose outputs are the pairs (hash member, bucket). `pair_conditional`
+    whose outputs are the pairs (hash member, bucket); `verify_bound_suite`
+    takes that release on its preimage sets instead, 2^size columns in place
+    of g^size * g, with the same identity information. `pair_conditional`
     optionally carries p(x1, x2 | u) for two-release composition checks.
     """
 
@@ -311,6 +318,17 @@ def _stacks(draws: list, fields: str, key: Callable, cells: Callable):
             yield k, np.array(part), stack
 
 
+def _preimage_sets(size: int, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """(members, share) of the 2^size subsets S of the alphabet, as hashed releases see them.
+
+    members[s, x] is 1 where x lies in subset s (bit x of s); share[s] is the
+    fraction g * (g - 1)^(size - |S|) / g^size of the exhaustive family's
+    (member, bucket) columns whose preimage set is S.
+    """
+    members = ((np.arange(2 ** size)[:, None] >> np.arange(size)) & 1).astype(np.float64)
+    return members, g * (g - 1.0) ** (size - members.sum(axis=1)) / g ** size
+
+
 def _exact_quantities(draws: list, p: dict) -> dict:
     """Every exact quantity of every draw, one array pass per stack of equal shapes.
 
@@ -359,19 +377,19 @@ def _exact_quantities(draws: list, p: dict) -> dict:
         out["uniform"][idx] = np.isclose(s.prior, 1.0 / n, atol=1e-12).all(axis=1)
         out["beta_u"][idx] = 1.0 - s.prior.max(axis=1)
 
-    # hashed randomization with the exactly universal family: the kernel
-    # leak / count + (keep - leak) / count * H on rows p(x | u) that sum to 1
-    indicators: dict = {}
+    # hashed randomization with the exactly universal family: each column of its kernel
+    # is leak / count + (keep - leak) / count * p(S | u), S the column's preimage set and
+    # count = g^size, so merging the equal columns of each S leaves I(U; (H, Y)) as it is
+    preimages: dict = {}
     for (n, size, g), idx, s in _stacks(draws, "prior cond",
                                         lambda d: d.cond.shape + (d.g,) if d.hashed else None,
-                                        lambda n, size, g: n * g ** size * g):
-        if (size, g) not in indicators:
-            indicators[size, g] = ExhaustiveTable(size, g).indicator()
-        count = g ** size
-        hits = s.cond @ indicators[size, g].T
+                                        lambda n, size, g: n * 2 ** size):
+        if (size, g) not in preimages:
+            preimages[size, g] = _preimage_sets(size, g)
+        members, share = preimages[size, g]
+        hits = s.cond @ members.T
         keep, leak = p["keep"][idx, None, None], p["leak"][idx, None, None]
-        given_u = leak / count + (keep - leak) / count * hits
-        out["i_uhy"][idx] = mi(s.prior[:, :, None] * given_u)
+        out["i_uhy"][idx] = mi(s.prior[:, :, None] * (share * (leak + (keep - leak) * hits)))
 
     # post-processing by a random channel
     for (n, size, out2), idx, s in _stacks(draws, "prior cond kernel post",

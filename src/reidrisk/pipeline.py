@@ -262,6 +262,8 @@ class ExperimentConfig:
             raise ValueError(f"glh_g must lie in [2, {MAX_BUCKETS}]")
         if any(not 2 <= g <= MAX_BUCKETS for g in self.g_sweep):
             raise ValueError(f"g_sweep values must lie in [2, {MAX_BUCKETS}]")
+        for eps in self.epsilons:  # the bounds stage's bucket count, made now
+            _glh_bucket_count(self.glh_g, eps)
         if not 0 < self.threshold_level < 1:
             raise ValueError("threshold_level must lie in (0, 1)")
         if not 0 < self.theta_for_g_sweep < 1:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from reidrisk import oracle
 from reidrisk.cli import main
 from reidrisk.mechanisms import next_prime_above
-from reidrisk.pipeline import ExperimentConfig
+from reidrisk.pipeline import DataError, ExperimentConfig
 from reidrisk.probcore import make_rng
 
 # a modulus past the int64-safe limit of about 3.037e9
@@ -356,11 +356,26 @@ class TestDataErrors:
         code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
         assert code == 2 and "bad config" in err and "epsilons" in err
         assert not out.exists()  # refused before any stage ran
-        cfg.write_text('{"epsilons": [Infinity]}')
+        cfg.write_text('{"epsilons": [Infinity], "glh_g": 4}')
         assert ExperimentConfig.from_file(cfg).epsilons == (math.inf,)
+        cfg.write_text('{"epsilons": [Infinity]}')
+        with pytest.raises(DataError, match="buckets"):
+            ExperimentConfig.from_file(cfg)
         code, text, _ = run(capsys, "bounds", "--n", "10", "--size", "4",
                             "--epsilon", "inf")
         assert code == 0 and json.loads(text)["theta_rr"] == 1.0
+
+    @pytest.mark.parametrize("epsilons", ["[1.0, 44.0]", "[710]", "[Infinity]"],
+                             ids=["eps44", "eps710", "eps_inf"])
+    def test_config_epsilon_beyond_the_bucket_limit_refused_at_load(self, capsys, tmp_path,
+                                                                   epsilons):
+        # with no glh_g the bounds stage takes e^epsilon + 1 buckets, above MAX_BUCKETS here
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"epsilons": {epsilons}}}')
+        out = tmp_path / "run"
+        code, text, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert code == 2 and err.startswith("data error: bad config: ") and "buckets" in err
+        assert text == "" and not out.exists()  # refused before any stage ran
 
     @pytest.mark.parametrize("argv", [
         [cmd, "--mechanism", "glh", "--epsilon", eps]

@@ -199,6 +199,8 @@ TEST_FACING = {
     "mixture_kernel": _ORACLE_REFERENCE,
     "random_small_instance": "the one-instance draw the oracle tests check the suite's array "
                              "draws against",
+    "ExhaustiveTable": "the brute-force hash family the suite's preimage-set form is checked "
+                       "against",
     "entropy": "the reference the mutual-information tests check against",
     "harvest_scores_sparse": "acceptance 6 draws its millions of score pairs with it",
 }

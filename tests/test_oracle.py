@@ -25,6 +25,7 @@ from reidrisk.oracle import (
     _exact_quantities,
     _likelihood_labels,
     _likelihoods,
+    _preimage_sets,
     _release_joints,
     _score_joints,
     argmax_matcher,
@@ -215,6 +216,41 @@ class TestHashedKernel:
             two = exact_composed_pie(hashed, t=2)
             assert one - 1e-12 <= two <= 2 * one + 1e-12
             checked += 1
+
+
+class TestPreimageSets:
+    """The suite's hashed release, taken on preimage sets, against the exhaustive kernel."""
+
+    @pytest.mark.parametrize("size,g", [(size, g) for size in range(1, 7) for g in (2, 3)])
+    def test_share_counts_the_columns_of_each_preimage_set(self, size, g):
+        members, share = _preimage_sets(size, g)
+        bits = 2 ** np.arange(size)
+        assert np.array_equal(members @ bits, np.arange(2 ** size))
+        family = ExhaustiveTable(size, g)
+        columns = np.bincount((family.indicator() @ bits).astype(int), minlength=2 ** size)
+        assert np.array_equal(share, columns / family.count)
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.integers(2, 3), st.integers(2, 6),
+           st.floats(0.0, 8.0) | st.just(math.inf), st.booleans(), st.booleans())
+    def test_suite_matches_the_exhaustive_kernel(self, seed, size, g, n, epsilon,
+                                                 point_prior, point_rows):
+        rng = make_rng(seed)
+        keep, leak, _ = _keep_leak(epsilon, g)
+        draws = []
+        for _ in range(3):
+            prior = np.eye(n)[rng.integers(n)] if point_prior else rng.dirichlet(np.ones(n))
+            cond = rng.dirichlet(np.ones(size), size=n)
+            if point_rows:
+                cond[: n // 2 + 1] = np.eye(size)[rng.integers(0, size, n // 2 + 1)]
+            draws.append(_Draw(prior, cond, rr_kernel(epsilon, size).matrix, epsilon, g, True,
+                               np.eye(size), 1.0, 0.5))
+        p = {"keep": np.full(3, keep), "leak": np.full(3, leak)}
+        p["keep2"], p["leak2"] = (np.full(3, v) for v in _keep_leak(1.0, size)[:2])
+        got = _exact_quantities(draws, p)["i_uhy"]
+        kernel = ExhaustiveTable(size, g).kernel(epsilon)
+        for i, d in enumerate(draws):
+            assert abs(got[i] - exact_pie(SmallInstance(d.prior, d.cond, kernel))) <= 1e-12
 
 
 class TestExactScores:
