@@ -9,7 +9,11 @@ that turn a target error probability back into mechanism parameters.
 
 All information values are bits. An unbounded privacy budget may be passed
 as math.inf, in which case the caps degrade gracefully to min(log2 n,
-log2 |X|).
+log2 |X|). The shrink factors and caps broadcast over an array of budgets,
+`pie_bound_composed` over an array of caps and `fano_lower_bound` over
+arrays of information and prior errors: each entry is the value its numbers
+give alone, bit for bit, so the oracle checks these very formulas on whole
+arrays of instances.
 """
 
 from __future__ import annotations
@@ -18,9 +22,18 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .mechanisms import _keep_leak
+import numpy as np
+
+from .mechanisms import _everywhere, _keep_leak
 
 LOG2E = math.log2(math.e)
+
+
+def _log2(x):
+    """math.log2 of a number, or of each entry of an array: numpy's log2 can differ in a bit."""
+    if isinstance(x, np.ndarray):
+        return np.array([math.log2(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return math.log2(x)
 
 
 def mi_loss_rr(epsilon: float, size: int) -> float:
@@ -43,9 +56,10 @@ def pie_bound_ldp(epsilon: float, n: int, size: int) -> float:
     min(eps*log2 e, eps^2*log2 e, log2 n, log2 |X|) bits; holds for every
     mechanism meeting the budget and every population of n users.
     """
-    if not epsilon >= 0 or n < 1 or size < 1:
+    if not _everywhere(epsilon >= 0) or n < 1 or size < 1:
         raise ValueError("need epsilon >= 0, n >= 1, size >= 1")
-    return min(epsilon * LOG2E, epsilon * epsilon * LOG2E, math.log2(n), math.log2(size))
+    return np.minimum(np.minimum(epsilon * LOG2E, epsilon * epsilon * LOG2E),
+                      min(math.log2(n), math.log2(size)))
 
 
 def pie_bound_rr(epsilon: float, n: int, size: int) -> float:
@@ -66,7 +80,7 @@ def pie_bound_composed(alpha_single: float, t: int) -> float:
     """Cap for t releases about the same users: linear in t, any correlation."""
     if t < 1:
         raise ValueError("composition count must be >= 1")
-    if alpha_single < 0:
+    if not _everywhere(alpha_single >= 0):  # refuses NaN too
         raise ValueError("alpha must be >= 0")
     return t * alpha_single
 
@@ -77,6 +91,7 @@ class FanoBound:
 
     `raw` is the formula value and may be negative (then the bound says
     nothing and `vacuous` is set); `value` is clamped to [0, 1) for reports.
+    Each is an array, entry by entry, when `fano_lower_bound` is given arrays.
     """
 
     raw: float
@@ -91,10 +106,14 @@ def fano_lower_bound(info_bits: float, n: Optional[int] = None,
     Exactly one prior form must be given: `n` for a uniform prior over n
     users (bound 1 - (info+1)/log2 n), or `prior_bayes_error` for a general
     prior with no-information error beta in (0, 1) (bound
-    1 + (info+1)/log2(1-beta), denominator negative).
+    1 + (info+1)/log2(1-beta), denominator negative). `info_bits` and
+    `prior_bayes_error` may be arrays of the same shape; `n` stays one number.
     """
-    info_bits = float(info_bits)
-    if info_bits < 0:
+    if isinstance(info_bits, np.ndarray):
+        info_bits = np.asarray(info_bits, dtype=np.float64)
+    else:
+        info_bits = float(info_bits)
+    if not _everywhere(info_bits >= 0):  # refuses NaN too
         raise ValueError("information must be >= 0 bits")
     if (n is None) == (prior_bayes_error is None):
         raise ValueError("give exactly one of n (uniform prior) or prior_bayes_error")
@@ -104,10 +123,11 @@ def fano_lower_bound(info_bits: float, n: Optional[int] = None,
         raw = 1.0 - (info_bits + 1.0) / math.log2(n)
     else:
         beta = prior_bayes_error
-        if not (0.0 < beta < 1.0):
+        if not (_everywhere(0.0 < beta) and _everywhere(beta < 1.0)):
             raise ValueError("prior Bayes error must lie in (0, 1)")
-        raw = 1.0 + (info_bits + 1.0) / math.log2(1.0 - beta)
-    return FanoBound(raw=raw, value=min(max(raw, 0.0), 1.0), vacuous=raw <= 0.0)
+        raw = 1.0 + (info_bits + 1.0) / _log2(1.0 - beta)
+    value = np.clip(raw, 0.0, 1.0) if isinstance(raw, np.ndarray) else min(max(raw, 0.0), 1.0)
+    return FanoBound(raw=raw, value=value, vacuous=raw <= 0.0)
 
 
 @dataclass(frozen=True)

@@ -75,16 +75,25 @@ def _checked_columns(m: np.ndarray) -> np.ndarray:
     return m / col_mass
 
 
-def _keep_leak(epsilon: float, k: int) -> tuple[float, float, float]:
+def _everywhere(ok) -> bool:
+    """Whether a comparison holds for a number, or for every entry of an array of them.
+
+    Every comparison with NaN is false, so `_everywhere(x >= 0)` refuses NaN.
+    """
+    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
+
+
+def _keep_leak(epsilon, k) -> tuple:
     """(keep, leak, shrink) probabilities for k-ary randomized response.
 
     keep = e^eps / (k + e^eps - 1) on the diagonal, leak = 1 / (k + e^eps - 1)
     elsewhere, shrink = keep - leak. Computed via t = e^(-eps) so eps may be
-    arbitrarily large (math.inf gives a pass-through channel).
+    arbitrarily large (math.inf gives a pass-through channel). epsilon and k
+    broadcast: arrays give arrays, each entry the value its numbers give.
     """
-    if not epsilon >= 0:
+    if not _everywhere(epsilon >= 0):
         raise ValueError("epsilon must be >= 0")
-    t = np.exp(-float(epsilon))
+    t = np.exp(-(epsilon if isinstance(epsilon, np.ndarray) else float(epsilon)))
     denom = 1.0 + (k - 1) * t
     keep = 1.0 / denom
     leak = t / denom

@@ -19,20 +19,25 @@ Each exact quantity is computed by one kernel over a stack of instances
 (`_release_joints`, `_score_joints`, `_composed_joints` and
 `probcore._mutual_information_stack`); the public per-instance functions
 are stacks of one. The checker draws its instances BLOCK_INSTANCES at a
-time, as arrays: the checks `SmallInstance` would run are made once per
-stack of equal-shaped draws. It then groups each block's instances by
-shape and evaluates each quantity in one array pass per group, a group cut
-into stacks of at most STACK_CELLS cells per array. Traced through
-`bench/run.py --workload verify` on a 2-vCPU x86-64 host, this costs
-0.075 ms per instance (0.073-0.076 over 5 runs), where enumerating the
-hashed release over every (member, bucket) column cost 0.088 ms
-(0.080-0.100) in runs alternating with them.
+time into the arrays of a `_Block`, every user padded to MAX_USERS and
+every symbol to MAX_SYMBOLS. Its Dirichlet rows are normalized, the checks
+`SmallInstance` would run are made and its randomized-response kernels are
+built once per group of equal widths. The block is then evaluated in one
+array pass per alphabet size, every family of quantities together, a pass
+cut into stacks of at most STACK_CELLS cells per array; the two-release
+joints of fully correlated and of independent data are taken as the
+Khatri-Rao square of the kernel and the outer square of p(y | u), the two
+cases of `_composed_joints` the checker needs. The caps are the `bounds`
+functions, called once per (n, size, g) group on an array of budgets.
+Traced through `bench/run.py --workload verify` on a 2-vCPU x86-64 host,
+this costs 0.027 ms per instance (0.026-0.028 over 5 runs), where drawing
+instance by instance and evaluating each shape of instances apart cost
+0.041 ms (0.040-0.041) in runs alternating with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -44,8 +49,9 @@ MAX_USERS = 8
 MAX_SYMBOLS = 8
 ENUMERATION_CAP = 10 ** 7
 TOL = 1e-9
-# cells of the largest array one stack of verify_bound_suite builds; a hashed
-# release, taken on its preimage sets, holds n * 2^size cells per instance
+# cells of the largest array one stack of verify_bound_suite builds; an instance
+# holds MAX_USERS * max(2^size, size^2): its hashed release, taken on its
+# preimage sets, or its joint of two releases
 STACK_CELLS = 2 ** 14
 # instances verify_bound_suite draws and evaluates at a time
 BLOCK_INSTANCES = 2 ** 12
@@ -247,32 +253,51 @@ class BoundViolationReport:
                 "passed": self.passed}
 
 
-def _dirichlet_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    gam = rng.gamma(1.0, 1.0, size=(rows, cols))
+def _gamma_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Gamma(1) draws, shape (rows, cols): symmetric-Dirichlet rows before `_normalized_rows`."""
+    return rng.gamma(1.0, 1.0, size=(rows, cols))
+
+
+def _normalized_rows(gam: np.ndarray) -> np.ndarray:
+    """Each row of gam (rows, cols) divided by its sum."""
     return gam / gam.sum(axis=1, keepdims=True)
 
 
-def _draw_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
-    """(prior, p(x | u), epsilon) of one random instance, the masses not yet checked.
+def _draw_population(rng: np.random.Generator) -> tuple:
+    """(n, size, epsilon, prior, cond) of one random instance, as drawn.
 
     Symmetric-Dirichlet rows; half the priors are uniform and a tenth of the
-    rest point masses, and 5% of the conditionals are point-mass rows.
+    rest point masses, and 5% of the conditionals are point-mass rows. The
+    prior is None when uniform, its user's index when a point mass, and its
+    (1, n) gamma row otherwise; cond is each user's symbol, (n,) ints, for
+    point-mass rows and the (n, size) gamma rows otherwise.
     """
     n = int(rng.integers(2, 7))
     size = int(rng.integers(2, 7))
     epsilon = float(rng.uniform(0.0, 5.0))
     if rng.random() < 0.5:
-        prior = np.full(n, 1.0 / n)
+        prior = None
     elif rng.random() < 0.1:
-        prior = np.zeros(n)
-        prior[int(rng.integers(n))] = 1.0
+        prior = int(rng.integers(n))
     else:
-        prior = _dirichlet_rows(rng, 1, n)[0]
+        prior = _gamma_rows(rng, 1, n)
     if rng.random() < 0.05:
-        cond = np.zeros((n, size))
-        cond[np.arange(n), rng.integers(0, size, size=n)] = 1.0
+        cond = rng.integers(0, size, size=n)
     else:
-        cond = _dirichlet_rows(rng, n, size)
+        cond = _gamma_rows(rng, n, size)
+    return n, size, epsilon, prior, cond
+
+
+def _draw_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+    """(prior, p(x | u), epsilon) of one random instance, the masses not yet checked."""
+    n, size, epsilon, prior, cond = _draw_population(rng)
+    if prior is None:
+        prior = np.full(n, 1.0 / n)
+    elif isinstance(prior, int):
+        prior = np.eye(n)[prior]
+    else:
+        prior = _normalized_rows(prior)[0]
+    cond = np.eye(size)[cond] if cond.ndim == 1 else _normalized_rows(cond)
     return prior, cond, epsilon
 
 
@@ -282,196 +307,254 @@ def random_small_instance(rng: np.random.Generator) -> tuple[SmallInstance, floa
     return SmallInstance(prior, cond, rr_kernel(epsilon, cond.shape[1])), epsilon
 
 
-class _Draw(NamedTuple):
-    """What verify_bound_suite keeps of one instance between drawing and evaluating it."""
+class _Block(NamedTuple):
+    """A block of the suite's instances as arrays, one entry per instance in stream order.
 
-    prior: np.ndarray    # (n,)
-    cond: np.ndarray     # p(x | u), (n, size)
-    kernel: np.ndarray   # (size, size)
-    epsilon: float
-    g: int               # hash buckets
-    hashed: bool         # whether the exhaustive hashed release is enumerated
-    post: np.ndarray     # post-processing channel before its column test, (out2, size)
-    eps2: float          # budget of the second randomized response
-    w: float             # mixture weight
-
-
-def _stacks(draws: list, fields: str, key: Callable, cells: Callable):
-    """(key, positions, stack) for the draws sharing each key, in order of first appearance.
-
-    A draw whose key is None is left out. A stack holds the named _Draw
-    `fields` of at most STACK_CELLS // cells(*key) draws, one at least, each
-    field an array with a leading stack axis.
+    Users are padded to MAX_USERS: a padded user has prior 0 and a point-mass
+    row on symbol 0, so every prior, row and pair of rows is still a
+    distribution. Symbols are padded to MAX_SYMBOLS with zeros, and each
+    post-processing channel to 4 outputs, the most drawn, with zero rows, so
+    its columns still sum to 1; an evaluation pass slices off the symbols
+    past its alphabet size.
     """
-    groups: dict = {}
-    for i, d in enumerate(draws):
-        k = key(d)
-        if k is not None:
-            groups.setdefault(k, []).append(i)
-    names = fields.split()
-    for k, idx in groups.items():
-        step = max(1, STACK_CELLS // cells(*k))
-        for lo in range(0, len(idx), step):
-            part = idx[lo:lo + step]
-            stack = SimpleNamespace(**{f: np.array([getattr(draws[i], f) for i in part])
-                                       for f in names})
-            yield k, np.array(part), stack
+
+    n: np.ndarray        # users, (B,)
+    size: np.ndarray     # symbols, (B,)
+    prior: np.ndarray    # (B, MAX_USERS)
+    cond: np.ndarray     # p(x | u), (B, MAX_USERS, MAX_SYMBOLS)
+    kernel: np.ndarray   # (B, MAX_SYMBOLS, MAX_SYMBOLS)
+    epsilon: np.ndarray  # (B,)
+    g: np.ndarray        # hash buckets, (B,)
+    hashed: np.ndarray   # whether the hashed release is enumerated, (B,)
+    post: np.ndarray     # post-processing channel before its column test, (B, 4, MAX_SYMBOLS)
+    eps2: np.ndarray     # budget of the second randomized response, (B,)
+    w: np.ndarray        # mixture weight, (B,)
 
 
-def _preimage_sets(size: int, g: int) -> tuple[np.ndarray, np.ndarray]:
+def _row_owners(owners: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, position) of each row stacked from instances `owners`, instance i giving rows[i]."""
+    counts = rows[owners]
+    owner = np.repeat(owners, counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _width_groups(draws: list, widths: np.ndarray, chosen: np.ndarray):
+    """(width, owners, rows) for each width of the chosen draws: draws[i] of its owners, stacked."""
+    for width in np.unique(widths[chosen]).tolist():
+        owners = np.flatnonzero(chosen & (widths == width))
+        yield width, owners, np.concatenate([draws[i] for i in owners.tolist()])
+
+
+def _draw_block(rng: np.random.Generator, count: int,
+                instance_generator: Optional[Callable]) -> _Block:
+    """The next `count` instances of the suite's stream, as a _Block.
+
+    Each draw takes the instance, then the hash bucket count, the
+    post-processing channel, the second budget and the mixture weight. With
+    no generator the instance is `_draw_population`'s, and its Dirichlet rows
+    are normalized, its masses checked as `random_small_instance`'s
+    SmallInstance checks them and its kernels built, once per group of equal
+    widths.
+    """
+    prior = np.zeros((count, MAX_USERS))
+    cond = np.zeros((count, MAX_USERS, MAX_SYMBOLS))
+    kernel = np.zeros((count, MAX_SYMBOLS, MAX_SYMBOLS))
+    most_outputs = 4
+    post = np.zeros((count, most_outputs, MAX_SYMBOLS))
+    populations, posts, draws = [], [], []
+    for i in range(count):
+        if instance_generator is None:
+            n, size, epsilon, *population = _draw_population(rng)
+            populations.append(population)
+        else:
+            instance, epsilon = instance_generator(rng)
+            n, size = instance.cond.shape
+            if instance.kernel.output_size != size:
+                raise ValueError("channel input alphabet must equal kernel output alphabet")
+            prior[i, :n] = instance.prior
+            cond[i, :n, :size] = instance.cond
+            kernel[i, :size, :size] = instance.kernel.matrix
+        g = int(rng.integers(2, 4))
+        out2 = int(rng.integers(2, most_outputs + 1))
+        posts.append(_gamma_rows(rng, size, out2))
+        draws.append((n, size, epsilon, g, out2, float(rng.uniform(0.0, 5.0)), float(rng.random())))
+    n, size, epsilon, g, out2, eps2, w = (np.array(column) for column in zip(*draws))
+    cond[np.arange(MAX_USERS) >= n[:, None], 0] = 1.0  # the padded users
+    for width, owners, rows in _width_groups(posts, out2, np.ones(count, dtype=bool)):
+        owner, x = _row_owners(owners, size)
+        post[owner, :width, x] = _normalized_rows(rows)
+    if instance_generator is None:
+        _assemble_populations(prior, cond, kernel, n, size, epsilon, populations)
+    hashed = (g ** size * n * size * g <= ENUMERATION_CAP) & (g ** size <= 4096)
+    return _Block(n, size, prior, cond, kernel, epsilon, g, hashed, post, eps2, w)
+
+
+def _assemble_populations(prior, cond, kernel, n, size, epsilon, populations: list) -> None:
+    """Write a block's drawn priors, rows and kernels into its arrays, checked.
+
+    `populations` holds the (prior, cond) of each `_draw_population` draw.
+    The masses are checked, and tiny drift divided out, as SmallInstance
+    does it, on each group of equal widths.
+    """
+    priors, conds = zip(*populations)
+    uniform = np.array([p is None for p in priors])
+    dirichlet = np.array([isinstance(p, np.ndarray) for p in priors])
+    prior[uniform] = np.where(np.arange(MAX_USERS) < n[uniform, None], 1.0 / n[uniform, None], 0.0)
+    points = np.flatnonzero(~(uniform | dirichlet))
+    prior[points, np.array([priors[i] for i in points.tolist()], dtype=int)] = 1.0
+    for width, owners, rows in _width_groups(priors, n, dirichlet):
+        prior[owners, :width] = _normalized_rows(rows)
+    point_rows = np.array([c.ndim == 1 for c in conds])
+    for _, owners, symbols in _width_groups(conds, size, point_rows):
+        owner, user = _row_owners(owners, n)
+        cond[owner, user, symbols] = 1.0
+    for width, owners, rows in _width_groups(conds, size, ~point_rows):
+        owner, user = _row_owners(owners, n)
+        cond[owner, user, :width] = _normalized_rows(rows)
+    for width in np.unique(n).tolist():
+        idx = np.flatnonzero(n == width)
+        prior[idx, :width] = probcore._checked_masses(prior[idx, :width], "distribution")
+    for width in np.unique(size).tolist():
+        idx = np.flatnonzero(size == width)
+        rows = cond[idx, :, :width]
+        cond[idx, :, :width] = probcore._checked_masses(
+            rows.reshape(-1, width), "distribution").reshape(rows.shape)
+        keep, leak, _ = _keep_leak(epsilon[idx], width)
+        kernel[idx, :width, :width] = _checked_columns(_rr_matrices(keep, leak, width))
+        _check_shape(int(n[idx].max()), width, width, width)
+
+
+def _preimage_sets(size: int, g) -> tuple[np.ndarray, np.ndarray]:
     """(members, share) of the 2^size subsets S of the alphabet, as hashed releases see them.
 
     members[s, x] is 1 where x lies in subset s (bit x of s); share[s] is the
     fraction g * (g - 1)^(size - |S|) / g^size of the exhaustive family's
-    (member, bucket) columns whose preimage set is S.
+    (member, bucket) columns whose preimage set is S. g broadcasts: a (B, 1)
+    array of bucket counts gives one share row per count.
     """
     members = ((np.arange(2 ** size)[:, None] >> np.arange(size)) & 1).astype(np.float64)
     return members, g * (g - 1.0) ** (size - members.sum(axis=1)) / g ** size
 
 
-def _exact_quantities(draws: list, p: dict) -> dict:
-    """Every exact quantity of every draw, one array pass per stack of equal shapes.
+def _exact_quantities(block: _Block) -> dict:
+    """Every exact quantity of every instance of a block, one array pass per alphabet size.
 
-    `p` holds per-draw arrays of the randomized-response probabilities:
-    (keep, leak) of the hashed release over g buckets and (keep2, leak2) of
-    the second release. Returns name -> (len(draws),) array; quantities of
-    the hashed release are 0 where it is not enumerated.
+    A pass is cut into stacks of at most STACK_CELLS cells per array, and
+    every array of a pass has the padded widths of the block, so no
+    instance's quantities depend on the others drawn with it. Returns name
+    -> (B,) array; i_uhy is 0 where the hashed release is not enumerated.
     """
-    out = {name: np.zeros(len(draws)) for name in (
+    out = {name: np.zeros(len(block.n)) for name in (
         "i_uy", "i_ux", "i_xy", "i_uhy", "i_post", "i_mixed", "i_uy2", "suff", "suff_error",
-        "coarse", "constant", "i_full", "i_pair", "beta_u")}
-    out["uniform"] = np.zeros(len(draws), dtype=bool)
+        "coarse", "constant", "i_full", "i_pair")}
+    n = block.n[:, None]
+    out["uniform"] = (np.isclose(block.prior, 1.0 / n, atol=1e-12)
+                      | (np.arange(MAX_USERS) >= n)).all(axis=1)
+    out["beta_u"] = 1.0 - block.prior.max(axis=1)
+    for size in np.unique(block.size).tolist():
+        same = np.flatnonzero(block.size == size)
+        step = max(1, STACK_CELLS // (MAX_USERS * max(2 ** size, size * size)))
+        for lo in range(0, len(same), step):
+            idx = same[lo:lo + step]
+            for name, value in _stack_quantities(block, idx, size).items():
+                out[name][idx] = value
+    return out
+
+
+def _stack_quantities(block: _Block, idx: np.ndarray, size: int) -> dict:
+    """The exact quantities of the block's instances `idx`, all over `size` symbols.
+
+    Joints of one shape share one `_mutual_information_stack` pass.
+    """
+    prior, cond = block.prior[idx], block.cond[idx, :, :size]
+    q = block.kernel[idx, :size, :size]
     mi = probcore._mutual_information_stack
+    out = {}
 
-    for (n, size), idx, s in _stacks(draws, "prior cond kernel w", lambda d: d.cond.shape,
-                                     lambda n, size: n * size * size):
-        joints = _release_joints(s.prior, s.cond, s.kernel)
-        out["i_uy"][idx] = mi(joints)
-        out["i_ux"][idx] = mi(s.prior[:, :, None] * s.cond)
-        p_x = s.prior[:, None, :] @ s.cond
-        out["i_xy"][idx] = mi(p_x.transpose(0, 2, 1) * s.kernel.transpose(0, 2, 1))
+    def information(*joints):
+        return mi(np.concatenate(joints)).reshape(len(joints), -1)
 
-        # mixtures with a second randomized response
-        q2 = _checked_columns(_rr_matrices(p["keep2"][idx], p["leak2"][idx], size))
-        w = s.w[:, None, None]
-        mixed = _checked_columns(w * s.kernel + (1.0 - w) * q2)
-        out["i_mixed"][idx] = mi(_release_joints(s.prior, s.cond, mixed))
-        out["i_uy2"][idx] = mi(_release_joints(s.prior, s.cond, q2))
+    given_u = cond @ q.transpose(0, 2, 1)  # p(y | u)
+    joints = prior[:, :, None] * given_u
+    p_x = prior[:, None, :] @ cond
+    out["i_xy"] = mi(p_x.transpose(0, 2, 1) * q.transpose(0, 2, 1))
 
-        # score-level information of the likelihood, argmax and constant matchers
-        likelihood = _likelihoods(s.prior, joints)
-        suff = _score_joints(joints, _likelihood_labels(likelihood), size)
-        out["suff"][idx] = mi(suff)
-        out["suff_error"][idx] = _bayes_errors(suff)
-        out["coarse"][idx] = mi(_score_joints(joints, likelihood.argmax(axis=1), n))
-        out["constant"][idx] = mi(_score_joints(joints, np.zeros((len(idx), size), int), 1))
+    # mixtures with a second randomized response
+    keep2, leak2, _ = _keep_leak(block.eps2[idx], size)
+    q2 = _checked_columns(_rr_matrices(keep2, leak2, size))
+    w = block.w[idx, None, None]
+    mixed = _checked_columns(w * q + (1.0 - w) * q2)
 
-        # two releases of fully correlated and of independent data
-        full = np.zeros((len(idx), n, size, size))
-        full[:, :, np.arange(size), np.arange(size)] = s.cond
-        independent = s.cond[:, :, :, None] * s.cond[:, :, None, :]
-        for name, pairs in (("i_full", full), ("i_pair", independent)):
-            _checked_pairs(pairs)
-            out[name][idx] = mi(_composed_joints(s.prior, pairs, s.kernel))
+    # score-level information of the likelihood, argmax and constant matchers
+    likelihood = _likelihoods(prior, joints)
+    suff = _score_joints(joints, _likelihood_labels(likelihood), size)
+    out["suff_error"] = _bayes_errors(suff)
+    out["i_uy"], out["i_ux"], out["i_mixed"], out["i_uy2"], out["suff"] = information(
+        joints, prior[:, :, None] * cond, _release_joints(prior, cond, mixed),
+        _release_joints(prior, cond, q2), suff)
+    out["coarse"] = mi(_score_joints(joints, likelihood.argmax(axis=1), MAX_USERS))
+    out["constant"] = mi(_score_joints(joints, np.zeros((len(idx), size), int), 1))
 
-        out["uniform"][idx] = np.isclose(s.prior, 1.0 / n, atol=1e-12).all(axis=1)
-        out["beta_u"][idx] = 1.0 - s.prior.max(axis=1)
+    # two releases of fully correlated data, through the Khatri-Rao square of the
+    # kernel (row (y, z), column x: q[y, x] * q[z, x]), and of independent data,
+    # through the outer square of p(y | u)
+    square = (q[:, :, None, :] * q[:, None, :, :]).reshape(len(idx), size * size, size)
+    pairs = given_u[:, :, :, None] * given_u[:, :, None, :]
+    out["i_full"], out["i_pair"] = information(
+        prior[:, :, None] * (cond @ square.transpose(0, 2, 1)),
+        prior[:, :, None] * pairs.reshape(len(idx), MAX_USERS, size * size))
+
+    # post-processing by a random channel
+    composed = _checked_columns(_checked_columns(block.post[idx, :, :size]) @ q)
+    out["i_post"] = mi(_release_joints(prior, cond, composed))
 
     # hashed randomization with the exactly universal family: each column of its kernel
     # is leak / count + (keep - leak) / count * p(S | u), S the column's preimage set and
     # count = g^size, so merging the equal columns of each S leaves I(U; (H, Y)) as it is
-    preimages: dict = {}
-    for (n, size, g), idx, s in _stacks(draws, "prior cond",
-                                        lambda d: d.cond.shape + (d.g,) if d.hashed else None,
-                                        lambda n, size, g: n * 2 ** size):
-        if (size, g) not in preimages:
-            preimages[size, g] = _preimage_sets(size, g)
-        members, share = preimages[size, g]
-        hits = s.cond @ members.T
-        keep, leak = p["keep"][idx, None, None], p["leak"][idx, None, None]
-        out["i_uhy"][idx] = mi(s.prior[:, :, None] * (share * (leak + (keep - leak) * hits)))
-
-    # post-processing by a random channel
-    for (n, size, out2), idx, s in _stacks(draws, "prior cond kernel post",
-                                           lambda d: d.cond.shape + (len(d.post),),
-                                           lambda n, size, out2: n * size * out2):
-        composed = _checked_columns(_checked_columns(s.post) @ s.kernel)
-        out["i_post"][idx] = mi(_release_joints(s.prior, s.cond, composed))
+    hashed = block.hashed[idx]
+    out["i_uhy"] = np.zeros(len(idx))
+    if hashed.any():
+        g = block.g[idx][hashed, None]
+        members, share = _preimage_sets(size, g)
+        keep, leak, _ = _keep_leak(block.epsilon[idx][hashed, None, None], g[:, :, None])
+        hits = cond[hashed] @ members.T
+        out["i_uhy"][hashed] = mi(
+            prior[hashed, :, None] * (share[:, None, :] * (leak + (keep - leak) * hits)))
     return out
 
 
-def _draw_block(rng: np.random.Generator, count: int,
-                instance_generator: Optional[Callable]) -> list:
-    """The next `count` _Draws of the suite's stream, in stream order.
+def _block_report(block: _Block, first: int) -> tuple[int, list]:
+    """(checks run, violations) of a block whose first instance has index `first`."""
+    count = len(block.n)
+    # closed-form caps, one call of each bounds function per (n, size, g) group
+    p = {name: np.zeros(count) for name in ("ldp", "theta", "rr", "composed", "theta_g", "glh")}
+    shapes, group = np.unique(np.column_stack([block.n, block.size, block.g]), axis=0,
+                              return_inverse=True)
+    for j, (n, size, g) in enumerate(shapes.tolist()):
+        idx = np.flatnonzero(group == j)
+        epsilon = block.epsilon[idx]
+        p["ldp"][idx] = bounds.pie_bound_ldp(epsilon, n, size)
+        p["theta"][idx] = bounds.mi_loss_rr(epsilon, size)
+        p["rr"][idx] = alpha1 = bounds.pie_bound_rr(epsilon, n, size)
+        p["composed"][idx] = bounds.pie_bound_composed(alpha1, 2)
+        if block.hashed[idx[0]]:
+            p["theta_g"][idx] = bounds.mi_loss_glh(epsilon, g)
+            p["glh"][idx] = bounds.pie_bound_glh(epsilon, g, n, size)
 
-    Each draw takes the instance, then the hash bucket count, the
-    post-processing channel, the second budget and the mixture weight. With
-    no generator the instance is `_draw_instance`'s arrays, and the checks
-    `random_small_instance`'s SmallInstance and kernel run are made on
-    stacks of equal-shaped draws, where its kernels are built too.
-    """
-    draws = []
-    for _ in range(count):
-        if instance_generator is None:
-            prior, cond, epsilon = _draw_instance(rng)
-            kernel = None
-        else:
-            instance, epsilon = instance_generator(rng)
-            prior, cond, kernel = instance.prior, instance.cond, instance.kernel.matrix
-            if instance.kernel.output_size != cond.shape[1]:
-                raise ValueError("channel input alphabet must equal kernel output alphabet")
-        n, size = cond.shape
-        g = int(rng.integers(2, 4))
-        hashed = g ** size * n * size * g <= ENUMERATION_CAP and g ** size <= 4096
-        out2 = int(rng.integers(2, 5))
-        post = _dirichlet_rows(rng, size, out2).T
-        eps2 = float(rng.uniform(0.0, 5.0))
-        w = float(rng.random())
-        draws.append(_Draw(prior, cond, kernel, epsilon, g, hashed, post, eps2, w))
-    if instance_generator is None:
-        for (n, size), idx, s in _stacks(draws, "prior cond epsilon", lambda d: d.cond.shape,
-                                         lambda n, size: n * size * size):
-            prior = probcore._checked_masses(s.prior, "distribution")
-            rows = probcore._checked_masses(s.cond.reshape(-1, size), "distribution")
-            cond = rows.reshape(s.cond.shape)
-            keep, leak = np.array([_keep_leak(e, size)[:2] for e in s.epsilon]).T
-            kernels = _checked_columns(_rr_matrices(keep, leak, size))
-            _check_shape(n, size, size, size)
-            for j, i in enumerate(idx):
-                draws[i] = draws[i]._replace(prior=prior[j], cond=cond[j], kernel=kernels[j])
-    return draws
-
-
-def _block_report(draws: list, first: int) -> tuple[int, list]:
-    """(checks run, violations) of a block of draws whose first instance has index `first`."""
-    count = len(draws)
-    # closed-form caps and kernel probabilities, one instance at a time
-    p = {name: np.zeros(count) for name in
-         ("ldp", "theta", "rr", "composed", "theta_g", "glh", "keep", "leak", "keep2", "leak2")}
-    for i, d in enumerate(draws):
-        n, size = d.cond.shape
-        p["ldp"][i] = bounds.pie_bound_ldp(d.epsilon, n, size)
-        p["theta"][i] = bounds.mi_loss_rr(d.epsilon, size)
-        p["rr"][i] = alpha1 = bounds.pie_bound_rr(d.epsilon, n, size)
-        p["composed"][i] = bounds.pie_bound_composed(alpha1, 2)
-        if d.hashed:
-            p["theta_g"][i] = bounds.mi_loss_glh(d.epsilon, d.g)
-            p["glh"][i] = bounds.pie_bound_glh(d.epsilon, d.g, n, size)
-            p["keep"][i], p["leak"][i], _ = _keep_leak(d.epsilon, d.g)
-        p["keep2"][i], p["leak2"][i], _ = _keep_leak(d.eps2, size)
-
-    x = _exact_quantities(draws, p)
+    x = _exact_quantities(block)
     general = (0.0 < x["beta_u"]) & (x["beta_u"] < 1.0)
     fano = np.zeros((count, 2))
-    for i in np.flatnonzero(x["uniform"]):
-        fano[i, 0] = bounds.fano_lower_bound(x["suff"][i], n=len(draws[i].prior)).raw
-    for i in np.flatnonzero(general):
-        fano[i, 1] = bounds.fano_lower_bound(x["suff"][i], prior_bayes_error=x["beta_u"][i]).raw
+    for n in np.unique(block.n[x["uniform"]]).tolist():
+        idx = np.flatnonzero(x["uniform"] & (block.n == n))
+        fano[idx, 0] = bounds.fano_lower_bound(x["suff"][idx], n=n).raw
+    if general.any():
+        fano[general, 1] = bounds.fano_lower_bound(
+            x["suff"][general], prior_bayes_error=x["beta_u"][general]).raw
 
-    w = np.array([d.w for d in draws])
+    w = block.w
     i_uy, i_ux, suff = x["i_uy"], x["i_ux"], x["suff"]
     every = np.ones(count, dtype=bool)
-    hashed = np.array([d.hashed for d in draws])
+    hashed = block.hashed
     claims = {  # name: (lhs, rhs, applies), in the order each instance reports them
         "release_info_below_identity_info": (i_uy, i_ux, every),
         "release_info_below_channel_info": (i_uy, x["i_xy"], every),
@@ -514,8 +597,8 @@ def verify_bound_suite(count: int, rng_or_seed: Union[int, np.random.Generator],
 
     Instances are drawn from the one stream BLOCK_INSTANCES at a time, so
     memory does not grow with `count`. Each block is drawn whole, then its
-    exact quantities are evaluated a stack of equal-shaped instances at a
-    time. `instance_generator(rng)` returns (SmallInstance, epsilon); without
+    exact quantities are evaluated one alphabet size at a time.
+    `instance_generator(rng)` returns (SmallInstance, epsilon); without
     one, instances are drawn as `random_small_instance` draws them, as arrays.
     Violations are reported in instance order, each instance's in the order
     of the checks above. A refused instance raises the ValueError the

@@ -144,6 +144,49 @@ class TestPerReleaseBudgets:
         with pytest.raises(ValueError):
             pie_bound_composed(0.25, 0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, np.float64(math.nan), np.array([0.5, math.nan])])
+    def test_nan_alpha_is_refused(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must be >= 0$"):
+            pie_bound_composed(alpha, 2)
+
+
+# budgets spanning every branch of the caps: 0, the quadratic and linear
+# branches, the log-size plateau and an unbounded budget
+BUDGETS = np.array([0.0, 1e-3, 0.3, 1.0, 1.7, 4.9, 12.0, 700.0, math.inf])
+
+
+def same_bits(array, scalars) -> bool:
+    """Whether the array holds, bit for bit, the floats of the scalar calls."""
+    return np.array([float(v) for v in scalars]).tobytes() == np.asarray(array, dtype=float).tobytes()
+
+
+class TestBroadcastBudgets:
+    """Each function over an array of budgets gives, entry by entry, its scalar value."""
+
+    @pytest.mark.parametrize("n,size,g", [(2, 2, 2), (5, 3, 3), (8, 8, 3), (N_USERS, DOMAIN, 4)])
+    def test_arrays_give_the_scalar_values(self, n, size, g):
+        for f, args in ((mi_loss_rr, (size,)), (mi_loss_glh, (g,)), (pie_bound_ldp, (n, size)),
+                        (pie_bound_rr, (n, size)), (pie_bound_glh, (g, n, size))):
+            assert same_bits(f(BUDGETS, *args), [f(float(e), *args) for e in BUDGETS]), f.__name__
+        alphas = pie_bound_rr(BUDGETS, n, size)
+        assert same_bits(pie_bound_composed(alphas, 3), [pie_bound_composed(a, 3) for a in alphas])
+
+    def test_fano_arrays_give_the_scalar_bounds(self):
+        info = np.array([0.0, 0.25, 1.0, 2.5, 9.0])
+        betas = np.array([0.1, 0.3, 0.5, 0.77, 0.999])
+        for kwargs, scalar in (({"n": 7}, lambda i, _: fano_lower_bound(i, n=7)),
+                               ({"prior_bayes_error": betas},
+                                lambda i, b: fano_lower_bound(i, prior_bayes_error=b))):
+            got = fano_lower_bound(info, **kwargs)
+            want = [scalar(float(i), float(b)) for i, b in zip(info, betas)]
+            for field in ("raw", "value", "vacuous"):
+                assert same_bits(getattr(got, field), [getattr(w, field) for w in want]), field
+
+    @pytest.mark.parametrize("f", [mi_loss_rr, pie_bound_ldp, pie_bound_rr])
+    def test_an_array_with_a_nan_budget_is_refused(self, f):
+        with pytest.raises(ValueError, match="epsilon (must be )?>= 0"):
+            f(np.array([1.0, math.nan]), *((4, 4) if f is not mi_loss_rr else (4,)))
+
 
 class TestFano:
     def test_uniform_prior_formula(self):
@@ -180,6 +223,13 @@ class TestFano:
             fano_lower_bound(-0.1, n=8)
         with pytest.raises(ValueError):
             fano_lower_bound(1.0, n=1)
+
+    @pytest.mark.parametrize("info", [math.nan, np.float64(math.nan), np.array([1.0, math.nan])])
+    def test_nan_information_is_refused(self, info):
+        with pytest.raises(ValueError, match="^information must be >= 0 bits$"):
+            fano_lower_bound(info, n=4)
+        with pytest.raises(ValueError, match="^information must be >= 0 bits$"):
+            fano_lower_bound(info, prior_bayes_error=0.5)
 
     @settings(deadline=None, max_examples=60)
     @given(st.floats(0.0, 40.0), st.integers(2, 10**7))

@@ -12,15 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reidrisk import oracle
-from reidrisk.mechanisms import (ExhaustiveTable, MechanismKernel, _keep_leak, mixture_kernel,
-                                 postprocess, rr_kernel)
+from reidrisk.mechanisms import (ExhaustiveTable, MechanismKernel, mixture_kernel, postprocess,
+                                 rr_kernel)
 from reidrisk.oracle import (
+    MAX_SYMBOLS,
+    MAX_USERS,
     BoundViolationReport,
     SmallInstance,
     Violation,
     _bayes_errors,
+    _Block,
     _composed_joints,
-    _Draw,
     _draw_block,
     _exact_quantities,
     _likelihood_labels,
@@ -76,6 +78,12 @@ def reference_score_information(joint, prior, matcher):
 
 def hashed_instance(prior, cond, epsilon, g, **kwargs):
     return SmallInstance(prior, cond, ExhaustiveTable(cond.shape[1], g).kernel(epsilon), **kwargs)
+
+
+def suite_block(rng, instances):
+    """The suite's block of the given (SmallInstance, epsilon) pairs, the rest drawn from rng."""
+    given = iter(instances)
+    return _draw_block(rng, len(instances), lambda _: next(given))
 
 
 # (prior, p(x | u), kernel, message) of refused instances, one fault each
@@ -236,21 +244,18 @@ class TestPreimageSets:
     def test_suite_matches_the_exhaustive_kernel(self, seed, size, g, n, epsilon,
                                                  point_prior, point_rows):
         rng = make_rng(seed)
-        keep, leak, _ = _keep_leak(epsilon, g)
-        draws = []
+        instances = []
         for _ in range(3):
             prior = np.eye(n)[rng.integers(n)] if point_prior else rng.dirichlet(np.ones(n))
             cond = rng.dirichlet(np.ones(size), size=n)
             if point_rows:
                 cond[: n // 2 + 1] = np.eye(size)[rng.integers(0, size, n // 2 + 1)]
-            draws.append(_Draw(prior, cond, rr_kernel(epsilon, size).matrix, epsilon, g, True,
-                               np.eye(size), 1.0, 0.5))
-        p = {"keep": np.full(3, keep), "leak": np.full(3, leak)}
-        p["keep2"], p["leak2"] = (np.full(3, v) for v in _keep_leak(1.0, size)[:2])
-        got = _exact_quantities(draws, p)["i_uhy"]
+            instances.append((SmallInstance(prior, cond, rr_kernel(epsilon, size)), epsilon))
+        block = suite_block(rng, instances)._replace(g=np.full(3, g), hashed=np.ones(3, dtype=bool))
+        got = _exact_quantities(block)["i_uhy"]
         kernel = ExhaustiveTable(size, g).kernel(epsilon)
-        for i, d in enumerate(draws):
-            assert abs(got[i] - exact_pie(SmallInstance(d.prior, d.cond, kernel))) <= 1e-12
+        for i, (inst, _) in enumerate(instances):
+            assert abs(got[i] - exact_pie(SmallInstance(inst.prior, inst.cond, kernel))) <= 1e-12
 
 
 class TestExactScores:
@@ -332,8 +337,8 @@ class TestSuiteDraws:
     """The suite's array draws against the objects of random_small_instance."""
 
     @settings(deadline=None, max_examples=40)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.sampled_from([1, 64, 2 ** 14]))
-    def test_arrays_are_the_instances_draw_for_draw(self, seed, count, cells):
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60))
+    def test_arrays_are_the_instances_draw_for_draw(self, seed, count):
         instances = []
 
         def gen(rng):
@@ -341,40 +346,57 @@ class TestSuiteDraws:
             return instances[-1]
 
         arrays, objects = make_rng(seed), make_rng(seed)
-        oracle.STACK_CELLS, saved = cells, oracle.STACK_CELLS
-        try:
-            got = _draw_block(arrays, count, None)
-        finally:
-            oracle.STACK_CELLS = saved
+        got = _draw_block(arrays, count, None)
         want = _draw_block(objects, count, gen)
-        assert len(got) == len(instances) == count
-        for d, e, (inst, eps) in zip(got, want, instances):
-            for a, b in ((d.prior, inst.prior), (d.cond, inst.cond), (d.kernel, inst.kernel.matrix)):
+        assert len(got.n) == len(instances) == count
+        for i, (inst, eps) in enumerate(instances):
+            n, size = inst.cond.shape
+            assert (got.n[i], got.size[i]) == (n, size)
+            for a, b in ((got.prior[i, :n], inst.prior), (got.cond[i, :n, :size], inst.cond),
+                         (got.kernel[i, :size, :size], inst.kernel.matrix)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            assert d.epsilon == eps
-            assert (d.g, d.hashed, d.post.tobytes(), d.eps2, d.w) == \
-                (e.g, e.hashed, e.post.tobytes(), e.eps2, e.w)
+            assert got.epsilon[i] == eps
+            # padded users have prior 0 and a point-mass row; padded symbols are zeros
+            assert not got.prior[i, n:].any()
+            assert np.array_equal(got.cond[i, n:], np.eye(MAX_SYMBOLS)[[0] * (MAX_USERS - n)])
+            assert not (got.cond[i, :, size:].any() or got.kernel[i, size:].any()
+                        or got.kernel[i, :, size:].any() or got.post[i, :, size:].any())
+        for name in _Block._fields:  # g, hashed, post, eps2 and w too
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
         assert arrays.random() == objects.random()
 
 
-def faulty_rows(fault, call):
-    """oracle._dirichlet_rows with `fault` planted in the last row of its `call`-th result."""
-    real = oracle._dirichlet_rows
-    calls = []
+def gamma_draws(monkeypatch, seed, count):
+    """Each oracle._gamma_rows result of the suite's first `count` draws at `seed`, in turn."""
+    real, draws = oracle._gamma_rows, []
 
-    def rows(rng, n, cols):
-        out = real(rng, n, cols)
-        calls.append(1)
-        if len(calls) == call + 1:
-            out[-1, 0] = {"nan": np.nan, "negative": -out[-1, 0],
-                          "drift": out[-1, 0] + 1e-6}[fault]
+    def spy(rng, rows, cols):
+        draws.append(real(rng, rows, cols))
+        return draws[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_gamma_rows", spy)
+        _draw_block(make_rng(seed), count, None)
+    return draws
+
+
+def planted_rows(real, fault, target):
+    """oracle._normalized_rows with `fault` planted in each row normalized from gamma row `target`."""
+    def rows(gam):
+        out = real(gam)
+        if gam.shape[1] == len(target):
+            hit = (gam == target).all(axis=1)
+            out[hit, 0] = {"nan": np.nan, "negative": -out[hit, 0],
+                           "drift": out[hit, 0] + 1e-6}[fault]
         return out
     return rows
 
 
 class TestDrawRefusals:
-    # at seed 3, Dirichlet draws 9 and 10 (counted from 0) are the prior and
-    # the conditional of instance 3, one of several instances of its shape
+    # at seed 3, gamma draws 9 and 10 (counted from 0) are the prior and the
+    # conditional of instance 3, one of several instances of its widths; the
+    # block normalizes them with the others of their width, the instance alone
     @pytest.mark.parametrize("call", [9, 10])
     @pytest.mark.parametrize("fault,message", [
         ("nan", "^distribution mass nan is not finite$"),
@@ -382,9 +404,10 @@ class TestDrawRefusals:
         ("drift", r"^distribution mass 1\.000001\d* deviates from 1 by more than 1e-09$"),
     ])
     def test_planted_fault_raises_the_instances_error(self, monkeypatch, call, fault, message):
-        errors = []
+        target = gamma_draws(monkeypatch, 3, 20)[call][-1]
+        real, errors = oracle._normalized_rows, []
+        monkeypatch.setattr(oracle, "_normalized_rows", planted_rows(real, fault, target))
         for generator in (None, random_small_instance):
-            monkeypatch.setattr(oracle, "_dirichlet_rows", faulty_rows(fault, call))
             with pytest.raises(ValueError, match=message) as err:
                 verify_bound_suite(20, 3, instance_generator=generator)
             errors.append(str(err.value))
@@ -517,7 +540,7 @@ class TestStackedKernels:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64))
     def test_suite_quantities_match_per_instance(self, seed, cells):
         rng = make_rng(seed)
-        instances, draws = [], []
+        instances = []
         for _ in range(12):
             inst, eps = random_small_instance(rng)
             n, size = inst.cond.shape
@@ -525,43 +548,81 @@ class TestStackedKernels:
                 cond = np.eye(size)[rng.integers(0, size, n)]
                 prior = np.eye(n)[0] if rng.random() < 0.5 else inst.prior
                 inst = SmallInstance(prior, cond, inst.kernel)
-            g = int(rng.integers(2, 4))
-            post = rng.dirichlet(np.ones(int(rng.integers(2, 5))), size=size).T
-            draws.append(_Draw(inst.prior, inst.cond, inst.kernel.matrix, eps, g,
-                               g ** size <= 4096, post, float(rng.uniform(0, 5)), float(rng.random())))
-            instances.append(inst)
-        p = {name: np.zeros(len(draws)) for name in ("keep", "leak", "keep2", "leak2")}
-        for i, d in enumerate(draws):
-            p["keep"][i], p["leak"][i], _ = _keep_leak(d.epsilon, d.g)
-            p["keep2"][i], p["leak2"][i], _ = _keep_leak(d.eps2, len(d.post.T))
-        got = _exact_quantities(draws, p)
+            instances.append((inst, eps))
+        block = suite_block(rng, instances)
+        got = _exact_quantities(block)
         oracle.STACK_CELLS, saved = cells, oracle.STACK_CELLS
         try:
-            chunked = _exact_quantities(draws, p)
+            chunked = _exact_quantities(block)
         finally:
             oracle.STACK_CELLS = saved
         for name in got:
             assert np.array_equal(got[name], chunked[name])
-        for i, (inst, d) in enumerate(zip(instances, draws)):
-            for name, want in reference_quantities(inst, d).items():
+        for i, (inst, _) in enumerate(instances):
+            for name, want in reference_quantities(inst, block, i).items():
                 assert abs(float(got[name][i]) - float(want)) <= 1e-12, name
 
 
-def reference_quantities(inst, d):
-    """Each exact quantity of one suite instance, from the per-instance public functions."""
+def limit_instance(rng):
+    """A random instance of 7-8 users over 7-8 symbols, released by a square non-RR kernel.
+
+    Output row 0 of the kernel is all zero and rows 1 and 2 are equal; a
+    third of the priors are uniform.
+    """
+    n, size = int(rng.integers(7, 9)), int(rng.integers(7, 9))
+    prior = np.full(n, 1.0 / n) if rng.random() < 1 / 3 else rng.dirichlet(np.ones(n))
+    cond = rng.dirichlet(np.ones(size), size=n)
+    q = rng.dirichlet(np.ones(size), size=size).T
+    q[0] = 0.0
+    q[2] = q[1]
+    q /= q.sum(axis=0)
+    return SmallInstance(prior, cond, MechanismKernel(size, size, q)), float(rng.uniform(0.0, 5.0))
+
+
+class TestInstanceLimits:
+    """The suite at MAX_USERS users and MAX_SYMBOLS symbols, where no user or symbol is padding."""
+
+    def test_quantities_match_per_instance(self):
+        instances = []
+
+        def gen(rng):
+            instances.append(limit_instance(rng))
+            return instances[-1]
+
+        block = _draw_block(make_rng(11), 40, gen)
+        assert (block.n == MAX_USERS).any() and (block.size == MAX_SYMBOLS).any()
+        # 3^8 tables exceed the hashed release's limit: size 8 with g = 3 is not enumerated
+        assert ((block.size == MAX_SYMBOLS) & (block.g == 3) & ~block.hashed).any()
+        got = _exact_quantities(block)
+        for i, (inst, _) in enumerate(instances):
+            for name, want in reference_quantities(inst, block, i).items():
+                assert abs(float(got[name][i]) - float(want)) <= 1e-12, name
+
+    def test_report_is_the_one_instance_report(self, monkeypatch):
+        want = verify_bound_suite(40, 11, instance_generator=limit_instance).to_dict()
+        assert want["violations"]  # the kernels break the RR caps, so the sides are compared too
+        monkeypatch.setattr(oracle, "BLOCK_INSTANCES", 1)
+        monkeypatch.setattr(oracle, "STACK_CELLS", 1)
+        assert verify_bound_suite(40, 11, instance_generator=limit_instance).to_dict() == want
+
+
+def reference_quantities(inst, block, i):
+    """Each exact quantity of instance i of a suite block, from the per-instance public functions."""
     prior, cond, q = inst.prior, inst.cond, inst.kernel
     n, size = cond.shape
-    q2 = rr_kernel(d.eps2, size)
+    q2 = rr_kernel(block.eps2[i], size)
     full = np.zeros((n, size, size))
     full[:, np.arange(size), np.arange(size)] = cond
+    post = block.post[i, :, :size]
+    post = post[post.any(axis=1)]  # the drawn outputs, without the zero rows padding them
     suff = exact_pse(inst, likelihood_matcher)
     ref = {
         "i_uy": exact_pie(inst),
         "i_ux": mutual_information(prior[:, None] * cond),
         "i_xy": mutual_information((prior @ cond)[:, None] * q.matrix.T),
         "i_post": exact_pie(SmallInstance(
-            prior, cond, postprocess(q, MechanismKernel(size, len(d.post), d.post)))),
-        "i_mixed": exact_pie(SmallInstance(prior, cond, mixture_kernel(d.w, q, q2))),
+            prior, cond, postprocess(q, MechanismKernel(size, len(post), post)))),
+        "i_mixed": exact_pie(SmallInstance(prior, cond, mixture_kernel(block.w[i], q, q2))),
         "i_uy2": exact_pie(SmallInstance(prior, cond, q2)),
         "suff": suff.information_bits,
         "suff_error": suff.bayes_error,
@@ -573,8 +634,8 @@ def reference_quantities(inst, d):
         "uniform": np.allclose(prior, 1.0 / n, atol=1e-12),
         "beta_u": 1.0 - prior.max(),
     }
-    if d.hashed:
-        ref["i_uhy"] = exact_pie(hashed_instance(prior, cond, d.epsilon, d.g))
+    ref["i_uhy"] = (exact_pie(hashed_instance(prior, cond, block.epsilon[i], int(block.g[i])))
+                    if block.hashed[i] else 0.0)
     return ref
 
 
@@ -649,18 +710,22 @@ class TestPinnedReports:
                 verify_bound_suite(12, 99, instance_generator=planting_generator()).to_dict()] == want
 
     def test_no_block_outlives_its_report(self, monkeypatch):
-        # memory stays flat in the count: a block's draws are freed before the next is drawn
+        # memory stays flat in the count: a block's arrays are freed before the next is drawn
         monkeypatch.setattr(oracle, "BLOCK_INSTANCES", 5)
-        kernels, alive = [], []
+        real, blocks, alive = oracle._draw_block, [], []
+
+        def draw(rng, count, generator):
+            block = real(rng, count, generator)
+            blocks.append([weakref.ref(array) for array in block])
+            return block
 
         def gen(rng):
-            alive.append(sum(ref() is not None for ref in kernels))
-            inst, eps = random_small_instance(rng)
-            kernels.append(weakref.ref(inst.kernel.matrix))
-            return inst, eps
+            alive.append(sum(ref() is not None for refs in blocks for ref in refs))
+            return random_small_instance(rng)
 
+        monkeypatch.setattr(oracle, "_draw_block", draw)
         verify_bound_suite(15, 3, instance_generator=gen)
-        assert alive == [0, 1, 2, 3, 4] * 3
+        assert len(blocks) == 3 and alive == [0] * 15
 
     def test_nan_kernel_is_refused(self):
         def gen(rng):
