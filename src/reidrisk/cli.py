@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import bounds, estimation, oracle, pse, reid
-from .mechanisms import (GeneralLocalHash, GlhBatch, RandomizedResponse,
+from .mechanisms import (GeneralLocalHash, GlhBatch, RandomizedResponse, _is_integer_text,
                          glh_sample_batch, read_int_table, read_records,
                          rr_sample_batch, write_records)
 from .pipeline import (DataError, ExperimentConfig, PipelineError, _write_csv,
@@ -186,6 +186,13 @@ def _cmd_obfuscate(args) -> int:
     return 0
 
 
+def _ascii_float(text: str) -> float:
+    """float(text), refusing `_` separators and non-ASCII characters, which float() reads."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
+
+
 def _read_truth_csv(path, size: int) -> np.ndarray:
     """symbol,p_true rows; symbols not listed have probability 0."""
     p = np.zeros(size)
@@ -198,7 +205,9 @@ def _read_truth_csv(path, size: int) -> np.ndarray:
         for lineno, row in enumerate(reader, start=2):
             try:
                 symbol, prob = row
-                symbol, prob = int(symbol), float(prob)
+                if not _is_integer_text(symbol):
+                    raise ValueError(f"not an integer: {symbol!r}")
+                symbol, prob = int(symbol), _ascii_float(prob)
             except ValueError as exc:  # not two fields, or either one unreadable
                 raise DataError(f"bad truth row at line {lineno}") from exc
             if not 0 <= symbol < size:
@@ -282,7 +291,7 @@ def _read_scores_csv(path) -> pse.ScoreSample:
                 raise DataError(f"malformed row at line {lineno}: {row!r}")
             label = row[0].strip().lower()
             try:
-                v = float(row[1])
+                v = _ascii_float(row[1])
             except ValueError as exc:
                 raise DataError(f"bad score at line {lineno}") from exc
             if label in ("g", "genuine"):

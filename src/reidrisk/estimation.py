@@ -21,6 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .mechanisms import GlhBatch, RrBatch, _keep_leak, glh_match_chunks
+from .probcore import integer_symbols
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class FrequencyEstimate:
 
 
 def _rr_counts(records: Union[RrBatch, np.ndarray], size: int) -> tuple[np.ndarray, int]:
-    ys = records.ys if isinstance(records, RrBatch) else np.asarray(records)
+    ys = integer_symbols(records.ys if isinstance(records, RrBatch) else records)
     if ys.size == 0:
         raise ValueError("need at least one record")
     if ys.min() < 0 or ys.max() >= size:
@@ -46,7 +47,7 @@ def _rr_counts(records: Union[RrBatch, np.ndarray], size: int) -> tuple[np.ndarr
 
 def estimate_rr(records: Union[RrBatch, np.ndarray], epsilon: float,
                 size: int) -> FrequencyEstimate:
-    """Debias randomized-response records, an `RrBatch` or an int array of symbols.
+    """Debias randomized-response records, an `RrBatch` or an array of integer symbols.
 
     p_hat(x) = (c(x)/n - leak) / (keep - leak). epsilon = 0 makes the channel
     non-invertible and is rejected; math.inf passes counts through exactly.

@@ -612,6 +612,15 @@ def read_int_table(path, *headers: list[str]) -> tuple[list[str], np.ndarray]:
     return header, table
 
 
+def _is_integer_text(text: str) -> bool:
+    """Whether text is an integer cell as read_int_table reads it.
+
+    ASCII digits with an optional sign, and whitespace around them as
+    str.isspace says; `int` would also read `0_1` and non-ASCII digits.
+    """
+    return re.fullmatch(r"\s*[+-]?[0-9]+\s*", text) is not None
+
+
 def _first_bad_row(fh, width: int, reason: str) -> str:
     """What is wrong with the first refused row of an open table file, naming its line.
 
@@ -630,7 +639,7 @@ def _first_bad_row(fh, width: int, reason: str) -> str:
         if len(cells) != width:
             return f"line {lineno} has {len(cells)} fields where the header has {width}"
         for cell in cells:
-            if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", cell):
+            if not _is_integer_text(cell):
                 return f"non-integer value {cell!r} at line {lineno}"
             if not -2 ** 63 <= int(cell.strip()) < 2 ** 63:
                 return f"value outside the 64-bit integer range at line {lineno}"

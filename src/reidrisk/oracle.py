@@ -19,24 +19,29 @@ Each exact quantity is computed by one kernel over a stack of instances
 (`_release_joints`, `_score_joints`, `_composed_joints` and
 `probcore._mutual_information_stack`); the public per-instance functions
 are stacks of one. The checker draws its instances BLOCK_INSTANCES at a
-time into the arrays of a `_Block`, every user padded to MAX_USERS and
-every symbol to MAX_SYMBOLS. Its Dirichlet rows are normalized, the checks
+time, writing each draw straight into the arrays of a `_Block`, which hold
+MAX_USERS users and MAX_SYMBOLS symbols per instance; the padded users
+and symbols are zero and never read. Its Dirichlet rows are normalized, the checks
 `SmallInstance` would run are made and its randomized-response kernels are
-built once per group of equal widths. The block is then evaluated in one
-array pass per alphabet size, every family of quantities together, a pass
-cut into stacks of at most STACK_CELLS cells per array; the two-release
-joints of fully correlated and of independent data are taken as the
-Khatri-Rao square of the kernel and the outer square of p(y | u), the two
-cases of `_composed_joints` the checker needs. The caps are the `bounds`
-functions, called once per (n, size, g) group on an array of budgets.
-Traced through `bench/run.py --workload verify` on a 2-vCPU x86-64 host,
-this costs 0.027 ms per instance (0.026-0.028 over 5 runs), where drawing
-instance by instance and evaluating each shape of instances apart cost
-0.041 ms (0.040-0.041) in runs alternating with them.
+built once per width, over each instance's own rows. The block is then
+evaluated in one array pass per (users, symbols) shape, every array sliced
+to that shape and every family of quantities together, a pass cut into
+stacks of at most STACK_CELLS cells per array; the two-release joints of
+fully correlated and of independent data are taken as the Khatri-Rao
+square of the kernel and the outer square of p(y | u), the two cases of
+`_composed_joints` the checker needs. On preimage sets an instance's
+hashed release is at most MAX_USERS * 2^MAX_SYMBOLS = 2048 cells, so it is
+evaluated, and its claims checked, on every instance. The caps are the
+`bounds` functions, called once per (n, size, g) group on an array of
+budgets. Traced through `bench/run.py --workload verify` on a 2-vCPU
+x86-64 host, this costs 0.023 ms per instance (0.022-0.023 over 5 runs),
+where evaluating the padded users in every pass cost 0.025 ms
+(0.025-0.026) in runs alternating with them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -50,7 +55,7 @@ MAX_SYMBOLS = 8
 ENUMERATION_CAP = 10 ** 7
 TOL = 1e-9
 # cells of the largest array one stack of verify_bound_suite builds; an instance
-# holds MAX_USERS * max(2^size, size^2): its hashed release, taken on its
+# of n users holds n * max(2^size, size^2): its hashed release, taken on its
 # preimage sets, or its joint of two releases
 STACK_CELLS = 2 ** 14
 # instances verify_bound_suite draws and evaluates at a time
@@ -263,41 +268,44 @@ def _normalized_rows(gam: np.ndarray) -> np.ndarray:
     return gam / gam.sum(axis=1, keepdims=True)
 
 
-def _draw_population(rng: np.random.Generator) -> tuple:
-    """(n, size, epsilon, prior, cond) of one random instance, as drawn.
+def _draw_population(rng: np.random.Generator, prior: np.ndarray, cond: np.ndarray) -> tuple:
+    """(n, size, epsilon, gamma prior, gamma rows) of one random instance.
 
     Symmetric-Dirichlet rows; half the priors are uniform and a tenth of the
     rest point masses, and 5% of the conditionals are point-mass rows. The
-    prior is None when uniform, its user's index when a point mass, and its
-    (1, n) gamma row otherwise; cond is each user's symbol, (n,) ints, for
-    point-mass rows and the (n, size) gamma rows otherwise.
+    prior and the rows p(x | u) are written as drawn into the zeros of
+    `prior` (MAX_USERS,) and `cond` (MAX_USERS, MAX_SYMBOLS); the two flags
+    tell whether each was written as gamma draws, which `_normalized_rows`
+    turns into Dirichlet rows.
     """
     n = int(rng.integers(2, 7))
     size = int(rng.integers(2, 7))
     epsilon = float(rng.uniform(0.0, 5.0))
+    gamma_prior = gamma_rows = False
     if rng.random() < 0.5:
-        prior = None
+        prior[:n] = 1.0 / n
     elif rng.random() < 0.1:
-        prior = int(rng.integers(n))
+        prior[int(rng.integers(n))] = 1.0
     else:
-        prior = _gamma_rows(rng, 1, n)
+        prior[:n] = _gamma_rows(rng, 1, n)
+        gamma_prior = True
     if rng.random() < 0.05:
-        cond = rng.integers(0, size, size=n)
+        cond[np.arange(n), rng.integers(0, size, size=n)] = 1.0
     else:
-        cond = _gamma_rows(rng, n, size)
-    return n, size, epsilon, prior, cond
+        cond[:n, :size] = _gamma_rows(rng, n, size)
+        gamma_rows = True
+    return n, size, epsilon, gamma_prior, gamma_rows
 
 
 def _draw_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
     """(prior, p(x | u), epsilon) of one random instance, the masses not yet checked."""
-    n, size, epsilon, prior, cond = _draw_population(rng)
-    if prior is None:
-        prior = np.full(n, 1.0 / n)
-    elif isinstance(prior, int):
-        prior = np.eye(n)[prior]
-    else:
-        prior = _normalized_rows(prior)[0]
-    cond = np.eye(size)[cond] if cond.ndim == 1 else _normalized_rows(cond)
+    prior, cond = np.zeros(MAX_USERS), np.zeros((MAX_USERS, MAX_SYMBOLS))
+    n, size, epsilon, gamma_prior, gamma_rows = _draw_population(rng, prior, cond)
+    prior, cond = prior[:n], cond[:n, :size]
+    if gamma_prior:
+        prior = _normalized_rows(prior[None])[0]
+    if gamma_rows:
+        cond = _normalized_rows(cond)
     return prior, cond, epsilon
 
 
@@ -310,12 +318,10 @@ def random_small_instance(rng: np.random.Generator) -> tuple[SmallInstance, floa
 class _Block(NamedTuple):
     """A block of the suite's instances as arrays, one entry per instance in stream order.
 
-    Users are padded to MAX_USERS: a padded user has prior 0 and a point-mass
-    row on symbol 0, so every prior, row and pair of rows is still a
-    distribution. Symbols are padded to MAX_SYMBOLS with zeros, and each
-    post-processing channel to 4 outputs, the most drawn, with zero rows, so
-    its columns still sum to 1; an evaluation pass slices off the symbols
-    past its alphabet size.
+    Users are padded to MAX_USERS and symbols to MAX_SYMBOLS, and each
+    post-processing channel to 4 outputs, the most drawn. Padding is zero,
+    and no evaluation reads the users and symbols past an instance's own n
+    and size; a padded output is a zero row of the channel.
     """
 
     n: np.ndarray        # users, (B,)
@@ -325,24 +331,20 @@ class _Block(NamedTuple):
     kernel: np.ndarray   # (B, MAX_SYMBOLS, MAX_SYMBOLS)
     epsilon: np.ndarray  # (B,)
     g: np.ndarray        # hash buckets, (B,)
-    hashed: np.ndarray   # whether the hashed release is enumerated, (B,)
     post: np.ndarray     # post-processing channel before its column test, (B, 4, MAX_SYMBOLS)
     eps2: np.ndarray     # budget of the second randomized response, (B,)
     w: np.ndarray        # mixture weight, (B,)
 
 
-def _row_owners(owners: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, position) of each row stacked from instances `owners`, instance i giving rows[i]."""
-    counts = rows[owners]
-    owner = np.repeat(owners, counts)
-    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+def _rows_in_place(rows: np.ndarray, real: np.ndarray, widths: np.ndarray, transform) -> None:
+    """Replace the real rows of `rows` (B, R, W) by `transform` of them, once per width.
 
-
-def _width_groups(draws: list, widths: np.ndarray, chosen: np.ndarray):
-    """(width, owners, rows) for each width of the chosen draws: draws[i] of its owners, stacked."""
-    for width in np.unique(widths[chosen]).tolist():
-        owners = np.flatnonzero(chosen & (widths == width))
-        yield width, owners, np.concatenate([draws[i] for i in owners.tolist()])
+    Row j of instance i is real where real[i, j], and is its first widths[i]
+    entries; transform takes the (rows, width) stack of one width.
+    """
+    for width in np.unique(widths).tolist():
+        owner, row = np.nonzero(real & (widths == width)[:, None])
+        rows[owner, row, :width] = transform(rows[owner, row, :width])
 
 
 def _draw_block(rng: np.random.Generator, count: int,
@@ -350,22 +352,21 @@ def _draw_block(rng: np.random.Generator, count: int,
     """The next `count` instances of the suite's stream, as a _Block.
 
     Each draw takes the instance, then the hash bucket count, the
-    post-processing channel, the second budget and the mixture weight. With
-    no generator the instance is `_draw_population`'s, and its Dirichlet rows
-    are normalized, its masses checked as `random_small_instance`'s
-    SmallInstance checks them and its kernels built, once per group of equal
-    widths.
+    post-processing channel, the second budget and the mixture weight, and
+    writes each into the block as it is drawn. With no generator the
+    instance is `_draw_population`'s, and its Dirichlet rows are normalized,
+    its masses checked as `random_small_instance`'s SmallInstance checks them
+    and its kernels built, once per width, over the instance's own users.
     """
     prior = np.zeros((count, MAX_USERS))
     cond = np.zeros((count, MAX_USERS, MAX_SYMBOLS))
     kernel = np.zeros((count, MAX_SYMBOLS, MAX_SYMBOLS))
     most_outputs = 4
     post = np.zeros((count, most_outputs, MAX_SYMBOLS))
-    populations, posts, draws = [], [], []
+    draws = []
     for i in range(count):
         if instance_generator is None:
-            n, size, epsilon, *population = _draw_population(rng)
-            populations.append(population)
+            n, size, epsilon, *gamma = _draw_population(rng, prior[i], cond[i])
         else:
             instance, epsilon = instance_generator(rng)
             n, size = instance.cond.shape
@@ -374,54 +375,29 @@ def _draw_block(rng: np.random.Generator, count: int,
             prior[i, :n] = instance.prior
             cond[i, :n, :size] = instance.cond
             kernel[i, :size, :size] = instance.kernel.matrix
+            gamma = [False, False]
         g = int(rng.integers(2, 4))
         out2 = int(rng.integers(2, most_outputs + 1))
-        posts.append(_gamma_rows(rng, size, out2))
-        draws.append((n, size, epsilon, g, out2, float(rng.uniform(0.0, 5.0)), float(rng.random())))
-    n, size, epsilon, g, out2, eps2, w = (np.array(column) for column in zip(*draws))
-    cond[np.arange(MAX_USERS) >= n[:, None], 0] = 1.0  # the padded users
-    for width, owners, rows in _width_groups(posts, out2, np.ones(count, dtype=bool)):
-        owner, x = _row_owners(owners, size)
-        post[owner, :width, x] = _normalized_rows(rows)
+        post[i, :out2, :size] = _gamma_rows(rng, size, out2).T
+        draws.append((n, size, epsilon, g, out2, float(rng.uniform(0.0, 5.0)), float(rng.random()),
+                      *gamma))
+    n, size, epsilon, g, out2, eps2, w, gamma_prior, gamma_rows = (
+        np.array(column) for column in zip(*draws))
+    _rows_in_place(post.transpose(0, 2, 1), np.arange(MAX_SYMBOLS) < size[:, None], out2,
+                   _normalized_rows)
     if instance_generator is None:
-        _assemble_populations(prior, cond, kernel, n, size, epsilon, populations)
-    hashed = (g ** size * n * size * g <= ENUMERATION_CAP) & (g ** size <= 4096)
-    return _Block(n, size, prior, cond, kernel, epsilon, g, hashed, post, eps2, w)
-
-
-def _assemble_populations(prior, cond, kernel, n, size, epsilon, populations: list) -> None:
-    """Write a block's drawn priors, rows and kernels into its arrays, checked.
-
-    `populations` holds the (prior, cond) of each `_draw_population` draw.
-    The masses are checked, and tiny drift divided out, as SmallInstance
-    does it, on each group of equal widths.
-    """
-    priors, conds = zip(*populations)
-    uniform = np.array([p is None for p in priors])
-    dirichlet = np.array([isinstance(p, np.ndarray) for p in priors])
-    prior[uniform] = np.where(np.arange(MAX_USERS) < n[uniform, None], 1.0 / n[uniform, None], 0.0)
-    points = np.flatnonzero(~(uniform | dirichlet))
-    prior[points, np.array([priors[i] for i in points.tolist()], dtype=int)] = 1.0
-    for width, owners, rows in _width_groups(priors, n, dirichlet):
-        prior[owners, :width] = _normalized_rows(rows)
-    point_rows = np.array([c.ndim == 1 for c in conds])
-    for _, owners, symbols in _width_groups(conds, size, point_rows):
-        owner, user = _row_owners(owners, n)
-        cond[owner, user, symbols] = 1.0
-    for width, owners, rows in _width_groups(conds, size, ~point_rows):
-        owner, user = _row_owners(owners, n)
-        cond[owner, user, :width] = _normalized_rows(rows)
-    for width in np.unique(n).tolist():
-        idx = np.flatnonzero(n == width)
-        prior[idx, :width] = probcore._checked_masses(prior[idx, :width], "distribution")
-    for width in np.unique(size).tolist():
-        idx = np.flatnonzero(size == width)
-        rows = cond[idx, :, :width]
-        cond[idx, :, :width] = probcore._checked_masses(
-            rows.reshape(-1, width), "distribution").reshape(rows.shape)
-        keep, leak, _ = _keep_leak(epsilon[idx], width)
-        kernel[idx, :width, :width] = _checked_columns(_rr_matrices(keep, leak, width))
-        _check_shape(int(n[idx].max()), width, width, width)
+        users = np.arange(MAX_USERS) < n[:, None]
+        _rows_in_place(prior[:, None], gamma_prior[:, None], n, _normalized_rows)
+        _rows_in_place(cond, users & gamma_rows[:, None], size, _normalized_rows)
+        checked = functools.partial(probcore._checked_masses, what="distribution")
+        _rows_in_place(prior[:, None], np.ones((count, 1), dtype=bool), n, checked)
+        _rows_in_place(cond, users, size, checked)
+        for width in np.unique(size).tolist():
+            idx = np.flatnonzero(size == width)
+            keep, leak, _ = _keep_leak(epsilon[idx], width)
+            kernel[idx, :width, :width] = _checked_columns(_rr_matrices(keep, leak, width))
+            _check_shape(int(n[idx].max()), width, width, width)
+    return _Block(n, size, prior, cond, kernel, epsilon, g, post, eps2, w)
 
 
 def _preimage_sets(size: int, g) -> tuple[np.ndarray, np.ndarray]:
@@ -437,39 +413,39 @@ def _preimage_sets(size: int, g) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exact_quantities(block: _Block) -> dict:
-    """Every exact quantity of every instance of a block, one array pass per alphabet size.
+    """Every exact quantity of every instance of a block, one array pass per (n, size) shape.
 
     A pass is cut into stacks of at most STACK_CELLS cells per array, and
-    every array of a pass has the padded widths of the block, so no
-    instance's quantities depend on the others drawn with it. Returns name
-    -> (B,) array; i_uhy is 0 where the hashed release is not enumerated.
+    every array of a pass is sliced to the shape's own users and symbols, so
+    no instance's quantities depend on the others drawn with it and no
+    padded cell is read. Returns name -> (B,) array.
     """
-    out = {name: np.zeros(len(block.n)) for name in (
+    count = len(block.n)
+    out = {name: np.zeros(count) for name in (
         "i_uy", "i_ux", "i_xy", "i_uhy", "i_post", "i_mixed", "i_uy2", "suff", "suff_error",
-        "coarse", "constant", "i_full", "i_pair")}
-    n = block.n[:, None]
-    out["uniform"] = (np.isclose(block.prior, 1.0 / n, atol=1e-12)
-                      | (np.arange(MAX_USERS) >= n)).all(axis=1)
-    out["beta_u"] = 1.0 - block.prior.max(axis=1)
-    for size in np.unique(block.size).tolist():
-        same = np.flatnonzero(block.size == size)
-        step = max(1, STACK_CELLS // (MAX_USERS * max(2 ** size, size * size)))
+        "coarse", "constant", "i_full", "i_pair", "beta_u")}
+    out["uniform"] = np.zeros(count, dtype=bool)
+    shapes, group = np.unique(np.column_stack([block.n, block.size]), axis=0, return_inverse=True)
+    for j, (n, size) in enumerate(shapes.tolist()):
+        same = np.flatnonzero(group == j)
+        step = max(1, STACK_CELLS // (n * max(2 ** size, size * size)))
         for lo in range(0, len(same), step):
             idx = same[lo:lo + step]
-            for name, value in _stack_quantities(block, idx, size).items():
+            for name, value in _stack_quantities(block, idx, n, size).items():
                 out[name][idx] = value
     return out
 
 
-def _stack_quantities(block: _Block, idx: np.ndarray, size: int) -> dict:
-    """The exact quantities of the block's instances `idx`, all over `size` symbols.
+def _stack_quantities(block: _Block, idx: np.ndarray, n: int, size: int) -> dict:
+    """The exact quantities of the block's instances `idx`, all of n users over `size` symbols.
 
     Joints of one shape share one `_mutual_information_stack` pass.
     """
-    prior, cond = block.prior[idx], block.cond[idx, :, :size]
+    prior, cond = block.prior[idx, :n], block.cond[idx, :n, :size]
     q = block.kernel[idx, :size, :size]
     mi = probcore._mutual_information_stack
-    out = {}
+    out = {"uniform": np.isclose(prior, 1.0 / n, atol=1e-12).all(axis=1),
+           "beta_u": 1.0 - prior.max(axis=1)}
 
     def information(*joints):
         return mi(np.concatenate(joints)).reshape(len(joints), -1)
@@ -492,7 +468,7 @@ def _stack_quantities(block: _Block, idx: np.ndarray, size: int) -> dict:
     out["i_uy"], out["i_ux"], out["i_mixed"], out["i_uy2"], out["suff"] = information(
         joints, prior[:, :, None] * cond, _release_joints(prior, cond, mixed),
         _release_joints(prior, cond, q2), suff)
-    out["coarse"] = mi(_score_joints(joints, likelihood.argmax(axis=1), MAX_USERS))
+    out["coarse"] = mi(_score_joints(joints, likelihood.argmax(axis=1), n))
     out["constant"] = mi(_score_joints(joints, np.zeros((len(idx), size), int), 1))
 
     # two releases of fully correlated data, through the Khatri-Rao square of the
@@ -502,7 +478,7 @@ def _stack_quantities(block: _Block, idx: np.ndarray, size: int) -> dict:
     pairs = given_u[:, :, :, None] * given_u[:, :, None, :]
     out["i_full"], out["i_pair"] = information(
         prior[:, :, None] * (cond @ square.transpose(0, 2, 1)),
-        prior[:, :, None] * pairs.reshape(len(idx), MAX_USERS, size * size))
+        prior[:, :, None] * pairs.reshape(len(idx), n, size * size))
 
     # post-processing by a random channel
     composed = _checked_columns(_checked_columns(block.post[idx, :, :size]) @ q)
@@ -511,15 +487,11 @@ def _stack_quantities(block: _Block, idx: np.ndarray, size: int) -> dict:
     # hashed randomization with the exactly universal family: each column of its kernel
     # is leak / count + (keep - leak) / count * p(S | u), S the column's preimage set and
     # count = g^size, so merging the equal columns of each S leaves I(U; (H, Y)) as it is
-    hashed = block.hashed[idx]
-    out["i_uhy"] = np.zeros(len(idx))
-    if hashed.any():
-        g = block.g[idx][hashed, None]
-        members, share = _preimage_sets(size, g)
-        keep, leak, _ = _keep_leak(block.epsilon[idx][hashed, None, None], g[:, :, None])
-        hits = cond[hashed] @ members.T
-        out["i_uhy"][hashed] = mi(
-            prior[hashed, :, None] * (share[:, None, :] * (leak + (keep - leak) * hits)))
+    g = block.g[idx, None]
+    members, share = _preimage_sets(size, g)
+    keep, leak, _ = _keep_leak(block.epsilon[idx, None, None], g[:, :, None])
+    out["i_uhy"] = mi(
+        prior[:, :, None] * (share[:, None, :] * (leak + (keep - leak) * (cond @ members.T))))
     return out
 
 
@@ -537,9 +509,8 @@ def _block_report(block: _Block, first: int) -> tuple[int, list]:
         p["theta"][idx] = bounds.mi_loss_rr(epsilon, size)
         p["rr"][idx] = alpha1 = bounds.pie_bound_rr(epsilon, n, size)
         p["composed"][idx] = bounds.pie_bound_composed(alpha1, 2)
-        if block.hashed[idx[0]]:
-            p["theta_g"][idx] = bounds.mi_loss_glh(epsilon, g)
-            p["glh"][idx] = bounds.pie_bound_glh(epsilon, g, n, size)
+        p["theta_g"][idx] = bounds.mi_loss_glh(epsilon, g)
+        p["glh"][idx] = bounds.pie_bound_glh(epsilon, g, n, size)
 
     x = _exact_quantities(block)
     general = (0.0 < x["beta_u"]) & (x["beta_u"] < 1.0)
@@ -554,15 +525,14 @@ def _block_report(block: _Block, first: int) -> tuple[int, list]:
     w = block.w
     i_uy, i_ux, suff = x["i_uy"], x["i_ux"], x["suff"]
     every = np.ones(count, dtype=bool)
-    hashed = block.hashed
     claims = {  # name: (lhs, rhs, applies), in the order each instance reports them
         "release_info_below_identity_info": (i_uy, i_ux, every),
         "release_info_below_channel_info": (i_uy, x["i_xy"], every),
         "generic_budget_cap": (i_uy, p["ldp"], every),
         "rr_shrink_of_identity_info": (i_uy, p["theta"] * i_ux, every),
         "rr_cap": (i_uy, p["rr"], every),
-        "glh_shrink_of_identity_info": (x["i_uhy"], p["theta_g"] * i_ux, hashed),
-        "glh_cap": (x["i_uhy"], p["glh"], hashed),
+        "glh_shrink_of_identity_info": (x["i_uhy"], p["theta_g"] * i_ux, every),
+        "glh_cap": (x["i_uhy"], p["glh"], every),
         "postprocess_monotone": (x["i_post"], i_uy, every),
         "mixture_convexity": (x["i_mixed"], w * i_uy + (1.0 - w) * x["i_uy2"], every),
         "sufficient_score_equality_upper": (suff, i_uy, every),
@@ -597,7 +567,8 @@ def verify_bound_suite(count: int, rng_or_seed: Union[int, np.random.Generator],
 
     Instances are drawn from the one stream BLOCK_INSTANCES at a time, so
     memory does not grow with `count`. Each block is drawn whole, then its
-    exact quantities are evaluated one alphabet size at a time.
+    exact quantities are evaluated in one pass per (users, symbols) shape,
+    on the instances' own users and symbols; padded cells are never read.
     `instance_generator(rng)` returns (SmallInstance, epsilon); without
     one, instances are drawn as `random_small_instance` draws them, as arrays.
     Violations are reported in instance order, each instance's in the order

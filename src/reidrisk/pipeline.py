@@ -84,8 +84,9 @@ def ingest_checkins(path, min_events: int = 10) -> TraceDataset:
 
     Events are ordered by timestamp per user (stable on ties, so duplicate
     timestamps keep input order); users with fewer than min_events events
-    are dropped and counted in the provenance. Any malformed row, or a NaN
-    timestamp, aborts the ingest with its line number.
+    are dropped and counted in the provenance. Any malformed row, such as
+    one with an empty field, or a NaN timestamp, aborts the ingest with its
+    line number.
     """
     per_user: dict = {}
     with open(path, newline="") as fh:
@@ -94,7 +95,7 @@ def ingest_checkins(path, min_events: int = 10) -> TraceDataset:
         if header != ["user_id", "timestamp", "poi_id"]:
             raise DataError(f"expected header user_id,timestamp,poi_id, got {header}")
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3 or not row[0] or not row[2]:
+            if len(row) != 3 or not all(row):
                 raise DataError(f"malformed row at line {lineno}: {row!r}")
             user, ts, poi = row
             try:

@@ -247,8 +247,13 @@ class TestDataErrors:
         "0,0.5\n1,0.4\n",
         "0,1.5\n1,-0.5\n",
         "0,0.5,junk\n1,0.5\n",
+        "0_1,1.0\n",
+        "\u0663,1.0\n",
+        "0,0.5\n1,0.2_5\n2,0.2_5\n",
+        "0,0.5\n1,\u0660.5\n",
     ], ids=["negative_symbol", "symbol_is_size", "duplicate_symbol", "sum_below_1",
-            "probability_outside_0_1", "extra_field"])
+            "probability_outside_0_1", "extra_field", "underscore_symbol", "arabic_indic_symbol",
+            "underscore_probability", "arabic_indic_probability"])
     def test_bad_truth_rows_exit_2(self, capsys, tmp_path, rows):
         records = tmp_path / "records.csv"
         records.write_text("user_idx,y\n0,0\n1,1\n2,2\n3,3\n")
@@ -417,6 +422,14 @@ class TestDataErrors:
                              "--mechanism", "rr", "--epsilon", "1.0")
         assert code == 2 and "NaN timestamp at line 3" in err and "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("score", ["1_0", "\u0661.0", "\uff11.0", "1.0\u00a0"],
+                             ids=["underscore", "arabic_indic", "fullwidth", "nonascii_space"])
+    def test_bad_score_exits_2(self, capsys, tmp_path, score):
+        p = tmp_path / "scores.csv"
+        p.write_text(f"label,score\ng,{score}\ni,0.5\n")
+        code, _, err = run(capsys, "pse", "--scores", str(p))
+        assert code == 2 and "bad score at line 2" in err and "Traceback" not in err
 
     def test_bad_score_label_exits_2(self, capsys, tmp_path):
         p = tmp_path / "scores.csv"

@@ -54,7 +54,8 @@ class TestRrEstimator:
         a = estimate_rr(batch, 1.0, 5)
         b = estimate_rr(batch.ys, 1.0, 5)
         c = estimate_rr(batch.ys.tolist(), 1.0, 5)  # a plain list of released symbols
-        assert np.array_equal(a.p_hat, b.p_hat) and np.array_equal(a.p_hat, c.p_hat)
+        d = estimate_rr(batch.ys.astype(np.float64), 1.0, 5)  # whole floats are symbols too
+        assert all(np.array_equal(a.p_hat, e.p_hat) for e in (b, c, d))
 
     def test_infinite_epsilon_is_passthrough(self):
         ys = np.array([0, 0, 1, 2])
@@ -75,6 +76,8 @@ class TestRrEstimator:
             estimate_rr(np.array([], dtype=np.int64), 1.0, 4)
         with pytest.raises(ValueError):
             estimate_rr(np.array([4]), 1.0, 4)
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            estimate_rr(np.array([1.0, 0.5]), 1.0, 4)
 
     def test_unbiased_at_moderate_scale(self):
         # Fixed inputs, one seeded mechanism pass; deviations stay within

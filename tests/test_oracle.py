@@ -22,6 +22,7 @@ from reidrisk.oracle import (
     Violation,
     _bayes_errors,
     _Block,
+    _block_report,
     _composed_joints,
     _draw_block,
     _exact_quantities,
@@ -251,7 +252,7 @@ class TestPreimageSets:
             if point_rows:
                 cond[: n // 2 + 1] = np.eye(size)[rng.integers(0, size, n // 2 + 1)]
             instances.append((SmallInstance(prior, cond, rr_kernel(epsilon, size)), epsilon))
-        block = suite_block(rng, instances)._replace(g=np.full(3, g), hashed=np.ones(3, dtype=bool))
+        block = suite_block(rng, instances)._replace(g=np.full(3, g))
         got = _exact_quantities(block)["i_uhy"]
         kernel = ExhaustiveTable(size, g).kernel(epsilon)
         for i, (inst, _) in enumerate(instances):
@@ -356,15 +357,29 @@ class TestSuiteDraws:
                          (got.kernel[i, :size, :size], inst.kernel.matrix)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
             assert got.epsilon[i] == eps
-            # padded users have prior 0 and a point-mass row; padded symbols are zeros
-            assert not got.prior[i, n:].any()
-            assert np.array_equal(got.cond[i, n:], np.eye(MAX_SYMBOLS)[[0] * (MAX_USERS - n)])
+            # padded users and symbols are zeros
+            assert not (got.prior[i, n:].any() or got.cond[i, n:].any())
             assert not (got.cond[i, :, size:].any() or got.kernel[i, size:].any()
                         or got.kernel[i, :, size:].any() or got.post[i, :, size:].any())
-        for name in _Block._fields:  # g, hashed, post, eps2 and w too
+        for name in _Block._fields:  # g, post, eps2 and w too
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
         assert arrays.random() == objects.random()
+
+    @pytest.mark.parametrize("seed,count,planted", [(5, 300, False), (99, 12, True)])
+    def test_no_padded_cell_is_read(self, seed, count, planted):
+        block = _draw_block(make_rng(seed), count, planting_generator() if planted else None)
+        prior, cond, kernel, post = (np.array(a) for a in (
+            block.prior, block.cond, block.kernel, block.post))
+        for i, (n, size) in enumerate(zip(block.n, block.size)):
+            prior[i, n:] = cond[i, n:] = np.nan
+            cond[i, :, size:] = kernel[i, size:] = kernel[i, :, size:] = post[i, :, size:] = np.nan
+        dirty = block._replace(prior=prior, cond=cond, kernel=kernel, post=post)
+        want, got = _exact_quantities(block), _exact_quantities(dirty)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+        report = _block_report(dirty, 0)
+        assert report == _block_report(block, 0) and bool(report[1]) == planted
 
 
 def gamma_draws(monkeypatch, seed, count):
@@ -591,8 +606,8 @@ class TestInstanceLimits:
 
         block = _draw_block(make_rng(11), 40, gen)
         assert (block.n == MAX_USERS).any() and (block.size == MAX_SYMBOLS).any()
-        # 3^8 tables exceed the hashed release's limit: size 8 with g = 3 is not enumerated
-        assert ((block.size == MAX_SYMBOLS) & (block.g == 3) & ~block.hashed).any()
+        # size 8 with g = 3 is checked against all 3^8 tables of ExhaustiveTable(8, 3)
+        assert ((block.size == MAX_SYMBOLS) & (block.g == 3)).any()
         got = _exact_quantities(block)
         for i, (inst, _) in enumerate(instances):
             for name, want in reference_quantities(inst, block, i).items():
@@ -634,8 +649,7 @@ def reference_quantities(inst, block, i):
         "uniform": np.allclose(prior, 1.0 / n, atol=1e-12),
         "beta_u": 1.0 - prior.max(),
     }
-    ref["i_uhy"] = (exact_pie(hashed_instance(prior, cond, block.epsilon[i], int(block.g[i])))
-                    if block.hashed[i] else 0.0)
+    ref["i_uhy"] = exact_pie(hashed_instance(prior, cond, block.epsilon[i], int(block.g[i])))
     return ref
 
 

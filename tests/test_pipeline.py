@@ -88,11 +88,13 @@ class TestIngest:
         with pytest.raises(DataError, match="NaN timestamp at line 3"):
             ingest_checkins(p, min_events=1)
 
-    def test_empty_fields_rejected(self, tmp_path):
+    @pytest.mark.parametrize("row", [("", 0, "a"), ("u", "", "a"), ("u", 0, "")],
+                             ids=["user_id", "timestamp", "poi_id"])
+    def test_empty_fields_rejected(self, tmp_path, row):
         p = tmp_path / "c.csv"
-        write_csv(p, [("u", 0, "")])
-        with pytest.raises(DataError, match="line 2"):
-            ingest_checkins(p)
+        write_csv(p, [("u", 1, "a"), row])
+        with pytest.raises(DataError, match="malformed row at line 3"):
+            ingest_checkins(p, min_events=1)
 
 
 class TestTraceDataset:
