@@ -81,6 +81,8 @@ def glh_counts(batch: GlhBatch, size: int) -> np.ndarray:
 
 def estimate_glh(batch: GlhBatch, epsilon: float, size: int) -> FrequencyEstimate:
     """Debias hashed records: p_hat(x) = (c(x)/n - 1/g) / (keep - 1/g)."""
+    if size < 1:
+        raise ValueError(f"alphabet size {size} is below 1")
     if epsilon == 0:
         raise ValueError("epsilon = 0 leaves the channel non-invertible")
     g = batch.g
@@ -105,16 +107,20 @@ def apply_significance_threshold(est: FrequencyEstimate, null_variance: float,
 
     The cutoff is z * sqrt(null_variance) where z is the standard-normal
     upper quantile at level/size (union-bound corrected across symbols), or
-    +inf where 1 - level/size rounds to 1. Surviving entries are kept
-    untouched; the result is not renormalized.
+    +inf where 1 - level/size rounds to 1. A zero null variance, as RR has
+    at an infinite budget, gives cutoff 0 whatever z is. Surviving entries
+    are kept untouched; the result is not renormalized.
     """
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    if null_variance <= 0:
-        raise ValueError("null variance must be positive")
-    q = 1.0 - level / est.size
-    z = math.inf if q == 1.0 else NormalDist().inv_cdf(q)
-    cutoff = z * float(np.sqrt(null_variance))
+    if not null_variance >= 0:
+        raise ValueError(f"null variance must be non-negative, got {null_variance}")
+    if null_variance == 0:
+        cutoff = 0.0
+    else:
+        q = 1.0 - level / est.size
+        z = math.inf if q == 1.0 else NormalDist().inv_cdf(q)
+        cutoff = z * float(np.sqrt(null_variance))
     kept = np.where(est.p_hat > cutoff, est.p_hat, 0.0)
     return replace(est, p_hat=kept, thresholded=True, threshold=cutoff)
 

@@ -4,8 +4,8 @@ Two concrete mechanisms are provided: symbol-level randomized response (keep
 the true symbol with a boosted probability, otherwise emit any symbol at a
 small uniform probability) and hashed randomized response (hash the symbol
 into g buckets with a randomly drawn member of a universal hash family, then
-randomize over buckets). Both expose their channel matrix, sample records,
-and parallelize through explicit per-worker random streams.
+run randomized response over the g buckets). Both expose their channel matrix
+and sample records, their randomized-response draws made by one helper.
 
 Probabilities are parameterized through e^(-epsilon), so arbitrarily large
 epsilon values never overflow: the keep probability is
@@ -20,7 +20,7 @@ import re
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -180,14 +180,23 @@ class GlhBatch:
         return len(self.ys)
 
 
+def _rr_draws(mech: RandomizedResponse, xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Randomized response of symbols xs in [0, mech.size), in the two-stage view.
+
+    Draws every keep flag (probability theta), then every uniform symbol, so
+    each RR and GLH release consumes its stream in this one order.
+    """
+    keep = rng.random(xs.size) < mech.theta
+    uniform = rng.integers(0, mech.size, size=xs.size)
+    return np.where(keep, xs, uniform)
+
+
 def rr_sample_batch(mech: RandomizedResponse, xs: np.ndarray, rng: np.random.Generator) -> RrBatch:
     """Vectorized randomized response over a whole symbol array."""
     xs = integer_symbols(xs)
     if xs.size and (xs.min() < 0 or xs.max() >= mech.size):
         raise ValueError("symbol outside alphabet")
-    keep = rng.random(xs.size) < mech.theta
-    uniform = rng.integers(0, mech.size, size=xs.size)
-    return RrBatch(ys=np.where(keep, xs, uniform))
+    return RrBatch(ys=_rr_draws(mech, xs, rng))
 
 
 def _is_prime(n: int) -> bool:
@@ -332,7 +341,7 @@ def glh_match_chunks(batch: GlhBatch, size: int,
 
     On a 2-vCPU Intel Xeon host (Python 3.11, numpy 2.4), `glh_counts` at
     1e5 records x 1000 symbols takes about 2.8 ns per cell on one worker and
-    2.1 ns on two, where the one-core walk that divided by g took 4.5 ns.
+    2.1 ns on two.
     """
     n = len(batch)
     workers = _match_workers()
@@ -417,8 +426,8 @@ class CarterWegman:
     """
 
     def __init__(self, prime: int, g: int):
-        if g < 2:
-            raise ValueError("need at least two buckets")
+        if not 2 <= g <= MAX_BUCKETS:
+            raise ValueError(f"need between 2 and {MAX_BUCKETS} buckets, got {g}")
         if not _is_prime(prime):
             raise ValueError(f"{prime} is not prime")
         _check_modulus(prime)
@@ -484,63 +493,35 @@ class ExhaustiveTable:
 
 @dataclass(frozen=True)
 class GeneralLocalHash:
-    """Hash into g buckets with a random Carter-Wegman member, then randomize buckets."""
+    """Hash into g = family.g buckets with a random Carter-Wegman member, then run
+    `bucket`, randomized response over the g buckets, on the hashed value."""
 
     epsilon: float
-    g: int
     family: CarterWegman
+    bucket: RandomizedResponse = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.family, CarterWegman):
             raise ValueError("hashed obfuscation needs the pairwise (Carter-Wegman) family")
-        if not 2 <= self.g <= MAX_BUCKETS:
-            raise ValueError(f"need between 2 and {MAX_BUCKETS} buckets, got {self.g}")
-        object.__setattr__(self, "g", int(self.g))
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.family.g != self.g:
-            raise ValueError("family bucket count disagrees with g")
+        object.__setattr__(self, "bucket", RandomizedResponse(self.epsilon, self.family.g))
 
     @classmethod
     def with_production_family(cls, epsilon: float, g: int, domain_size: int) -> "GeneralLocalHash":
-        return cls(epsilon, g, CarterWegman.for_domain(domain_size, g))
-
-    @property
-    def mu(self) -> float:
-        """Probability that the reported bucket equals the hashed value."""
-        return _keep_leak(self.epsilon, self.g)[0]
-
-    @property
-    def nu(self) -> float:
-        """Marginal probability of any fixed bucket: 1/g by universality."""
-        return 1.0 / self.g
-
-    @property
-    def off_bucket(self) -> float:
-        """Probability of any one specific wrong bucket."""
-        return _keep_leak(self.epsilon, self.g)[1]
-
-    @property
-    def theta_bucket(self) -> float:
-        """'Emit the hashed value' branch probability of the bucket channel."""
-        return _keep_leak(self.epsilon, self.g)[2]
-
-    def bucket_kernel(self) -> MechanismKernel:
-        """The channel on bucket values conditioned on any fixed hash member."""
-        return rr_kernel(self.epsilon, self.g)
+        return cls(epsilon, CarterWegman.for_domain(domain_size, g))
 
 
 def glh_sample_batch(mech: GeneralLocalHash, xs: np.ndarray, rng: np.random.Generator) -> GlhBatch:
     """Vectorized hashed obfuscation; one fresh family member per record."""
     xs = integer_symbols(xs)
-    if xs.size and (xs.min() < 0 or xs.max() >= mech.family.prime):
+    family = mech.family
+    if xs.size and (xs.min() < 0 or xs.max() >= family.prime):
         raise ValueError("symbol outside the hash domain [0, P)")
-    a, b = mech.family.sample_descriptors(xs.size, rng)
-    z = hash_buckets(a, b, xs, mech.family.prime, mech.g)
-    keep = rng.random(xs.size) < mech.theta_bucket
-    uniform = rng.integers(1, mech.g + 1, size=xs.size)
-    return GlhBatch(a=a, b=b, ys=np.where(keep, z, uniform),
-                    prime=mech.family.prime, g=mech.g)
+    a, b = family.sample_descriptors(xs.size, rng)
+    z = hash_buckets(a, b, xs, family.prime, family.g)
+    z -= 1
+    ys = _rr_draws(mech.bucket, z, rng)
+    ys += 1
+    return GlhBatch(a=a, b=b, ys=ys, prime=family.prime, g=family.g)
 
 
 def postprocess(k: MechanismKernel, channel: MechanismKernel) -> MechanismKernel:

@@ -34,9 +34,7 @@ hashed release is at most MAX_USERS * 2^MAX_SYMBOLS = 2048 cells, so it is
 evaluated, and its claims checked, on every instance. The caps are the
 `bounds` functions, called once per (n, size, g) group on an array of
 budgets. Traced through `bench/run.py --workload verify` on a 2-vCPU
-x86-64 host, this costs 0.023 ms per instance (0.022-0.023 over 5 runs),
-where evaluating the padded users in every pass cost 0.025 ms
-(0.025-0.026) in runs alternating with them.
+x86-64 host, this costs 0.023 ms per instance (0.022-0.023 over 5 runs).
 """
 
 from __future__ import annotations

@@ -160,10 +160,10 @@ class SynthesisSpec:
     def __post_init__(self):
         if self.n_users < 1 or self.size < 2:
             raise ValueError("need n_users >= 1 and size >= 2")
-        if self.zipf_exponent <= 0:
-            raise ValueError("Zipf exponent must be positive")
-        if self.concentration <= 0:
-            raise ValueError("concentration must be positive")
+        if not 0 < self.zipf_exponent < math.inf:
+            raise ValueError(f"Zipf exponent must be positive and finite, got {self.zipf_exponent}")
+        if not 0 < self.concentration < math.inf:
+            raise ValueError(f"concentration must be positive and finite, got {self.concentration}")
         if not (1 <= self.support_size <= self.size):
             raise ValueError("support_size must lie in [1, size]")
         if self.train_len < 1 or self.eval_len < 1:
@@ -181,7 +181,8 @@ def synth_population(spec: SynthesisSpec, rng: np.random.Generator
     """Draw the population and one full trace per user, deterministically."""
     n, size, k = spec.n_users, spec.size, spec.support_size
     global_law = zipf_law(size, spec.zipf_exponent)
-    log_pop = np.log(global_law)
+    with np.errstate(divide="ignore"):  # a weight that underflows to 0: log -inf, drawn last
+        log_pop = np.log(global_law)
 
     # per-user supports: popularity-weighted sampling without replacement
     gumbel = rng.gumbel(size=(n, size))
@@ -250,13 +251,18 @@ class ExperimentConfig:
             raise ValueError(f"unsupported schema_version {self.schema_version}")
         if self.knowledge not in ("partial", "max"):
             raise ValueError("knowledge must be 'partial' or 'max'")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.threads < 0:
+            raise ValueError(f"threads must be >= 0 (0 counts CPUs), got {self.threads}")
         if not self.epsilons:
             raise ValueError("need at least one epsilon")
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "phis", tuple(int(p) for p in self.phis))
         object.__setattr__(self, "g_sweep", tuple(int(g) for g in self.g_sweep))
-        if not all(e >= 0 for e in self.epsilons):
-            raise ValueError("epsilons must be >= 0")
+        if not all(e > 0 for e in self.epsilons):  # also false for NaN
+            raise ValueError("epsilons must be > 0: epsilon = 0 leaves the estimators' "
+                             "channel non-invertible")
         if any(p < 1 for p in self.phis):
             raise ValueError("phi values must be >= 1")
         if self.glh_g is not None and not 2 <= self.glh_g <= MAX_BUCKETS:

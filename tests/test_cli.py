@@ -189,10 +189,18 @@ class TestDataErrors:
         ({"epsilons": [1.0, 44.0]}, "12851600114359308288 hash buckets (epsilon 44.0) exceed"),
         ({"epsilons": [710]}, "inf hash buckets (epsilon 710.0) exceed"),
         ({"epsilons": [math.inf]}, "inf hash buckets (epsilon inf) exceed"),
+        ({"epsilons": [0.0, 1.0]}, "epsilons must be > 0"),
+        ({"zipf_exponent": math.nan}, "Zipf exponent must be positive and finite, got nan"),
+        ({"zipf_exponent": math.inf}, "Zipf exponent must be positive and finite, got inf"),
+        ({"concentration": math.nan}, "concentration must be positive and finite, got nan"),
+        ({"concentration": math.inf}, "concentration must be positive and finite, got inf"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"threads": -5}, "threads must be >= 0 (0 counts CPUs), got -5"),
     ], ids=["beta_min", "int_beyond_float", "one_user", "no_users", "support_beyond_size",
             "glh_g_beyond_max", "g_sweep_beyond_max", "no_reid_trials", "no_pse_trials",
             "pse_k_0", "pse_trials_not_above_k", "checkins_of_one_user", "eps44_buckets",
-            "eps710_buckets", "eps_inf_buckets"])
+            "eps710_buckets", "eps_inf_buckets", "eps_zero", "zipf_nan", "zipf_inf",
+            "concentration_nan", "concentration_inf", "negative_seed", "negative_threads"])
     def test_config_refusal_exits_2(self, capsys, tmp_path, config, message):
         # each was refused only by a stage, if at all: no stage reads beta_min, and
         # a float field's huge int raised OverflowError
@@ -541,6 +549,37 @@ class TestObfuscateEstimate:
         p_hat = np.array([float(r[1]) for r in rows[1:]])
         assert math.isclose(p_hat.sum(), 1.0, abs_tol=0.5)  # unbiased, not renormalized
 
+    def test_rr_estimate_at_infinite_budget(self, capsys, tmp_path):
+        # RR passes every symbol through at epsilon = inf, whose null variance is 0
+        xs = make_rng(5).integers(0, 3, size=200)
+        code, text, _ = run(capsys, "obfuscate", "--input", self.write_input(tmp_path, xs),
+                            "--mechanism", "rr", "--epsilon", "inf", "--size", "6",
+                            "--out", str(tmp_path / "rec"))
+        assert code == 0
+        code, text, err = run(capsys, "estimate", "--records", text.strip(),
+                              "--epsilon", "inf", "--size", "6", "--out", str(tmp_path / "est"))
+        assert code == 0 and err == ""
+        rows = [l.split(",") for l in open(text.strip()).read().strip().splitlines()]
+        emp = np.bincount(xs, minlength=6) / xs.size
+        assert np.array_equal([float(r[1]) for r in rows[1:]], emp)
+        assert np.array_equal([float(r[2]) for r in rows[1:]], emp)  # cutoff 0 keeps each > 0
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    @pytest.mark.parametrize("records", ["user_idx,y\n0,1\n",
+                                         "user_idx,a,b,P,g,y\n0,3,5,13,4,2\n"],
+                             ids=["rr", "glh"])
+    def test_estimate_refuses_size_below_1(self, capsys, tmp_path, records, size):
+        path = tmp_path / "records.csv"
+        path.write_text(records)
+        code, text, err = run(capsys, "estimate", "--records", str(path), "--epsilon", "1",
+                              "--size", size, "--out", str(tmp_path / "est"))
+        assert code == 2 and text == "" and "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error:")
+        if records.startswith("user_idx,a"):
+            assert f"alphabet size {size} is below 1" in lines[0]
+        assert not (tmp_path / "est").exists()
+
 
 class TestAttackCommands:
     def test_reid_json_and_det(self, capsys, tmp_path, tiny_config):
@@ -683,6 +722,20 @@ class TestSynthSimulate:
                            timeout=300)
             bundles.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
         assert len(bundles[0]) == 4 and bundles[0] == bundles[1]
+
+    def test_simulate_completes_at_an_infinite_budget(self, capsys, tmp_path):
+        # accepted at load with glh_g set; the utility stage thresholds RR's zero null variance
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_users": 20, "size": 16, "support_size": 4,
+                                   "reid_trials": 20, "pse_trials": 30,
+                                   "epsilons": [1.0, math.inf], "glh_g": 4}))
+        out = tmp_path / "run"
+        code, text, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert code == 0 and err == ""
+        manifest = json.loads(open(text.strip()).read())
+        assert manifest["status"] == "complete" and len(manifest["files"]) == 4
+        rows = (out / "utility_eps.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[3] for row in rows if row.split(",")[2] == "inf"} == {"rr", "glh"}
 
     def test_synth_flag_overrides(self, capsys, tmp_path):
         out = tmp_path / "d"

@@ -135,7 +135,7 @@ class TestGlhEstimator:
         batch = glh_sample_batch(mech, np.zeros(500, dtype=np.int64), make_rng(5))
         est = estimate_glh(batch, math.log(3.0), 6)
         counts = glh_counts(batch, 6)
-        contrast = mech.mu - 1.0 / 4
+        contrast = mech.bucket.mu - 1.0 / 4
         assert np.allclose(est.p_hat, (counts / 500 - 0.25) / contrast, atol=1e-12)
 
     def test_bucket_range_validated(self):
@@ -187,12 +187,22 @@ class TestSignificanceThreshold:
         out = apply_significance_threshold(est, 1e-4, 1e-300)
         assert out.threshold == math.inf and not out.p_hat.any()
 
+    @pytest.mark.parametrize("level", [0.05, 1e-300], ids=["finite_z", "infinite_z"])
+    def test_zero_null_variance_keeps_positive_estimates(self, level):
+        # RR at an infinite budget has null variance 0: cutoff 0, never z * 0 = nan at z = inf
+        est = FrequencyEstimate(size=4, p_hat=np.array([0.75, 0.25, 0.0, -0.5]),
+                                counts=np.zeros(4), n=4)
+        out = apply_significance_threshold(est, rr_null_variance(math.inf, 4, 4), level)
+        assert out.threshold == 0.0
+        assert np.array_equal(out.p_hat, [0.75, 0.25, 0.0, 0.0])
+
     def test_validation(self):
         est = FrequencyEstimate(size=2, p_hat=np.zeros(2), counts=np.zeros(2), n=1)
         with pytest.raises(ValueError):
             apply_significance_threshold(est, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            apply_significance_threshold(est, 0.0, 0.05)
+        for bad in (-1e-12, math.nan):
+            with pytest.raises(ValueError, match="null variance"):
+                apply_significance_threshold(est, bad, 0.05)
 
     def test_null_variance_is_zero_probability_error(self):
         assert rr_null_variance(1.0, 8, 100) == expected_l2_rr(1.0, 8, 100, 0.0)

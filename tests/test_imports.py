@@ -4,6 +4,8 @@
   (`__init__.py` is left out: it imports names to re-export them).
 - One function evaluates the pairwise hash: no other function reduces a
   value mod the hash modulus.
+- One function makes the randomized-response draws: no other function
+  compares a `*.random(...)` draw with a `theta...` keep probability.
 - The instance loops of `oracle.verify_bound_suite` and of the functions
   holding its draw and evaluation loops build no per-instance exact
   quantity, distribution, population or channel object; every exact
@@ -120,6 +122,66 @@ def other(fam, x, P):
     return y % 7
 """
     assert modulus_reductions(ast.parse(source)) == [("helper", 3), ("other", 8), ("other", 9)]
+
+
+# the one function that draws randomized response, for RR records and GLH buckets alike
+RR_DRAW_HELPER = "_rr_draws"
+
+
+def is_keep_draw(node: ast.expr) -> bool:
+    """A call `x.random(...)`."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "random")
+
+
+def is_keep_probability(node: ast.expr) -> bool:
+    """A name `theta...` or an attribute `.theta...`."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None) or ""
+    return isinstance(node, (ast.Name, ast.Attribute)) and name.startswith("theta")
+
+
+def rr_draws(tree: ast.Module) -> list:
+    """(function, line) of every comparison of a `*.random(...)` call with a theta."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(is_keep_draw, operands)) and any(map(is_keep_probability, operands)):
+                found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_rr_draw():
+    found = [(path.name, owner)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for owner, _ in rr_draws(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == [("mechanisms.py", RR_DRAW_HELPER)], f"randomized-response draws: {found}"
+
+
+def test_rr_draws_finds_each_form():
+    source = """
+def one(mech, rng, n):
+    keep = rng.random(n) < mech.theta
+def two(m, r):
+    return m.theta_bucket > r.random()
+def three(rng, theta):
+    return rng.random(3) <= theta
+def four(rng, mech):
+    late = rng.integers(0, 2) < mech.theta
+    return rng.random() < 0.5 or mech.mu < rng.random()
+def five(self, np):
+    def inner():
+        return 0 < np.random.random(4) < self.theta_rr
+    return inner
+"""
+    assert rr_draws(ast.parse(source)) == [("one", 3), ("two", 5), ("three", 7), ("inner", 13)]
 
 
 # calls the loops of the oracle suite must not make

@@ -2,6 +2,7 @@
 randomized response, the hash families, channel algebra, privacy audit, and
 the record file round trip."""
 
+import copy
 import csv
 import io
 import math
@@ -303,31 +304,27 @@ class TestExhaustiveTable:
 
 class TestGeneralLocalHash:
     def test_bucket_probabilities(self):
-        # epsilon = ln 3, g = 4: on-bucket 1/2, off-bucket 1/6, marginal 1/4.
-        m = GeneralLocalHash(math.log(3.0), 4, CarterWegman(13, 4))
-        assert math.isclose(m.mu, 0.5, rel_tol=1e-14)
-        assert math.isclose(m.off_bucket, 1 / 6, rel_tol=1e-14)
-        assert m.nu == 0.25
-        assert math.isclose(m.theta_bucket, 1 / 3, rel_tol=1e-14)
+        # epsilon = ln 3, g = 4: on-bucket 1/2, off-bucket 1/6.
+        m = GeneralLocalHash(math.log(3.0), CarterWegman(13, 4))
+        assert m.bucket == RandomizedResponse(math.log(3.0), 4)
+        assert math.isclose(m.bucket.mu, 0.5, rel_tol=1e-14)
+        assert math.isclose(m.bucket.nu, 1 / 6, rel_tol=1e-14)
+        assert math.isclose(m.bucket.theta, 1 / 3, rel_tol=1e-14)
 
     def test_bucket_kernel_audits_at_epsilon(self):
         m = GeneralLocalHash.with_production_family(2.5, 8, domain_size=1000)
-        assert np.allclose(row_ratios(m.bucket_kernel()), math.exp(2.5), rtol=1e-9, atol=0)
-
-    def test_family_bucket_count_must_agree(self):
-        with pytest.raises(ValueError):
-            GeneralLocalHash(1.0, 8, CarterWegman(13, 4))
+        assert np.allclose(row_ratios(m.bucket.kernel()), math.exp(2.5), rtol=1e-9, atol=0)
 
     def test_bucket_count_beyond_int64_refused(self):
         with pytest.raises(ValueError, match="buckets"):
-            GeneralLocalHash(1.0, MAX_BUCKETS + 1, CarterWegman(13, MAX_BUCKETS + 1))
+            CarterWegman(13, MAX_BUCKETS + 1)
         with pytest.raises(ValueError, match="buckets"):
             GeneralLocalHash.with_production_family(1.0, 10 ** 20, domain_size=8)
 
     def test_largest_bucket_count_samples(self):
         # an int64 g is kept as a Python int, so g + 1 = 2**63 still bounds the uniform draw
         m = GeneralLocalHash.with_production_family(0.0, np.int64(MAX_BUCKETS), domain_size=8)
-        assert type(m.g) is int
+        assert type(m.family.g) is int
         batch = glh_sample_batch(m, np.arange(8), make_rng(2))
         assert np.all((batch.ys >= 1) & (batch.ys <= MAX_BUCKETS))
 
@@ -345,7 +342,7 @@ class TestGeneralLocalHash:
         batch = glh_sample_batch(m, xs, make_rng(11))
         z = ((batch.a * 555 + batch.b) % batch.prime) % batch.g + 1
         on_rate = float(np.mean(batch.ys == z))
-        assert abs(on_rate - m.mu) < 5 * math.sqrt(0.25 / xs.size)
+        assert abs(on_rate - m.bucket.mu) < 5 * math.sqrt(0.25 / xs.size)
 
     def test_sample_batch_marginal_is_uniform(self):
         m = GeneralLocalHash.with_production_family(2.0, 5, domain_size=1000)
@@ -356,7 +353,43 @@ class TestGeneralLocalHash:
     def test_batch_requires_pairwise_family(self):
         # the constructor refuses any other family, so no sampler ever meets one
         with pytest.raises(ValueError, match="pairwise"):
-            GeneralLocalHash(1.0, 2, ExhaustiveTable(3, 2))
+            GeneralLocalHash(1.0, ExhaustiveTable(3, 2))
+
+
+class TestReleaseReplay:
+    """The samplers replayed on a copy of their generator, draw for draw: the
+    descriptors (GLH), the keep flags, then the uniform symbols or buckets."""
+
+    @pytest.mark.parametrize("epsilon,g", [(0.0, 2), (1.0, 4), (3.0, 17), (math.inf, 5),
+                                           (0.5, 2 ** 40), (0.5, MAX_BUCKETS)])
+    def test_glh_sample_batch(self, epsilon, g):
+        mech = GeneralLocalHash.with_production_family(epsilon, g, 1000)
+        xs = make_rng(0).integers(0, 1000, 4000)
+        rng = make_rng(7)
+        twin = copy.deepcopy(rng)
+        batch = glh_sample_batch(mech, xs, rng)
+        prime = mech.family.prime
+        a = twin.integers(1, prime, size=xs.size)
+        b = twin.integers(0, prime, size=xs.size)
+        z = hash_buckets(a, b, xs, prime, g)
+        keep = twin.random(xs.size) < mech.bucket.theta
+        ys = np.where(keep, z, twin.integers(1, g + 1, size=xs.size))
+        assert (batch.prime, batch.g) == (prime, g)
+        for got, want in ((batch.a, a), (batch.b, b), (batch.ys, ys)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("epsilon,size", [(0.0, 2), (1.0, 5), (math.inf, 7), (2.0, 1000)])
+    def test_rr_sample_batch(self, epsilon, size):
+        mech = RandomizedResponse(epsilon, size)
+        xs = make_rng(1).integers(0, size, 4000)
+        rng = make_rng(8)
+        twin = copy.deepcopy(rng)
+        got = rr_sample_batch(mech, xs, rng).ys
+        keep = twin.random(xs.size) < mech.theta
+        want = np.where(keep, xs, twin.integers(0, size, size=xs.size))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestChannelAlgebra:
@@ -631,7 +664,7 @@ class TestHashMatchKernel:
     def brute_scores(self, batch, profiles, mech):
         pi = np.array([np.where(p.pi > 0, p.pi, DEFAULT_FLOOR) for p in profiles])
         mass = pi @ self.brute_masks(batch).T.astype(np.float64)
-        return np.log2(mech.off_bucket + (mech.mu - mech.off_bucket) * mass).T
+        return np.log2(mech.bucket.nu + (mech.bucket.mu - mech.bucket.nu) * mass).T
 
     def test_chunks_tile_the_records(self, batch, monkeypatch):
         monkeypatch.setattr(mechanisms, "_match_workers", lambda: 1)

@@ -164,6 +164,13 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             SynthesisSpec(5, 8, support_size=4, eval_len=0)
 
+    def test_steep_zipf_law_draws_without_warning(self):
+        # ranks past the first underflow to weight 0 (RuntimeWarnings are errors here)
+        spec = SynthesisSpec(6, 12, zipf_exponent=2000.0, support_size=4)
+        assert np.count_nonzero(zipf_law(12, 2000.0)) == 1
+        _, ds = synth_population(spec, make_rng(3))
+        assert ds.n_users == 6 and all(t.size == 32 for t in ds.traces)
+
     def test_population_and_traces_shape(self):
         spec = SynthesisSpec(7, 20, support_size=5, train_len=6, eval_len=4)
         pop, ds = synth_population(spec, make_rng(11))

@@ -163,8 +163,9 @@ def brute_glh_scores(profiles, batch, mech):
     """(records, n) GLH scores from each record's preimage, found by hashing every symbol."""
     xs = np.arange(profiles[0].size)
     pi = floored_visits(profiles)
-    shrink = mech.mu - mech.off_bucket
-    return np.array([[math.log2(mech.off_bucket + shrink * row[pre].sum()) for row in pi]
+    bucket = mech.bucket
+    shrink = bucket.mu - bucket.nu
+    return np.array([[math.log2(bucket.nu + shrink * row[pre].sum()) for row in pi]
                      for pre in (hash_buckets(int(a), int(b), xs, batch.prime, batch.g) == y
                                  for a, b, y in zip(batch.a, batch.b, batch.ys))])
 
@@ -219,7 +220,7 @@ class TestSingleReleaseScores:
             prime=prime,
             g=g,
         )
-        mech = GeneralLocalHash(1.0, g, CarterWegman(prime, g))
+        mech = GeneralLocalHash(1.0, CarterWegman(prime, g))
         got = ProfileTable(profiles).datum_scores(batch, mech)
         assert np.allclose(got, brute_glh_scores(profiles, batch, mech), rtol=0, atol=1e-12)
 
