@@ -52,6 +52,8 @@ def estimate_rr(records: Union[RrBatch, np.ndarray], epsilon: float,
     p_hat(x) = (c(x)/n - leak) / (keep - leak). epsilon = 0 makes the channel
     non-invertible and is rejected; math.inf passes counts through exactly.
     """
+    if size < 1:
+        raise ValueError(f"alphabet size {size} is below 1")
     if epsilon == 0:
         raise ValueError("epsilon = 0 leaves the channel non-invertible (keep = leak)")
     keep, leak, shrink = _keep_leak(epsilon, size)
