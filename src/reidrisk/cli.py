@@ -392,6 +392,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise DataError(f"--seed must be >= 0, got {args.seed}")
         return _HANDLERS[args.cmd](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

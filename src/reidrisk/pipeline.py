@@ -176,18 +176,43 @@ def zipf_law(size: int, exponent: float) -> np.ndarray:
     return w / w.sum()
 
 
+# Gumbel keys _draw_supports holds at once; a block is one user once the alphabet exceeds it
+_SUPPORT_BLOCK_CELLS = 2 ** 18
+
+
+def _draw_supports(log_pop: np.ndarray, n: int, k: int, rng: np.random.Generator
+                   ) -> np.ndarray:
+    """Sorted (n, k) supports: each row the top k of Gumbel keys plus `log_pop`."""
+    size = log_pop.size
+    rows = max(1, _SUPPORT_BLOCK_CELLS // size)
+    supports = np.empty((n, k), dtype=np.intp)
+    for start in range(0, n, rows):
+        keys = rng.gumbel(size=(min(rows, n - start), size))
+        keys += log_pop
+        np.negative(keys, out=keys)
+        supports[start:start + len(keys)] = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    supports.sort(axis=1)
+    return supports
+
+
 def synth_population(spec: SynthesisSpec, rng: np.random.Generator
                      ) -> tuple[PopulationModel, TraceDataset]:
-    """Draw the population and one full trace per user, deterministically."""
+    """Draw the population and one full trace per user, deterministically.
+
+    Each user's support is popularity-weighted sampling without replacement:
+    the top `support_size` of Gumbel keys plus log popularity. The keys are
+    drawn and cut to each user's top k one block of users at a time, of at
+    most `_SUPPORT_BLOCK_CELLS` keys or one user, so the draw holds
+    O(block + n·k) memory rather than an (n × size) matrix. A Generator
+    fills arrays in C order, so the blocks' keys are the rows of one
+    (n × size) draw: the supports and every later draw equal the one-matrix
+    draw's. The draw count is still n·size.
+    """
     n, size, k = spec.n_users, spec.size, spec.support_size
     global_law = zipf_law(size, spec.zipf_exponent)
     with np.errstate(divide="ignore"):  # a weight that underflows to 0: log -inf, drawn last
         log_pop = np.log(global_law)
-
-    # per-user supports: popularity-weighted sampling without replacement
-    gumbel = rng.gumbel(size=(n, size))
-    supports = np.argpartition(-(log_pop[None, :] + gumbel), k - 1, axis=1)[:, :k]
-    supports.sort(axis=1)
+    supports = _draw_supports(log_pop, n, k, rng)
 
     restricted = global_law[supports.ravel()].reshape(n, k)
     restricted /= restricted.sum(axis=1, keepdims=True)

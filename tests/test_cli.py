@@ -221,6 +221,28 @@ class TestDataErrors:
         else:
             assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["obfuscate", "reid", "pse", "pse --scores", "oracle",
+                                     "simulate", "synth"])
+    def test_negative_seed_exits_2_naming_the_option(self, capsys, tmp_path, cmd):
+        # obfuscate, oracle and pse --scores handed it to numpy, whose refusal named no option
+        (tmp_path / "values.csv").write_text("user_idx,x\n0,1\n1,3\n")
+        (tmp_path / "scores.csv").write_text(
+            "label,score\n" + "".join(f"g,{v}\ni,{v / 3}\n" for v in range(1, 9)))
+        out = tmp_path / "o"
+        argv = {
+            "obfuscate": ["obfuscate", "--input", str(tmp_path / "values.csv"), "--mechanism",
+                          "rr", "--epsilon", "1", "--size", "4"],
+            "reid": ["reid", "--mechanism", "rr", "--epsilon", "1", "--trials", "20"],
+            "pse": ["pse", "--mechanism", "rr", "--epsilon", "1", "--trials", "20"],
+            "pse --scores": ["pse", "--scores", str(tmp_path / "scores.csv")],
+            "oracle": ["oracle", "--count", "3"],
+            "simulate": ["simulate"],
+            "synth": ["synth", "--n-users", "20", "--size", "16"],
+        }[cmd]
+        code, _, err = run(capsys, *argv, "--seed", "-1", "--out", str(out))
+        assert code == 2 and "data error: --seed must be >= 0, got -1" in err
+        assert not out.exists()
+
     def test_value_outside_alphabet_exits_2(self, capsys, tmp_path):
         p = tmp_path / "in.csv"
         p.write_text("user_idx,x\n0,9\n")

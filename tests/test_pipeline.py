@@ -4,6 +4,7 @@ end-to-end experiment runner (determinism, manifest, failure handling)."""
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from reidrisk.pipeline import (
     PipelineError,
     SynthesisSpec,
     TraceDataset,
+    _draw_supports,
     ingest_checkins,
     run_experiment,
     split_traces,
@@ -201,6 +203,41 @@ class TestSynthesis:
         spread_t = np.std([m.initial for m in pop_t.models], axis=0).mean()
         spread_l = np.std([m.initial for m in pop_l.models], axis=0).mean()
         assert spread_t < spread_l / 5
+
+
+def one_matrix_supports(log_pop, n, k, rng):
+    """Reference: one (n, |X|) Gumbel matrix, then each row's top k, sorted."""
+    gumbel = rng.gumbel(size=(n, log_pop.size))
+    supports = np.argpartition(-(log_pop[None, :] + gumbel), k - 1, axis=1)[:, :k]
+    supports.sort(axis=1)
+    return supports
+
+
+class TestBlockSupportDraw:
+    @pytest.mark.parametrize("n,size,exponent,k", [
+        (600, 1000, 1.0, 16),       # 262 users a block: the last block is short
+        (3, 2 ** 18 + 5, 1.0, 16),  # past the block budget: one user a block
+        (100, 5000, 200.0, 4990),   # weights past rank 41 underflow to 0: log -inf keys tie
+    ], ids=["short_last_block", "one_user_blocks", "underflowed_weights"])
+    def test_equals_the_one_matrix_draw(self, n, size, exponent, k):
+        with np.errstate(divide="ignore"):
+            log_pop = np.log(zipf_law(size, exponent))
+        got_rng, want_rng = make_rng(5), make_rng(5)
+        got = _draw_supports(log_pop, n, k, got_rng)
+        want = one_matrix_supports(log_pop, n, k, want_rng)
+        assert got.shape == (n, k)
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.random() == want_rng.random()
+
+    def test_peak_memory_holds_no_users_by_alphabet_matrix(self):
+        # one (1000, 4000) float64 matrix is 30.5 MiB; the block draw peaked at 6.9 MiB
+        tracemalloc.start()
+        try:
+            synth_population(SynthesisSpec(1000, 4000), make_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestRoundTrip:
