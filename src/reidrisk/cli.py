@@ -47,6 +47,12 @@ _SHARED = {
 }
 
 
+_THRESHOLD_LEVEL = 0.05  # estimate's default --threshold-level
+
+# what each mechanism never reads; reid, pse and obfuscate refuse them
+_UNREAD_BY_MECHANISM = {"rr": ("g",), "glh": (), "none": ("epsilon", "g")}
+
+
 @functools.cache  # one tree per process: parse_args leaves the parser unchanged
 def _build_parser() -> _Parser:
     top = _Parser(prog="reidrisk",
@@ -83,7 +89,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--records", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--threshold-level", type=float, default=0.05)
+    p.add_argument("--threshold-level", type=float, default=None,
+                   help=f"significance level (default {_THRESHOLD_LEVEL})")
     p.add_argument("--no-threshold", action="store_true")
     p.add_argument("--truth", default=None, help="optional symbol,p_true CSV")
 
@@ -132,6 +139,13 @@ def _emit_json(payload: dict, out_dir, name: str) -> None:
             fh.write(text + "\n")
 
 
+def _refuse_unread(args, reader: str, names) -> None:
+    """Usage error naming every option in `names` that was given, since `reader` leaves it unread."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"{reader} takes no {', '.join(given)}")
+
+
 def _effective_config(args, **overrides) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     fields = {}
@@ -168,6 +182,7 @@ def _read_values_csv(path) -> tuple[np.ndarray, np.ndarray]:
 def _cmd_obfuscate(args) -> int:
     if args.out is None:
         raise UsageError("obfuscate requires --out")
+    _refuse_unread(args, f"--mechanism {args.mechanism}", _UNREAD_BY_MECHANISM[args.mechanism])
     users, xs = _read_values_csv(args.input)
     if xs.min() < 0 or xs.max() >= args.size:
         raise DataError("input value outside [0, size)")
@@ -226,6 +241,8 @@ def _read_truth_csv(path, size: int) -> np.ndarray:
 def _cmd_estimate(args) -> int:
     if args.out is None:
         raise UsageError("estimate requires --out")
+    if args.no_threshold:
+        _refuse_unread(args, "--no-threshold", ("threshold_level",))
     _, batch = read_records(args.records)
     n = len(batch.ys)
     if isinstance(batch, GlhBatch):
@@ -237,8 +254,8 @@ def _cmd_estimate(args) -> int:
     if args.no_threshold:
         thr = est
     else:
-        thr = estimation.apply_significance_threshold(est, null_var,
-                                                      args.threshold_level)
+        level = _THRESHOLD_LEVEL if args.threshold_level is None else args.threshold_level
+        thr = estimation.apply_significance_threshold(est, null_var, level)
     p_true = _read_truth_csv(args.truth, args.size) if args.truth else None
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "estimates.csv")
@@ -254,6 +271,7 @@ def _attack(args, **overrides):
 
     The overrides are the config fields the command's own options set.
     """
+    _refuse_unread(args, f"--mechanism {args.mechanism}", _UNREAD_BY_MECHANISM[args.mechanism])
     cfg = _effective_config(args, knowledge=args.knowledge, **overrides)
     if args.mechanism != "none" and args.epsilon is None:
         raise UsageError(f"{args.mechanism} requires --epsilon")
@@ -312,9 +330,7 @@ _SIMULATION_OPTIONS = ("config", "mechanism", "epsilon", "g", "trials", "knowled
 def _cmd_pse(args) -> int:
     seed = args.seed or 0
     if args.scores:
-        given = [f"--{name}" for name in _SIMULATION_OPTIONS if getattr(args, name) is not None]
-        if given:
-            raise UsageError(f"--scores takes no {', '.join(given)}")
+        _refuse_unread(args, "--scores", _SIMULATION_OPTIONS)
         sample = _read_scores_csv(args.scores)
         extra = {}
         k = args.k if args.k is not None else pse.DEFAULT_K

@@ -543,8 +543,11 @@ def mixture_kernel(w: float, q1: MechanismKernel, q2: MechanismKernel) -> Mechan
 RR_HEADER = ["user_idx", "y"]
 GLH_HEADER = ["user_idx", "a", "b", "P", "g", "y"]
 
-# rows formatted by one `%` in write_int_table; bounds the argument tuple it builds
-_WRITE_BLOCK_ROWS = 2 ** 14
+# rows formatted by one `%` in write_int_table. Each block's temporaries (the
+# argument tuple, the repeated row format and the text) stay under 1 MB for
+# six columns, so freeing them does not raise glibc's mmap threshold and
+# leave later arrays on a fragmenting heap; smaller blocks were no lower.
+_WRITE_BLOCK_ROWS = 2 ** 12
 
 
 def write_int_table(path, header: Sequence[str], columns) -> None:
@@ -552,7 +555,7 @@ def write_int_table(path, header: Sequence[str], columns) -> None:
 
     A column is an integer array, or one int that every row repeats and that
     is written into the row format once. Rows are formatted by one `%` per
-    block of 2^14, so the argument tuple stays a few MB at most.
+    block of 2^12, so a block's temporaries stay under 1 MB at six columns.
     """
     arrays = [np.asarray(c, dtype=np.int64) for c in columns if np.ndim(c)]
     if any(len(c) != len(arrays[0]) for c in arrays):

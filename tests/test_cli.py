@@ -77,15 +77,24 @@ class TestUsageErrors:
                          "--out", str(tmp_path / "o"))
         assert code == 1
 
-    # options each command does not read: argparse refuses the shared ones and
-    # estimate's --g, and pse refuses the options of a simulated run with --scores
+    # options the command reads only in other uses, refused after parsing, each
+    # with what leaves it unread: pse's simulation options with --scores, --g
+    # with rr, --epsilon and --g with none, and the level with --no-threshold
+    REFUSED_AFTER_PARSING = {
+        ("pse --scores", option): "--scores" for option in ("--config", "--mechanism",
+                                                            "--epsilon", "--g", "--trials",
+                                                            "--knowledge")} | {
+        ("obfuscate", "--g"): "--mechanism rr", ("reid", "--g"): "--mechanism rr",
+        ("pse", "--g"): "--mechanism rr", ("reid none", "--epsilon"): "--mechanism none",
+        ("reid none", "--g"): "--mechanism none", ("pse none", "--epsilon"): "--mechanism none",
+        ("pse none", "--g"): "--mechanism none",
+        ("estimate --no-threshold", "--threshold-level"): "--no-threshold"}
+    # options each command does not read: argparse refuses the shared ones and estimate's --g
     UNREAD = [("oracle", "--config"), ("oracle", "--threads"), ("bounds", "--config"),
               ("bounds", "--threads"), ("bounds", "--seed"), ("obfuscate", "--config"),
               ("obfuscate", "--threads"), ("estimate", "--config"), ("estimate", "--threads"),
               ("estimate", "--seed"), ("estimate", "--g"), ("reid", "--threads"),
-              ("pse", "--threads"), ("synth", "--threads")] + [
-        ("pse --scores", option) for option in ("--config", "--mechanism", "--epsilon", "--g",
-                                                "--trials", "--knowledge")]
+              ("pse", "--threads"), ("synth", "--threads")] + list(REFUSED_AFTER_PARSING)
 
     @pytest.mark.parametrize("cmd,option", UNREAD)
     def test_unread_shared_option_exits_1(self, capsys, tmp_path, cmd, option):
@@ -102,20 +111,26 @@ class TestUsageErrors:
                          "1", "--size", "4", "--out", str(tmp_path / "e")],
             "reid": ["reid", "--mechanism", "rr", "--epsilon", "1", "--trials", "20"],
             "pse": ["pse", "--mechanism", "rr", "--epsilon", "1", "--trials", "20"],
+            "reid none": ["reid", "--mechanism", "none", "--trials", "20"],
+            "pse none": ["pse", "--mechanism", "none", "--trials", "20"],
             "pse --scores": ["pse", "--scores", str(tmp_path / "scores.csv")],
+            "estimate --no-threshold": ["estimate", "--records", str(tmp_path / "records.csv"),
+                                        "--epsilon", "1", "--size", "4", "--no-threshold",
+                                        "--out", str(tmp_path / "e")],
             "synth": ["synth", "--n-users", "20", "--size", "16", "--out", str(tmp_path / "s")],
         }[cmd]
         assert main(argv) == 0
         value = {"--config": "missing.json", "--threads": "-5", "--seed": "1", "--g": "3",
                  "--mechanism": "glh", "--epsilon": "7", "--trials": "20",
-                 "--knowledge": "max"}[option]
+                 "--knowledge": "max", "--threshold-level": "0.1"}[option]
         capsys.readouterr()
         try:
             code = main(argv + [option, value])
         except SystemExit as exc:  # argparse's refusal
             code = exc.code
         assert code == 1
-        refusal = (f"--scores takes no {option}" if cmd == "pse --scores"
+        reader = self.REFUSED_AFTER_PARSING.get((cmd, option))
+        refusal = (f"{reader} takes no {option}" if reader
                    else f"unrecognized arguments: {option} {value}")
         assert refusal in capsys.readouterr().err
 
@@ -877,6 +892,11 @@ def _exits_cleanly(argv):
     return None
 
 
+def _epsilon_unless_none(mech):
+    """`--epsilon 1` for a mechanism that reads it; `none` refuses the option."""
+    return [] if mech == "none" else ["--epsilon", 1]
+
+
 _CONFIG_VALUE = {
     "seed": st.integers(0, 5), "threads": st.integers(0, 2),
     "n_users": st.integers(0, 12), "size": st.integers(1, 12),
@@ -966,7 +986,7 @@ class TestReaderProperties:
         cfg.write_text(json.dumps({"checkins_path": str(p), "min_events": min_events,
                                    "reid_trials": 5}))
         payload = _exits_cleanly(["reid", "--config", cfg, "--mechanism", mech,
-                                  "--epsilon", 1])
+                                  *_epsilon_unless_none(mech)])
         if payload is not None:
             assert payload["n"] <= 4  # the attack ran on the file's users a..d
 
@@ -979,7 +999,8 @@ class TestReaderProperties:
         tmp_path = _fresh(tmp_path)
         p = tmp_path / "cfg.json"
         p.write_text(text)
-        payload = _exits_cleanly([cmd, "--config", p, "--mechanism", mech, "--epsilon", 1])
+        payload = _exits_cleanly([cmd, "--config", p, "--mechanism", mech,
+                                  *_epsilon_unless_none(mech)])
         if payload is not None:  # the config's population and trial counts apply
             config = json.loads(text)
             if cmd == "reid":

@@ -10,6 +10,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -634,6 +635,23 @@ class TestIntTables:
         assert np.array_equal(users2, users)
         for col in ("a", "b", "ys"):
             assert np.array_equal(getattr(batch2, col), getattr(batch, col))
+
+    @pytest.mark.parametrize("mech", ["rr", "glh"])
+    def test_write_peak_memory_stays_under_a_small_block(self, tmp_path, mech):
+        # a block's tuple, row format and text; 2^14-row blocks peaked at 1.74 MiB (RR)
+        # and 3.71 MiB (GLH), 2^12-row blocks at 0.44 and 0.93 MiB
+        rng = make_rng(0)
+        xs = rng.integers(0, 1000, 10 ** 5)
+        batch = (rr_sample_batch(RandomizedResponse(1.0, 1000), xs, rng) if mech == "rr" else
+                 glh_sample_batch(GeneralLocalHash.with_production_family(1.0, 4, 1000), xs, rng))
+        users = np.arange(len(xs))
+        tracemalloc.start()
+        try:
+            write_records(tmp_path / "records.csv", users, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2 ** 20
 
 
 class TestHashMatchKernel:
