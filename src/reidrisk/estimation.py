@@ -49,14 +49,16 @@ def estimate_rr(records: Union[RrBatch, np.ndarray], epsilon: float,
                 size: int) -> FrequencyEstimate:
     """Debias randomized-response records, an `RrBatch` or an array of integer symbols.
 
-    p_hat(x) = (c(x)/n - leak) / (keep - leak). epsilon = 0 makes the channel
-    non-invertible and is rejected; math.inf passes counts through exactly.
+    p_hat(x) = (c(x)/n - leak) / (keep - leak). A zero contrast keep - leak, at
+    epsilon = 0 or one so small (about 5e-17 or less) that e^-epsilon rounds to 1,
+    makes the channel non-invertible and is rejected; math.inf passes counts
+    through exactly.
     """
     if size < 1:
         raise ValueError(f"alphabet size {size} is below 1")
-    if epsilon == 0:
-        raise ValueError("epsilon = 0 leaves the channel non-invertible (keep = leak)")
     keep, leak, shrink = _keep_leak(epsilon, size)
+    if shrink == 0:
+        raise ValueError(f"epsilon {epsilon} leaves the channel non-invertible (keep = leak)")
     counts, n = _rr_counts(records, size)
     p_hat = (counts / n - leak) / shrink
     return FrequencyEstimate(size=size, p_hat=p_hat, counts=counts, n=n)
@@ -85,16 +87,12 @@ def estimate_glh(batch: GlhBatch, epsilon: float, size: int) -> FrequencyEstimat
     """Debias hashed records: p_hat(x) = (c(x)/n - 1/g) / (keep - 1/g)."""
     if size < 1:
         raise ValueError(f"alphabet size {size} is below 1")
-    if epsilon == 0:
-        raise ValueError("epsilon = 0 leaves the channel non-invertible")
+    t = _leak_ratio(epsilon)
     g = batch.g
     if g < 2:
         raise ValueError("bucket count must be >= 2")
-    t = np.exp(-float(epsilon))
-    # keep - 1/g, written to stay finite for every positive epsilon
+    # keep - 1/g, written to stay finite for every positive epsilon and positive for t < 1
     contrast = (g - 1) * (1.0 - t) / (g * (1.0 + (g - 1) * t))
-    if contrast == 0:
-        raise ValueError("channel contrast is zero; estimation impossible")
     counts = glh_counts(batch, size)
     n = len(batch)
     if n == 0:
@@ -174,19 +172,27 @@ def l2_and_relative_error(p_true: np.ndarray, p_hat: np.ndarray, phi: int) -> Ut
                          top_symbols=top, excluded_symbols=excluded)
 
 
+def _leak_ratio(epsilon: float) -> float:
+    """t = e^-epsilon, refused unless t < 1: at epsilon 0 or below, NaN, or one so small
+    (about 5e-17 or less) that t rounds to 1, the channel's contrast is zero."""
+    t = np.exp(-float(epsilon)) if epsilon > 0 else 1.0  # no overflow at a negative epsilon
+    if not t < 1:
+        raise ValueError(f"epsilon {epsilon} leaves the channel non-invertible: "
+                         "it must be positive, with e^-epsilon below 1")
+    return t
+
+
 def expected_l2_rr(epsilon: float, size: int, n: int, p_x: float) -> float:
     """Closed-form E[(p_hat(x) - p(x))^2] for randomized response.
 
     (|X| + e^eps - 2)/(n (e^eps - 1)^2) + p(x) (|X| - 2)/(n (e^eps - 1)),
     evaluated through t = e^(-eps) so large eps stays finite.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    t = _leak_ratio(epsilon)
     if not (0.0 <= p_x <= 1.0):
         raise ValueError("p_x must lie in [0, 1]")
     if size < 2 or n < 1:
         raise ValueError("need size >= 2 and n >= 1")
-    t = np.exp(-float(epsilon))
     first = ((size - 2) * t * t + t) / (n * (1.0 - t) ** 2)
     second = p_x * (size - 2) * t / (n * (1.0 - t))
     return float(first + second)
@@ -198,13 +204,11 @@ def expected_l2_glh(epsilon: float, g: int, n: int, p_x: float) -> float:
     (g + e^eps - 1)^2/(n (e^eps - 1)^2 (g - 1))
     + p(x) (g^2 - 2g - e^eps + 1)/(n (e^eps - 1)(g - 1)).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    t = _leak_ratio(epsilon)
     if g < 2:
         raise ValueError("need g >= 2")
     if not (0.0 <= p_x <= 1.0):
         raise ValueError("p_x must lie in [0, 1]")
-    t = np.exp(-float(epsilon))
     ratio = ((g - 1) * t + 1.0) / (1.0 - t)  # (g + e^eps - 1)/(e^eps - 1)
     first = ratio * ratio / (n * (g - 1))
     second = p_x * ((g - 1) ** 2 * t - 1.0) / (n * (1.0 - t) * (g - 1))

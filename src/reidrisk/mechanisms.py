@@ -442,9 +442,16 @@ class CarterWegman:
         return cls(next_prime_above(domain_size), g)
 
     def sample_descriptors(self, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        a = rng.integers(1, self.prime, size=count, dtype=np.int64)
-        b = rng.integers(0, self.prime, size=count, dtype=np.int64)
-        return a, b
+        """`count` members (a, b), each uniform over the (P - 1) P members.
+
+        One bounded draw q on [0, (P - 1) P) per member, which `_check_modulus`
+        keeps below 2^63, split as a = q // P + 1 and b = q mod P.
+        """
+        q = rng.integers(0, (self.prime - 1) * self.prime, size=count, dtype=np.int64)
+        b = _hash_residues(q, 0, 1, self.prime)  # q mod P
+        q //= self.prime
+        q += 1
+        return q, b
 
 
 class ExhaustiveTable:

@@ -285,9 +285,11 @@ class ExperimentConfig:
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "phis", tuple(int(p) for p in self.phis))
         object.__setattr__(self, "g_sweep", tuple(int(g) for g in self.g_sweep))
-        if not all(e > 0 for e in self.epsilons):  # also false for NaN
-            raise ValueError("epsilons must be > 0: epsilon = 0 leaves the estimators' "
-                             "channel non-invertible")
+        # false for NaN too; np.exp, as the estimators take e^-epsilon (math.exp rounds
+        # it to 1 from about 5.6e-17 down, np.exp from about 4.5e-17)
+        if not all(e > 0 and np.exp(-e) < 1 for e in self.epsilons):
+            raise ValueError("epsilons must be > 0, with e^-epsilon below 1: a smaller "
+                             "epsilon leaves the estimators' channel non-invertible")
         if any(p < 1 for p in self.phis):
             raise ValueError("phi values must be >= 1")
         if self.glh_g is not None and not 2 <= self.glh_g <= MAX_BUCKETS:
@@ -486,8 +488,10 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
         with open(path, "rb") as fh:
             files[name] = hashlib.sha256(fh.read()).hexdigest()
 
+    # the streams in the order they are read: the synthetic dataset (left unread when
+    # checkins_path is set), one per epsilon, utility_eps, one per g_sweep entry
     stream_iter = iter(probcore.spawn_streams(
-        seed, 4 + 2 * len(config.epsilons) + len(config.g_sweep)))
+        seed, 2 + len(config.epsilons) + len(config.g_sweep)))
     setup = attack_setup(config, stream_iter, run_stage)
     n, size, probes = setup.probes.size, setup.size, setup.probes
     p_true = np.bincount(probes, minlength=size).astype(np.float64) / n

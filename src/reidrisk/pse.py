@@ -81,7 +81,7 @@ def harvest_scores_sparse(probes, mechanism, table: ProfileTable, n_genuine: int
                           n_impostor: int, rng: np.random.Generator) -> ScoreSample:
     """Sample genuine and impostor score pairs directly, never full matrices.
 
-    Each genuine draw releases the probe of a prior-sampled user and scores
+    Each genuine draw releases the probe of a uniformly drawn user and scores
     it against that user's own profile; each impostor draw scores a fresh
     release against a claimant chosen uniformly among the other users. Memory
     stays flat in the population size, so sample counts can grow into the

@@ -44,7 +44,7 @@ import numpy as np
 from . import probcore
 from .mechanisms import (GeneralLocalHash, GlhBatch, RandomizedResponse, glh_match_chunks,
                          glh_sample_batch, integer_symbols, rr_sample_batch)
-from .probcore import CategoricalDistribution, PopulationModel
+from .probcore import PopulationModel
 
 DEFAULT_FLOOR = 1e-8  # every profile's value for a zero or missing entry
 _LOG_FLOOR = float(np.log2(DEFAULT_FLOOR))
@@ -277,10 +277,10 @@ def release(mechanism, xs: np.ndarray, rng: np.random.Generator):
 
 
 def sample_releases(probes, mechanism, count: int, rng: np.random.Generator) -> tuple:
-    """Vectorized (user, released probe) draws, users from the uniform prior."""
+    """Vectorized (user, released probe) draws: count users, each uniform over the
+    probes' users in one bounded `integers` draw, then one `release` of their probes."""
     probes = _as_symbols(probes)
-    us = probcore.sample(CategoricalDistribution.uniform(probes.size), rng, count)
-    rng.random(count)  # the draw the point-mass inverse CDF took; kept so no stream moves
+    us = rng.integers(0, probes.size, count)
     return us, release(mechanism, probes[us], rng)
 
 

@@ -205,6 +205,7 @@ class TestDataErrors:
         ({"epsilons": [710]}, "inf hash buckets (epsilon 710.0) exceed"),
         ({"epsilons": [math.inf]}, "inf hash buckets (epsilon inf) exceed"),
         ({"epsilons": [0.0, 1.0]}, "epsilons must be > 0"),
+        ({"epsilons": [1.0, 1e-17]}, "epsilons must be > 0, with e^-epsilon below 1"),
         ({"zipf_exponent": math.nan}, "Zipf exponent must be positive and finite, got nan"),
         ({"zipf_exponent": math.inf}, "Zipf exponent must be positive and finite, got inf"),
         ({"concentration": math.nan}, "concentration must be positive and finite, got nan"),
@@ -214,8 +215,9 @@ class TestDataErrors:
     ], ids=["beta_min", "int_beyond_float", "one_user", "no_users", "support_beyond_size",
             "glh_g_beyond_max", "g_sweep_beyond_max", "no_reid_trials", "no_pse_trials",
             "pse_k_0", "pse_trials_not_above_k", "checkins_of_one_user", "eps44_buckets",
-            "eps710_buckets", "eps_inf_buckets", "eps_zero", "zipf_nan", "zipf_inf",
-            "concentration_nan", "concentration_inf", "negative_seed", "negative_threads"])
+            "eps710_buckets", "eps_inf_buckets", "eps_zero", "eps_vanishing", "zipf_nan",
+            "zipf_inf", "concentration_nan", "concentration_inf", "negative_seed",
+            "negative_threads"])
     def test_config_refusal_exits_2(self, capsys, tmp_path, config, message):
         # each was refused only by a stage, if at all: no stage reads beta_min, and
         # a float field's huge int raised OverflowError
@@ -614,6 +616,21 @@ class TestObfuscateEstimate:
                               "--out", str(tmp_path / "est"))
         assert code == 2 and text == "" and "Traceback" not in err
         assert err == f"data error: alphabet size {size} is below 1\n"
+        assert not (tmp_path / "est").exists()
+
+    @pytest.mark.parametrize("threshold", [[], ["--no-threshold"]], ids=["threshold", "none"])
+    def test_estimate_refuses_a_vanishing_budget(self, capsys, tmp_path, threshold):
+        # e^-1e-17 rounds to 1, so keep = leak; dividing by that zero contrast gave
+        # inf estimates, or a NaN null variance under the threshold
+        path = tmp_path / "records.csv"
+        path.write_text("user_idx,y\n0,1\n1,3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a numpy warning is no refusal
+            code, text, err = run(capsys, "estimate", "--records", str(path), "--epsilon",
+                                  "1e-17", "--size", "4", *threshold,
+                                  "--out", str(tmp_path / "est"))
+        assert code == 2 and text == ""
+        assert err == "data error: epsilon 1e-17 leaves the channel non-invertible (keep = leak)\n"
         assert not (tmp_path / "est").exists()
 
 

@@ -155,6 +155,38 @@ class TestGlhEstimator:
             assert abs(est.p_hat[x] - p[x]) < 4 * sd
 
 
+# e^-epsilon rounds to 1 (from about 5e-17 down), and the channel's contrast to 0
+VANISHING_EPSILON = 1e-17
+
+
+class TestNonInvertibleBudgets:
+    """Every estimator and closed form refuses a budget whose contrast is zero or not a
+    number: 0, one so small that e^-epsilon rounds to 1, NaN, and a negative one."""
+
+    GLH_BATCH = GlhBatch(a=np.array([3]), b=np.array([5]), ys=np.array([2]), prime=13, g=4)
+    CALLS = {
+        "estimate_rr": lambda eps: estimate_rr(np.array([0, 1, 1]), eps, 4),
+        "estimate_glh": lambda eps: estimate_glh(TestNonInvertibleBudgets.GLH_BATCH, eps, 4),
+        "expected_l2_rr": lambda eps: expected_l2_rr(eps, 8, 100, 0.1),
+        "expected_l2_glh": lambda eps: expected_l2_glh(eps, 4, 100, 0.1),
+        "rr_null_variance": lambda eps: rr_null_variance(eps, 8, 100),
+        "glh_null_variance": lambda eps: glh_null_variance(eps, 4, 100),
+    }
+
+    @pytest.mark.parametrize("epsilon", [0.0, VANISHING_EPSILON, math.nan, -1.0, -1000.0],
+                             ids=["zero", "vanishing", "nan", "negative", "overflowing"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_refused(self, call, epsilon):
+        with pytest.raises(ValueError, match="non-invertible|epsilon must be >= 0"):
+            self.CALLS[call](epsilon)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_smallest_budget_with_a_contrast_is_kept(self, call):
+        eps = 2.0 ** -52  # e^-epsilon is a double just below 1
+        assert np.all(np.isfinite(self.CALLS[call](eps).p_hat if call.startswith("estimate")
+                                  else self.CALLS[call](eps)))
+
+
 class TestSignificanceThreshold:
     def test_strictly_above_cutoff_survives(self):
         from statistics import NormalDist

@@ -357,9 +357,30 @@ class TestGeneralLocalHash:
             GeneralLocalHash(1.0, ExhaustiveTable(3, 2))
 
 
+class StubIntegers:
+    """Generator stub whose bounded integer draws are `values`, checked against the bounds."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=np.int64)
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        assert size == self.values.size and dtype == np.int64
+        assert low <= self.values.min() and self.values.max() < high
+        return self.values.copy()
+
+
 class TestReleaseReplay:
     """The samplers replayed on a copy of their generator, draw for draw: the
-    descriptors (GLH), the keep flags, then the uniform symbols or buckets."""
+    descriptors (GLH, one draw q per member, a = q // P + 1 and b = q mod P), the
+    keep flags, then the uniform symbols or buckets."""
+
+    @pytest.mark.parametrize("prime", [13, PRODUCTION_PRIME, LARGEST_PRIME])
+    def test_descriptor_draw_ends(self, prime):
+        # q = 0 and q = (P - 1) P - 1 are the first and last members of [1, P) x [0, P)
+        last = (prime - 1) * prime - 1
+        a, b = CarterWegman(prime, 4).sample_descriptors(2, StubIntegers([0, last]))
+        assert a.tolist() == [1, prime - 1] and b.tolist() == [0, prime - 1]
+        assert a.dtype == b.dtype == np.int64
 
     @pytest.mark.parametrize("epsilon,g", [(0.0, 2), (1.0, 4), (3.0, 17), (math.inf, 5),
                                            (0.5, 2 ** 40), (0.5, MAX_BUCKETS)])
@@ -370,8 +391,8 @@ class TestReleaseReplay:
         twin = copy.deepcopy(rng)
         batch = glh_sample_batch(mech, xs, rng)
         prime = mech.family.prime
-        a = twin.integers(1, prime, size=xs.size)
-        b = twin.integers(0, prime, size=xs.size)
+        q = twin.integers(0, (prime - 1) * prime, size=xs.size)
+        a, b = q // prime + 1, q % prime
         z = hash_buckets(a, b, xs, prime, g)
         keep = twin.random(xs.size) < mech.bucket.theta
         ys = np.where(keep, z, twin.integers(1, g + 1, size=xs.size))

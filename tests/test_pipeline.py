@@ -431,6 +431,23 @@ class TestRunExperiment:
         res = run_experiment(cfg, tmp_path / "run")
         assert res.manifest["status"] == "complete"
 
+    def test_every_spawned_stream_is_drawn_from(self, tmp_path, monkeypatch):
+        # one stream for the dataset, one per epsilon, one for utility_eps, one per g_sweep
+        # entry; 4 + 2 |epsilons| + |g_sweep| streams left 2 + |epsilons| unread
+        spawned = []
+        spawn = pipeline.probcore.spawn_streams
+
+        def recording_spawn(seed, count):
+            spawned.extend(spawn(seed, count))
+            return spawned
+
+        monkeypatch.setattr(pipeline.probcore, "spawn_streams", recording_spawn)
+        cfg = small_config(epsilons=(0.5, 1.0, 2.0), g_sweep=(2, 4, 8, 16))
+        assert run_experiment(cfg, tmp_path / "run").manifest["status"] == "complete"
+        fresh = spawn(cfg.seed, len(spawned))
+        drawn = [s.bit_generator.state != f.bit_generator.state for s, f in zip(spawned, fresh)]
+        assert drawn == [True] * (2 + 3 + 4)
+
     def test_one_profile_table_per_run(self, tmp_path, monkeypatch):
         # every (epsilon, mechanism) point of the attack stage scores with the one table
         built = []

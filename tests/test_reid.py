@@ -542,11 +542,6 @@ TAILED = np.array([0.0] + [0.1] * 10 + [0.0])
 class TestSamplersSkipZeroProbabilitySymbols:
     """No draw, 0.0 or the largest below 1, lands on a zero-probability symbol."""
 
-    def test_single_datum_draws(self):
-        us, released = sample_releases(np.array([3, 5]), None, 4, StubDraws(0.0))
-        assert us.tolist() == [0, 0, 0, 0]
-        assert released.tolist() == [3, 3, 3, 3]
-
     def test_lockstep_chains(self):
         pis = np.array([[0.0, 1.0, 0.0]])
         trans = np.array([[[0.0, 0.5, 0.5]] * 3])
@@ -610,43 +605,33 @@ class TestInverseCdfDraws:
         assert got.dtype == np.int64
         assert got.tolist() == dense_count_reference(cdfs, rows, draws).tolist()
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_sample_releases_draws_as_the_dense_count(self, seed):
-        # the probes as one-hot rows, each symbol by a dense count over its row
-        probes = np.concatenate([[0, 5], make_rng(seed).integers(0, 6, 3)])
-        us, xs = sample_releases(probes, None, 500, make_rng(seed))
-        rng = make_rng(seed)
-        want_us = sample(CategoricalDistribution.uniform(5), rng, 500)
-        want = dense_count_reference(cdf_table(np.eye(6)[probes]), want_us, rng.random(500))
-        assert us.tolist() == want_us.tolist()
-        assert xs.tolist() == want.tolist()
+
+class TestSampleReleases:
+    """`sample_releases` replayed on a copy of its generator, draw for draw."""
 
     @settings(deadline=None, max_examples=150)
     @given(st.integers(1, 9), st.integers(1, 40), st.integers(1, 300), st.integers(0, 2**32 - 1),
            st.sampled_from(["none", "rr", "glh"]))
-    def test_sample_releases_draws_as_the_point_mass_path(self, n, size, count, seed, mech_name):
-        # user u's probe as the one-hot row of a point mass: users from the prior,
-        # then one inverse-CDF draw per user over that row, then the release
+    def test_replays_one_user_draw_then_the_release(self, n, size, count, seed, mech_name):
+        # the users in one bounded integer draw, uniform over the n users, then one
+        # release of their probes
         rng = make_rng(seed)
         probes = rng.integers(0, size, n)
-        probes[0], probes[-1] = 0, size - 1
         mech = {"none": None,
                 "rr": RandomizedResponse(1.0, size) if size > 1 else None,
                 "glh": GeneralLocalHash.with_production_family(1.0, 3, size)}[mech_name]
         draws = make_rng(seed + 1)
         us, released = sample_releases(probes, mech, count, draws)
         replay = make_rng(seed + 1)
-        want_us = sample(CategoricalDistribution.uniform(n), replay, count)
-        xs = inverse_cdf(cdf_table(np.eye(size)[probes]), want_us, replay.random(count))
-        want = release(mech, xs, replay)
+        want_us = replay.integers(0, n, count)
+        want = release(mech, probes[want_us], replay)
 
         def columns(r):
             return np.stack([r.a, r.b, r.ys]) if isinstance(r, GlhBatch) else r
 
-        assert us.tolist() == want_us.tolist()
-        assert np.array_equal(xs, probes[us])
+        assert us.dtype == np.int64 and us.tolist() == want_us.tolist()
         assert np.array_equal(columns(released), columns(want))
-        assert draws.random() == replay.random()
+        assert draws.bit_generator.state == replay.bit_generator.state
 
 
 def dense_chains_reference(pis, trans, length, rng):
