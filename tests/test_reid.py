@@ -605,18 +605,27 @@ class TestInverseCdfDraws:
         assert got.dtype == np.int64
         assert got.tolist() == dense_count_reference(cdfs, rows, draws).tolist()
 
-
-class TestSampleReleases:
-    """`sample_releases` replayed on a copy of its generator, draw for draw."""
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sample_releases_draws_as_the_dense_count(self, seed):
+        # users in one integers draw; each released symbol is the dense count over
+        # its probe's one-hot row, at any draw in [0, 1)
+        probes = np.concatenate([[0, 5], make_rng(seed).integers(0, 6, 3)])
+        us, xs = sample_releases(probes, None, 500, make_rng(seed))
+        assert us.tolist() == make_rng(seed).integers(0, 5, 500).tolist()
+        cdfs = cdf_table(np.eye(6)[probes])
+        for u in (0.0, 0.5, LAST_DRAW):
+            assert xs.tolist() == dense_count_reference(cdfs, us, np.full(500, u)).tolist()
 
     @settings(deadline=None, max_examples=150)
     @given(st.integers(1, 9), st.integers(1, 40), st.integers(1, 300), st.integers(0, 2**32 - 1),
            st.sampled_from(["none", "rr", "glh"]))
-    def test_replays_one_user_draw_then_the_release(self, n, size, count, seed, mech_name):
+    def test_sample_releases_draws_as_the_point_mass_path(self, n, size, count, seed, mech_name):
         # the users in one bounded integer draw, uniform over the n users, then one
-        # release of their probes
+        # release of the symbols the former point-mass path chose, with no
+        # placeholder draw between them
         rng = make_rng(seed)
         probes = rng.integers(0, size, n)
+        probes[0], probes[-1] = 0, size - 1
         mech = {"none": None,
                 "rr": RandomizedResponse(1.0, size) if size > 1 else None,
                 "glh": GeneralLocalHash.with_production_family(1.0, 3, size)}[mech_name]
@@ -624,12 +633,14 @@ class TestSampleReleases:
         us, released = sample_releases(probes, mech, count, draws)
         replay = make_rng(seed + 1)
         want_us = replay.integers(0, n, count)
-        want = release(mech, probes[want_us], replay)
+        xs = inverse_cdf(cdf_table(np.eye(size)[probes]), want_us, rng.random(count))
+        want = release(mech, xs, replay)
 
         def columns(r):
             return np.stack([r.a, r.b, r.ys]) if isinstance(r, GlhBatch) else r
 
         assert us.dtype == np.int64 and us.tolist() == want_us.tolist()
+        assert np.array_equal(xs, probes[us])
         assert np.array_equal(columns(released), columns(want))
         assert draws.bit_generator.state == replay.bit_generator.state
 
