@@ -16,13 +16,13 @@ import sys
 import numpy as np
 
 from . import bounds, estimation, oracle, pse, reid
-from .mechanisms import (GeneralLocalHash, GlhBatch, RandomizedResponse, _is_integer_text,
-                         glh_sample_batch, read_int_table, read_records,
+from .mechanisms import (GeneralLocalHash, GlhBatch, RandomizedResponse, _ascii_float,
+                         _is_integer_text, glh_sample_batch, read_int_table, read_records,
                          rr_sample_batch, write_records)
 from .pipeline import (DataError, ExperimentConfig, PipelineError, _write_csv,
                        attack_mechanism, attack_setup, run_experiment,
                        synth_population, write_synth_checkins)
-from .probcore import SUM_TOL, make_rng, spawn_streams
+from .probcore import SUM_TOL, alphabet_symbols, make_rng, spawn_streams
 
 
 class UsageError(Exception):
@@ -184,8 +184,7 @@ def _cmd_obfuscate(args) -> int:
         raise UsageError("obfuscate requires --out")
     _refuse_unread(args, f"--mechanism {args.mechanism}", _UNREAD_BY_MECHANISM[args.mechanism])
     users, xs = _read_values_csv(args.input)
-    if xs.min() < 0 or xs.max() >= args.size:
-        raise DataError("input value outside [0, size)")
+    xs = alphabet_symbols(xs, args.size, "input")
     rng = make_rng(args.seed or 0)
     if args.mechanism == "rr":
         batch = rr_sample_batch(RandomizedResponse(args.epsilon, args.size), xs, rng)
@@ -199,13 +198,6 @@ def _cmd_obfuscate(args) -> int:
     write_records(path, users, batch)
     print(path)
     return 0
-
-
-def _ascii_float(text: str) -> float:
-    """float(text), refusing `_` separators and non-ASCII characters, which float() reads."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not a number: {text!r}")
-    return float(text)
 
 
 def _read_truth_csv(path, size: int) -> np.ndarray:

@@ -16,12 +16,12 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from statistics import NormalDist
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .mechanisms import GlhBatch, RrBatch, _keep_leak, glh_match_chunks
-from .probcore import integer_symbols
+from .probcore import alphabet_symbols
 
 
 @dataclass(frozen=True)
@@ -36,32 +36,22 @@ class FrequencyEstimate:
     threshold: Optional[float] = None
 
 
-def _rr_counts(records: Union[RrBatch, np.ndarray], size: int) -> tuple[np.ndarray, int]:
-    ys = integer_symbols(records.ys if isinstance(records, RrBatch) else records)
-    if ys.size == 0:
-        raise ValueError("need at least one record")
-    if ys.min() < 0 or ys.max() >= size:
-        raise ValueError("record symbol outside alphabet")
-    return np.bincount(ys, minlength=size).astype(np.float64), int(ys.size)
+def estimate_rr(batch: RrBatch, epsilon: float, size: int) -> FrequencyEstimate:
+    """Debias a batch of randomized-response records.
 
-
-def estimate_rr(records: Union[RrBatch, np.ndarray], epsilon: float,
-                size: int) -> FrequencyEstimate:
-    """Debias randomized-response records, an `RrBatch` or an array of integer symbols.
-
-    p_hat(x) = (c(x)/n - leak) / (keep - leak). A zero contrast keep - leak, at
-    epsilon = 0 or one so small (about 5e-17 or less) that e^-epsilon rounds to 1,
-    makes the channel non-invertible and is rejected; math.inf passes counts
-    through exactly.
+    p_hat(x) = (c(x)/n - leak) / (keep - leak). `_leak_ratio` refuses a budget
+    that leaves the channel non-invertible; math.inf passes counts through exactly.
     """
     if size < 1:
         raise ValueError(f"alphabet size {size} is below 1")
-    keep, leak, shrink = _keep_leak(epsilon, size)
-    if shrink == 0:
-        raise ValueError(f"epsilon {epsilon} leaves the channel non-invertible (keep = leak)")
-    counts, n = _rr_counts(records, size)
-    p_hat = (counts / n - leak) / shrink
-    return FrequencyEstimate(size=size, p_hat=p_hat, counts=counts, n=n)
+    _leak_ratio(epsilon)
+    _, leak, shrink = _keep_leak(epsilon, size)
+    ys = alphabet_symbols(batch.ys, size, "record")
+    if ys.size == 0:
+        raise ValueError("need at least one record")
+    counts = np.bincount(ys, minlength=size).astype(np.float64)
+    p_hat = (counts / ys.size - leak) / shrink
+    return FrequencyEstimate(size=size, p_hat=p_hat, counts=counts, n=int(ys.size))
 
 
 def glh_counts(batch: GlhBatch, size: int) -> np.ndarray:

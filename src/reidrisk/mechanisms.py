@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .probcore import SUM_TOL, Alphabet, _as_alphabet, integer_symbols
+from .probcore import SUM_TOL, alphabet_symbols
 
 # smallest prime above 2^31; default modulus for the pairwise hash family
 PRODUCTION_PRIME = 2147483659
@@ -138,9 +138,8 @@ class RandomizedResponse:
         return rr_kernel(self.epsilon, self.size)
 
 
-def rr_kernel(epsilon: float, alphabet: Union[Alphabet, int]) -> MechanismKernel:
+def rr_kernel(epsilon: float, size: int) -> MechanismKernel:
     """Channel matrix of randomized response: keep prob on the diagonal."""
-    size = _as_alphabet(alphabet).size
     if size < 2:
         raise ValueError("randomized response needs an alphabet of size >= 2")
     keep, leak, _ = _keep_leak(epsilon, size)
@@ -193,10 +192,7 @@ def _rr_draws(mech: RandomizedResponse, xs: np.ndarray, rng: np.random.Generator
 
 def rr_sample_batch(mech: RandomizedResponse, xs: np.ndarray, rng: np.random.Generator) -> RrBatch:
     """Vectorized randomized response over a whole symbol array."""
-    xs = integer_symbols(xs)
-    if xs.size and (xs.min() < 0 or xs.max() >= mech.size):
-        raise ValueError("symbol outside alphabet")
-    return RrBatch(ys=_rr_draws(mech, xs, rng))
+    return RrBatch(ys=_rr_draws(mech, alphabet_symbols(xs, mech.size, "input"), rng))
 
 
 def _is_prime(n: int) -> bool:
@@ -518,11 +514,12 @@ class GeneralLocalHash:
 
 
 def glh_sample_batch(mech: GeneralLocalHash, xs: np.ndarray, rng: np.random.Generator) -> GlhBatch:
-    """Vectorized hashed obfuscation; one fresh family member per record."""
-    xs = integer_symbols(xs)
+    """Vectorized hashed obfuscation; one fresh family member per record.
+
+    The symbols may be any in the hash domain [0, P).
+    """
     family = mech.family
-    if xs.size and (xs.min() < 0 or xs.max() >= family.prime):
-        raise ValueError("symbol outside the hash domain [0, P)")
+    xs = alphabet_symbols(xs, family.prime, "hash input")
     a, b = family.sample_descriptors(xs.size, rng)
     z = hash_buckets(a, b, xs, family.prime, family.g)
     z -= 1
@@ -610,6 +607,13 @@ def _is_integer_text(text: str) -> bool:
     str.isspace says; `int` would also read `0_1` and non-ASCII digits.
     """
     return re.fullmatch(r"\s*[+-]?[0-9]+\s*", text) is not None
+
+
+def _ascii_float(text: str) -> float:
+    """float(text), refusing `_` separators and non-ASCII characters, which float() reads."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
 
 
 def _first_bad_row(fh, width: int, reason: str) -> str:

@@ -25,10 +25,10 @@ from typing import Iterable, Iterator, Optional, Sequence, get_args, get_type_hi
 import numpy as np
 
 from . import bounds, estimation, mechanisms, probcore, pse, reid
-from .mechanisms import (MAX_BUCKETS, GeneralLocalHash, RandomizedResponse, glh_sample_batch,
-                         rr_sample_batch)
+from .mechanisms import (MAX_BUCKETS, GeneralLocalHash, RandomizedResponse, _ascii_float,
+                         glh_sample_batch, rr_sample_batch)
 from .probcore import (Alphabet, CategoricalDistribution, MarkovSource,
-                       PopulationModel, integer_symbols)
+                       PopulationModel, alphabet_symbols)
 
 
 class DataError(Exception):
@@ -63,13 +63,11 @@ class TraceDataset:
         cleaned = []
         for i, t in enumerate(self.traces):
             try:
-                arr = np.array(integer_symbols(t))
-            except ValueError:
-                raise DataError(f"user {i} trace holds a non-integer symbol") from None
+                arr = np.array(alphabet_symbols(t, self.alphabet.size, "trace"))
+            except ValueError as exc:
+                raise DataError(f"user {i} {exc}") from None
             if arr.size < 1:
                 raise DataError(f"user {i} has an empty trace")
-            if arr.min() < 0 or arr.max() >= self.alphabet.size:
-                raise DataError(f"user {i} trace leaves the alphabet")
             arr.setflags(write=False)
             cleaned.append(arr)
         object.__setattr__(self, "traces", tuple(cleaned))
@@ -83,10 +81,11 @@ def ingest_checkins(path, min_events: int = 10) -> TraceDataset:
     """Load a check-in CSV `user_id,timestamp,poi_id` into per-user traces.
 
     Events are ordered by timestamp per user (stable on ties, so duplicate
-    timestamps keep input order); users with fewer than min_events events
-    are dropped and counted in the provenance. Any malformed row, such as
-    one with an empty field, or a NaN timestamp, aborts the ingest with its
-    line number.
+    timestamps keep input order). A timestamp is a number when
+    `_ascii_float` reads it; the others sort as text after every number.
+    Users with fewer than min_events events are dropped and counted in the
+    provenance. Any malformed row, such as one with an empty field, or a NaN
+    timestamp, aborts the ingest with its line number.
     """
     per_user: dict = {}
     with open(path, newline="") as fh:
@@ -99,7 +98,7 @@ def ingest_checkins(path, min_events: int = 10) -> TraceDataset:
                 raise DataError(f"malformed row at line {lineno}: {row!r}")
             user, ts, poi = row
             try:
-                key = (0, float(ts), "")
+                key = (0, _ascii_float(ts), "")
             except ValueError:
                 key = (1, 0.0, ts)
             if math.isnan(key[1]):
@@ -285,11 +284,11 @@ class ExperimentConfig:
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "phis", tuple(int(p) for p in self.phis))
         object.__setattr__(self, "g_sweep", tuple(int(g) for g in self.g_sweep))
-        # false for NaN too; np.exp, as the estimators take e^-epsilon (math.exp rounds
-        # it to 1 from about 5.6e-17 down, np.exp from about 4.5e-17)
-        if not all(e > 0 and np.exp(-e) < 1 for e in self.epsilons):
-            raise ValueError("epsilons must be > 0, with e^-epsilon below 1: a smaller "
-                             "epsilon leaves the estimators' channel non-invertible")
+        for eps in self.epsilons:  # the estimators' budget rule, applied at load
+            try:
+                estimation._leak_ratio(eps)
+            except ValueError as exc:
+                raise ValueError(f"epsilons: {exc}") from None
         if any(p < 1 for p in self.phis):
             raise ValueError("phi values must be >= 1")
         if self.glh_g is not None and not 2 <= self.glh_g <= MAX_BUCKETS:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -73,10 +73,6 @@ class Alphabet:
         return self.labels[idx]
 
 
-def _as_alphabet(a: Union[Alphabet, int]) -> Alphabet:
-    return a if isinstance(a, Alphabet) else Alphabet(int(a))
-
-
 def integer_symbols(values) -> np.ndarray:
     """values as an int64 array; ValueError for any value that is not an int64 integer.
 
@@ -92,6 +88,25 @@ def integer_symbols(values) -> np.ndarray:
     if ints is None or not np.array_equal(ints, arr):
         raise ValueError("symbols must be integers inside the 64-bit range")
     return ints
+
+
+def alphabet_symbols(values, size: int, what: str) -> np.ndarray:
+    """values as int64 symbols on one axis, each in [0, size); else ValueError naming `what`.
+
+    The one test of a symbol array against its alphabet. Integers are read
+    as `integer_symbols` reads them. An empty array passes: a caller that
+    needs a symbol refuses it there.
+    """
+    try:
+        arr = integer_symbols(values)
+    except ValueError as exc:
+        raise ValueError(f"{what} {exc}") from None
+    if arr.ndim != 1:
+        raise ValueError(f"{what} symbols must lie on one axis, got shape {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= size):
+        first = arr[(arr < 0) | (arr >= size)][0]
+        raise ValueError(f"{what} symbol {first} outside [0, {size})")
+    return arr
 
 
 def _checked_masses(stack: np.ndarray, what: str) -> np.ndarray:
@@ -121,36 +136,29 @@ def _checked_masses(stack: np.ndarray, what: str) -> np.ndarray:
 class CategoricalDistribution:
     """A point on the probability simplex over a finite alphabet."""
 
-    __slots__ = ("alphabet", "p")
+    __slots__ = ("size", "p")
 
-    def __init__(self, alphabet: Union[Alphabet, int], p: Sequence[float]):
-        alphabet = _as_alphabet(alphabet)
+    def __init__(self, size: int, p: Sequence[float]):
         vec = np.asarray(p, dtype=np.float64)
-        if vec.shape != (alphabet.size,):
-            raise ValueError(f"probability vector shape {vec.shape} does not match alphabet size {alphabet.size}")
+        if vec.shape != (size,):
+            raise ValueError(f"probability vector shape {vec.shape} does not match alphabet size {size}")
         vec = np.array(_checked_masses(vec[None], "distribution")[0], copy=True)
         vec.setflags(write=False)
-        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "size", int(size))
         object.__setattr__(self, "p", vec)
 
     def __setattr__(self, name, value):
         raise AttributeError("CategoricalDistribution is immutable")
 
-    @property
-    def size(self) -> int:
-        return self.alphabet.size
+    @classmethod
+    def uniform(cls, size: int) -> "CategoricalDistribution":
+        return cls(size, np.ones(size) / size)  # size 0: an empty mass, refused
 
     @classmethod
-    def uniform(cls, alphabet: Union[Alphabet, int]) -> "CategoricalDistribution":
-        alphabet = _as_alphabet(alphabet)
-        return cls(alphabet, np.full(alphabet.size, 1.0 / alphabet.size))
-
-    @classmethod
-    def point_mass(cls, alphabet: Union[Alphabet, int], symbol: int) -> "CategoricalDistribution":
-        alphabet = _as_alphabet(alphabet)
-        vec = np.zeros(alphabet.size)
+    def point_mass(cls, size: int, symbol: int) -> "CategoricalDistribution":
+        vec = np.zeros(size)
         vec[symbol] = 1.0
-        return cls(alphabet, vec)
+        return cls(size, vec)
 
     def __repr__(self):
         return f"CategoricalDistribution(size={self.size})"

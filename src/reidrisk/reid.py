@@ -27,9 +27,10 @@ BLAS product, whose summation order follows its threads.
 `train_profile` sorts a trace's transition and start-row keys in one
 buffer. A key's count is the length of its run and a row's total the length
 of its key range, so a 16-symbol trace trains in a dozen numpy calls: about
-16 us (1000 traces, 2-core x86-64, numpy 2.4). Symbol arrays must hold
-integers; a float is accepted only when it is a whole number, never
-truncated.
+16 us (1000 traces, 2-core x86-64, numpy 2.4). Every symbol array (a trace,
+a release or the probes) passes `probcore.alphabet_symbols`: integers on
+one axis inside the alphabet; a float is accepted only when it is a whole
+number, never truncated.
 """
 
 from __future__ import annotations
@@ -37,24 +38,17 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import probcore
 from .mechanisms import (GeneralLocalHash, GlhBatch, RandomizedResponse, glh_match_chunks,
-                         glh_sample_batch, integer_symbols, rr_sample_batch)
-from .probcore import PopulationModel
+                         glh_sample_batch, rr_sample_batch)
+from .probcore import PopulationModel, alphabet_symbols
 
 DEFAULT_FLOOR = 1e-8  # every profile's value for a zero or missing entry
 _LOG_FLOOR = float(np.log2(DEFAULT_FLOOR))
-
-
-def _as_symbols(trace) -> np.ndarray:
-    arr = integer_symbols(trace)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("trace must be a non-empty 1-d symbol sequence")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -124,8 +118,7 @@ def _pair_keys(src, dst, size: int) -> np.ndarray:
     return np.asarray(src, dtype=np.int64) * size + np.asarray(dst, dtype=np.int64)
 
 
-def train_profile(trace, alphabet: Union[probcore.Alphabet, int],
-                  owner: int = 0) -> MarkovProfile:
+def train_profile(trace, alphabet: int, owner: int = 0) -> MarkovProfile:
     """Count-and-normalize profile training.
 
     pi is the empirical symbol frequency of the trace (the start row, whose
@@ -135,12 +128,12 @@ def train_profile(trace, alphabet: Union[probcore.Alphabet, int],
     The n - 1 transition keys and the n start-row keys are sorted in one
     buffer. A key's count is the length of its run, and its row's total is
     the length of the row's key range in the buffer, so no array as wide as
-    the alphabet is built.
+    the alphabet is built. `alphabet` is the alphabet size.
     """
-    symbols = _as_symbols(trace)
-    size = probcore._as_alphabet(alphabet).size
-    if symbols.min() < 0 or symbols.max() >= size:
-        raise ValueError("trace symbol outside alphabet")
+    size = alphabet
+    symbols = alphabet_symbols(trace, size, "trace")
+    if not symbols.size:
+        raise ValueError("need a trace of at least one symbol")
     n = symbols.size
     pairs = np.empty(2 * n - 1, dtype=np.int64)
     pairs[:n - 1] = _pair_keys(symbols[:-1], symbols[1:], size)
@@ -187,9 +180,9 @@ class ProfileTable:
 
     def scores(self, trace) -> np.ndarray:
         """log2-likelihood of one release under every profile, shape (n,)."""
-        ys = _as_symbols(trace)
-        if ys.min() < 0 or ys.max() >= self.size:
-            raise ValueError("release symbol outside the alphabet")
+        ys = alphabet_symbols(trace, self.size, "release")
+        if not ys.size:
+            raise ValueError("need a release of at least one symbol")
         wanted = _pair_keys(np.concatenate(([self.size], ys[:-1])), ys, self.size)
         at = np.minimum(np.searchsorted(self.keys, wanted), self.keys.size - 1)
         hits = self.keys[at] == wanted
@@ -252,11 +245,10 @@ class ProfileTable:
 
             glh_match_chunks(released, self.size, fill)
             return out.T
-        ys = integer_symbols(released)
-        if ys.size and (ys.min() < 0 or ys.max() >= self.size):
-            raise ValueError("release symbol outside the alphabet")
+        ys = alphabet_symbols(released, self.size, "release")
         if rows is not None:
-            at = entry[rows, ys]  # 0 where the user never visited y
+            # 0 where the user never visited y; scipy cannot index with empty arrays
+            at = entry[rows, ys] if ys.size else np.zeros(0, dtype=np.int64)
             return np.where(at > 0, self.log_p[at - 1], _LOG_FLOOR)
         hits = entry.tocsc()[:, ys]  # column t: the users who visited ys[t]
         out = np.full((ys.size, self.n), _LOG_FLOOR)
@@ -278,19 +270,19 @@ def release(mechanism, xs: np.ndarray, rng: np.random.Generator):
 
 def sample_releases(probes, mechanism, count: int, rng: np.random.Generator) -> tuple:
     """Vectorized (user, released probe) draws: count users, each uniform over the
-    probes' users in one bounded `integers` draw, then one `release` of their probes."""
-    probes = _as_symbols(probes)
+    probes' users in one bounded `integers` draw, then one `release` of their probes.
+
+    The probes are an int64 array as `_check_probes` returns it.
+    """
     us = rng.integers(0, probes.size, count)
     return us, release(mechanism, probes[us], rng)
 
 
 def _check_probes(probes, table: ProfileTable) -> np.ndarray:
     """probes as int64 symbols of the table's alphabet, one per profile; else ValueError."""
-    probes = _as_symbols(probes)
+    probes = alphabet_symbols(probes, table.size, "probe")
     if probes.size != table.n:
         raise ValueError(f"need one profile per user: {table.n} for {probes.size}")
-    if probes.min() < 0 or probes.max() >= table.size:
-        raise ValueError("probe symbol outside the alphabet")
     return probes
 
 

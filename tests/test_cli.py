@@ -204,8 +204,8 @@ class TestDataErrors:
         ({"epsilons": [1.0, 44.0]}, "12851600114359308288 hash buckets (epsilon 44.0) exceed"),
         ({"epsilons": [710]}, "inf hash buckets (epsilon 710.0) exceed"),
         ({"epsilons": [math.inf]}, "inf hash buckets (epsilon inf) exceed"),
-        ({"epsilons": [0.0, 1.0]}, "epsilons must be > 0"),
-        ({"epsilons": [1.0, 1e-17]}, "epsilons must be > 0, with e^-epsilon below 1"),
+        ({"epsilons": [0.0, 1.0]}, "epsilons: epsilon 0.0 leaves the channel non-invertible"),
+        ({"epsilons": [1.0, 1e-17]}, "epsilons: epsilon 1e-17 leaves the channel non-invertible"),
         ({"zipf_exponent": math.nan}, "Zipf exponent must be positive and finite, got nan"),
         ({"zipf_exponent": math.inf}, "Zipf exponent must be positive and finite, got inf"),
         ({"concentration": math.nan}, "concentration must be positive and finite, got nan"),
@@ -630,7 +630,8 @@ class TestObfuscateEstimate:
                                   "1e-17", "--size", "4", *threshold,
                                   "--out", str(tmp_path / "est"))
         assert code == 2 and text == ""
-        assert err == "data error: epsilon 1e-17 leaves the channel non-invertible (keep = leak)\n"
+        assert err == ("data error: epsilon 1e-17 leaves the channel non-invertible: "
+                       "it must be positive, with e^-epsilon below 1\n")
         assert not (tmp_path / "est").exists()
 
 

@@ -6,6 +6,10 @@
   value mod the hash modulus.
 - One function makes the randomized-response draws: no other function
   compares a `*.random(...)` draw with a `theta...` keep probability.
+- One function tests a symbol array against its alphabet [0, size): no
+  other function compares an array's `min` with 0 or its `max` with a
+  half-open upper edge, apart from the hash-member checks listed with
+  their reason.
 - The instance loops of `oracle.verify_bound_suite` and of the functions
   holding its draw and evaluation loops build no per-instance exact
   quantity, distribution, population or channel object; every exact
@@ -182,6 +186,94 @@ def five(self, np):
     return inner
 """
     assert rr_draws(ast.parse(source)) == [("one", 3), ("two", 5), ("three", 7), ("inner", 13)]
+
+
+# the one function that tests a symbol array against its alphabet [0, size)
+SYMBOL_GATE = "alphabet_symbols"
+# (module, function, array) range tests of arrays that are not symbols, with the reason
+NOT_SYMBOLS = {
+    ("mechanisms.py", "read_records", "a"): "hash members a in [1, P), read from a record file",
+    ("mechanisms.py", "read_records", "b"): "hash members b in [0, P), read from a record file",
+}
+
+
+def extreme_of(node: ast.expr, which: str):
+    """The array whose `which` ('min' or 'max') the node computes, or None.
+
+    Reads x.min(), np.min(x), np.amin(x) and min(x), through an int(...) or
+    float(...) cast; min(a, b) of several values is no array's extreme.
+    """
+    while (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+           and node.func.id in ("int", "float") and len(node.args) == 1):
+        node = node.args[0]
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr in (which, "a" + which):
+        return node.args[0] if node.args else func.value
+    if isinstance(func, ast.Name) and func.id == which and len(node.args) == 1:
+        return node.args[0]
+    return None
+
+
+def symbol_range_tests(tree: ast.Module) -> list:
+    """Sorted (function, array, line) of every edge test of [0, size) on an array.
+
+    The lower edge compares the array's min with 0; the upper edge compares
+    its max with a half-open bound, as max >= size, max < size, size <= max
+    or size > max.
+    """
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                for side, other, upper_ops in ((left, right, (ast.GtE, ast.Lt)),
+                                               (right, left, (ast.LtE, ast.Gt))):
+                    low = extreme_of(side, "min")
+                    if low is not None and isinstance(other, ast.Constant) and other.value == 0:
+                        found.add((owner, ast.unparse(low), node.lineno))
+                    high = extreme_of(side, "max")
+                    if high is not None and isinstance(op, upper_ops):
+                        found.add((owner, ast.unparse(high), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_one_symbol_gate():
+    found = {(path.name, owner, array)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for owner, array, _ in symbol_range_tests(ast.parse(path.read_text(),
+                                                                 filename=str(path)))}
+    assert found == {("probcore.py", SYMBOL_GATE, "arr"), *NOT_SYMBOLS}, (
+        f"tests of an array against [0, size) outside {SYMBOL_GATE}: {sorted(found)}")
+
+
+def test_symbol_range_tests_finds_each_form():
+    source = """
+def one(xs, size):
+    if xs.min() < 0 or xs.max() >= size:
+        raise ValueError
+def two(ys, table):
+    return ys.size and (ys.min() < 0 or ys.max() >= table.size)
+def three(arr, k, np):
+    return 0 <= np.min(arr) and np.max(arr) < k
+def four(t, n, np):
+    return min(t) < 0 or n <= max(t) or int(t.max()) >= n or 0 > np.amin(t[1:])
+def alphabet_symbols(arr, size):
+    return arr.size and (arr.min() < 0 or arr.max() >= size)
+def fine(ys, g, a, b):
+    return ys.min() < 1 or ys.max() > g or a.min() != a.max() or min(a, b) < 0 or g > a.min()
+"""
+    assert symbol_range_tests(ast.parse(source)) == [
+        ("alphabet_symbols", "arr", 12), ("four", "t", 10), ("four", "t[1:]", 10),
+        ("one", "xs", 3), ("three", "arr", 8), ("two", "ys", 6)]
 
 
 # calls the loops of the oracle suite must not make

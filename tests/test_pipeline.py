@@ -83,6 +83,15 @@ class TestIngest:
         with pytest.raises(DataError, match="line 3"):
             ingest_checkins(p)
 
+    def test_timestamps_read_as_the_other_readers_read_numbers(self, tmp_path):
+        # float() would read 1_0 as 10 and the Arabic-Indic digits as 12, and put
+        # both before 100; they are text, which sorts after every number
+        p = tmp_path / "c.csv"
+        write_csv(p, [("u", "1_0", "d"), ("u", "100", "c"), ("u", "\u0661\u0662", "e"),
+                      ("u", " 3 ", "a"), ("u", "9", "b")])
+        ds = ingest_checkins(p, min_events=1)
+        assert [ds.alphabet.label_of(int(x)) for x in ds.traces[0]] == ["a", "b", "c", "d", "e"]
+
     def test_nan_timestamp_rejected_with_line_number(self, tmp_path):
         # a NaN key breaks the sort: 3,c / nan,x / 1,a / 2,b came out as c,x,a,b
         p = tmp_path / "c.csv"
@@ -101,7 +110,7 @@ class TestIngest:
 
 class TestTraceDataset:
     def test_rejects_out_of_alphabet_symbols(self):
-        with pytest.raises(DataError, match="leaves the alphabet"):
+        with pytest.raises(DataError, match=r"^user 0 trace symbol 3 outside \[0, 3\)$"):
             TraceDataset(Alphabet(3), (np.array([0, 3]),))
 
     def test_rejects_empty(self):
@@ -113,7 +122,8 @@ class TestTraceDataset:
     @pytest.mark.parametrize("trace", [[0.7, 1.2, 2.9], [0.0, math.nan]], ids=["fraction", "nan"])
     def test_rejects_non_integer_symbols(self, trace):
         # a cast would read [0.7, 1.2, 2.9] as [0, 1, 2]
-        with pytest.raises(DataError, match="^user 1 trace holds a non-integer symbol$"):
+        with pytest.raises(DataError,
+                           match="^user 1 trace symbols must be integers inside the 64-bit range$"):
             TraceDataset(Alphabet(3), (np.array([0, 1]), np.array(trace)))
 
     def test_holds_read_only_copies(self):

@@ -1,20 +1,26 @@
 """Tests for the probability core: alphabets, distributions, information
 measures, Markov sources, population models, and seeded stream spawning."""
 
+import argparse
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reidrisk.mechanisms import MechanismKernel
+from reidrisk import cli, reid
+from reidrisk.estimation import estimate_rr
+from reidrisk.mechanisms import (CarterWegman, GeneralLocalHash, MechanismKernel,
+                                 RandomizedResponse, RrBatch, glh_sample_batch, rr_sample_batch)
 from reidrisk.oracle import SmallInstance
+from reidrisk.pipeline import DataError, TraceDataset
 from reidrisk.probcore import (
     SUM_TOL,
     Alphabet,
     CategoricalDistribution,
     MarkovSource,
     PopulationModel,
+    alphabet_symbols,
     entropy,
     make_rng,
     mutual_information,
@@ -71,7 +77,6 @@ class TestCategoricalDistribution:
     def test_accepts_int_alphabet(self):
         d = CategoricalDistribution(4, [0.1, 0.2, 0.3, 0.4])
         assert d.size == 4
-        assert d.alphabet.size == 4
 
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
@@ -321,3 +326,69 @@ class TestStreams:
 
     def test_zero_count_gives_empty_list(self):
         assert spawn_streams(0, 0) == []
+
+
+GATE_SIZE = 5  # the alphabet of every entry point below, and the hash modulus P of its GLH
+GATE_TABLE = reid.ProfileTable([reid.train_profile([0, 1, 2], GATE_SIZE),
+                                reid.train_profile([3, 3], GATE_SIZE)])
+
+
+def obfuscate_values(xs, out):
+    """`reidrisk obfuscate --mechanism rr` of a values file whose x column reads as xs."""
+    args = argparse.Namespace(input="values.csv", out=str(out), mechanism="rr", epsilon=1.0,
+                              size=GATE_SIZE, g=None, seed=0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_read_values_csv", lambda path: (np.zeros(np.size(xs)), xs))
+        cli._cmd_obfuscate(args)
+
+
+class TestOneSymbolGate:
+    """Every symbol array passes `alphabet_symbols`: integers on one axis inside [0, size)."""
+
+    ENTRY_POINTS = {
+        "estimate_rr": lambda xs, out: estimate_rr(RrBatch(ys=xs), 1.0, GATE_SIZE),
+        "rr_sample_batch": lambda xs, out: rr_sample_batch(
+            RandomizedResponse(1.0, GATE_SIZE), xs, make_rng(0)),
+        "glh_sample_batch": lambda xs, out: glh_sample_batch(  # the hash domain [0, P)
+            GeneralLocalHash(1.0, CarterWegman(GATE_SIZE, 2)), xs, make_rng(0)),
+        "TraceDataset": lambda xs, out: TraceDataset(Alphabet(GATE_SIZE), (np.array([0]), xs)),
+        "train_profile": lambda xs, out: reid.train_profile(xs, GATE_SIZE),
+        "ProfileTable.scores": lambda xs, out: GATE_TABLE.scores(xs),
+        "ProfileTable.datum_scores": lambda xs, out: GATE_TABLE.datum_scores(xs),
+        "ProfileTable.datum_scores-rows": lambda xs, out: GATE_TABLE.datum_scores(
+            xs, rows=np.zeros(np.size(xs), dtype=np.int64)),
+        "_check_probes": lambda xs, out: reid._check_probes(xs, GATE_TABLE),
+        "probe_score_trials": lambda xs, out: reid.probe_score_trials(
+            xs, None, GATE_TABLE, 3, make_rng(0)),
+        "cli._cmd_obfuscate": obfuscate_values,
+    }
+    # two symbols each, one per profile of the table, apart from the 0-d and 2-d arrays
+    BAD = {
+        "0-d": (np.array(1), "symbols must lie on one axis, got shape ()"),
+        "2-d": (np.array([[0, 1], [1, 0]]), "symbols must lie on one axis, got shape (2, 2)"),
+        "bool": (np.array([True, False]), "symbols must be integers inside the 64-bit range"),
+        "object": (np.array([0, 1], dtype=object), "symbols must be integers"),
+        "fraction": (np.array([0.0, 1.5]), "symbols must be integers"),
+        "negative": (np.array([0, -1]), "symbol -1 outside [0, "),
+        "size": (np.array([0, GATE_SIZE]), "symbol 5 outside [0, 5)"),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_refused(self, entry, bad, tmp_path):
+        xs, message = self.BAD[bad]
+        # a ValueError (DataError from a dataset) with the gate's message, never an
+        # IndexError, AttributeError or NotImplementedError from deeper down
+        with pytest.raises(DataError if entry == "TraceDataset" else ValueError) as caught:
+            self.ENTRY_POINTS[entry](xs, tmp_path)
+        assert message in str(caught.value)
+
+    def test_gate_names_the_array(self):
+        assert alphabet_symbols([2.0, 0], 3, "probe").tolist() == [2, 0]
+        assert alphabet_symbols(np.array([], dtype=np.uint8), 3, "probe").dtype == np.int64
+        for xs, message in (([1, 5, -2, 7], "probe symbol 5 outside [0, 3)"),
+                            ([[1]], "probe symbols must lie on one axis, got shape (1, 1)"),
+                            (["1"], "probe symbols must be integers inside the 64-bit range")):
+            with pytest.raises(ValueError) as caught:
+                alphabet_symbols(xs, 3, "probe")
+            assert str(caught.value) == message

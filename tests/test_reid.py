@@ -81,7 +81,7 @@ class TestProfileTraining:
 
     def test_out_of_alphabet_rejected(self):
         for symbols in ([0, 5], [-1], [0, 3], [2, 0, -5], [3, 3]):
-            with pytest.raises(ValueError, match="outside alphabet"):
+            with pytest.raises(ValueError, match=r"^trace symbol -?\d+ outside \[0, 3\)$"):
                 train_profile(symbols, alphabet=3)
 
     def test_fractional_symbols_refused(self):
@@ -257,6 +257,16 @@ class TestSingleReleaseScores:
                 table.datum_scores(np.array(ys))
             with pytest.raises(ValueError):
                 table.datum_scores(np.array(ys), rows=np.zeros(1, dtype=np.int64))
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["every-user", "rows"])
+    @pytest.mark.parametrize("mech_name", ["symbols", "glh"])
+    def test_empty_release_gives_empty_scores(self, mech_name, rows):
+        table = ProfileTable([train_profile([0, 1], 3), train_profile([2], 3)])
+        mech = GeneralLocalHash.with_production_family(1.0, 2, 3) if mech_name == "glh" else None
+        empty = np.array([], dtype=np.int64)
+        released = glh_sample_batch(mech, empty, make_rng(0)) if mech else empty
+        scores = table.datum_scores(released, mech, rows=empty if rows else None)
+        assert scores.dtype == np.float64 and scores.shape == ((0,) if rows else (0, 2))
 
 
 class TestSimulation:
