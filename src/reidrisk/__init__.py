@@ -30,9 +30,9 @@ from .pipeline import (DataError, ExperimentConfig, ExperimentResult,
                        PipelineError, SynthesisSpec, TraceDataset,
                        ingest_checkins, run_experiment, split_traces,
                        synth_population, zipf_law)
-from .probcore import (Alphabet, CategoricalDistribution, MarkovSource,
-                       PopulationModel, entropy, make_rng, mutual_information,
-                       sample, sample_markov, spawn_streams)
+from .probcore import (CategoricalDistribution, MarkovSource, PopulationModel,
+                       entropy, make_rng, mutual_information, sample,
+                       sample_markov, spawn_streams)
 from .pse import (ConvergenceReport, KnnKlEstimate, ScoreSample,
                   convergence_probe, harvest_scores, harvest_scores_sparse,
                   knn_kl_estimate, pse_estimate)

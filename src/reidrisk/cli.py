@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 oracle violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -19,7 +18,7 @@ from . import bounds, estimation, oracle, pse, reid
 from .mechanisms import (GeneralLocalHash, GlhBatch, RandomizedResponse, _ascii_float,
                          _is_integer_text, glh_sample_batch, read_int_table, read_records,
                          rr_sample_batch, write_records)
-from .pipeline import (DataError, ExperimentConfig, PipelineError, _write_csv,
+from .pipeline import (DataError, ExperimentConfig, PipelineError, _csv_rows, _write_csv,
                        attack_mechanism, attack_setup, run_experiment,
                        synth_population, write_synth_checkins)
 from .probcore import SUM_TOL, alphabet_symbols, make_rng, spawn_streams
@@ -201,30 +200,25 @@ def _cmd_obfuscate(args) -> int:
 
 
 def _read_truth_csv(path, size: int) -> np.ndarray:
-    """symbol,p_true rows; symbols not listed have probability 0."""
+    """symbol,p_true rows, empty lines skipped; symbols not listed have probability 0."""
     p = np.zeros(size)
     seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["symbol", "p_true"]:
-            raise DataError(f"expected header symbol,p_true, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                symbol, prob = row
-                if not _is_integer_text(symbol):
-                    raise ValueError(f"not an integer: {symbol!r}")
-                symbol, prob = int(symbol), _ascii_float(prob)
-            except ValueError as exc:  # not two fields, or either one unreadable
-                raise DataError(f"bad truth row at line {lineno}") from exc
-            if not 0 <= symbol < size:
-                raise DataError(f"truth symbol {symbol} outside [0, {size}) at line {lineno}")
-            if symbol in seen:
-                raise DataError(f"duplicate truth symbol {symbol} at line {lineno}")
-            if not 0.0 <= prob <= 1.0:
-                raise DataError(f"truth probability {prob} outside [0, 1] at line {lineno}")
-            seen.add(symbol)
-            p[symbol] = prob
+    for lineno, row in _csv_rows(path, ["symbol", "p_true"]):
+        try:
+            symbol, prob = row
+            if not _is_integer_text(symbol):
+                raise ValueError(f"not an integer: {symbol!r}")
+            symbol, prob = int(symbol), _ascii_float(prob)
+        except ValueError as exc:  # not two fields, or either one unreadable
+            raise DataError(f"bad truth row at line {lineno}") from exc
+        if not 0 <= symbol < size:
+            raise DataError(f"truth symbol {symbol} outside [0, {size}) at line {lineno}")
+        if symbol in seen:
+            raise DataError(f"duplicate truth symbol {symbol} at line {lineno}")
+        if not 0.0 <= prob <= 1.0:
+            raise DataError(f"truth probability {prob} outside [0, 1] at line {lineno}")
+        seen.add(symbol)
+        p[symbol] = prob
     if abs(p.sum() - 1.0) > SUM_TOL:
         raise DataError(f"truth probabilities sum to {p.sum():.12g}, not 1")
     return p
@@ -290,26 +284,22 @@ def _cmd_reid(args) -> int:
 
 
 def _read_scores_csv(path) -> pse.ScoreSample:
+    """label,score rows, empty lines skipped: genuine labels g/genuine, impostor i/impostor."""
     gen, imp = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["label", "score"]:
-            raise DataError(f"expected header label,score, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise DataError(f"malformed row at line {lineno}: {row!r}")
-            label = row[0].strip().lower()
-            try:
-                v = _ascii_float(row[1])
-            except ValueError as exc:
-                raise DataError(f"bad score at line {lineno}") from exc
-            if label in ("g", "genuine"):
-                gen.append(v)
-            elif label in ("i", "impostor"):
-                imp.append(v)
-            else:
-                raise DataError(f"unknown label {row[0]!r} at line {lineno}")
+    for lineno, row in _csv_rows(path, ["label", "score"]):
+        if len(row) != 2:
+            raise DataError(f"malformed row at line {lineno}: {row!r}")
+        label = row[0].strip().lower()
+        try:
+            v = _ascii_float(row[1])
+        except ValueError as exc:
+            raise DataError(f"bad score at line {lineno}") from exc
+        if label in ("g", "genuine"):
+            gen.append(v)
+        elif label in ("i", "impostor"):
+            imp.append(v)
+        else:
+            raise DataError(f"unknown label {row[0]!r} at line {lineno}")
     if not gen or not imp:
         raise DataError("need both genuine and impostor scores")
     return pse.ScoreSample(np.array(gen), np.array(imp))

@@ -19,7 +19,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
@@ -27,8 +27,7 @@ import numpy as np
 from . import bounds, estimation, mechanisms, probcore, pse, reid
 from .mechanisms import (MAX_BUCKETS, GeneralLocalHash, RandomizedResponse, _ascii_float,
                          glh_sample_batch, rr_sample_batch)
-from .probcore import (Alphabet, CategoricalDistribution, MarkovSource,
-                       PopulationModel, alphabet_symbols)
+from .probcore import CategoricalDistribution, MarkovSource, PopulationModel, alphabet_symbols
 
 
 class DataError(Exception):
@@ -46,16 +45,14 @@ class PipelineError(Exception):
 
 @dataclass(frozen=True)
 class TraceDataset:
-    """Per-user symbol traces over one alphabet, with provenance.
+    """Per-user symbol traces over the alphabet [0, size); user i holds traces[i].
 
     Each trace is held as a read-only copy, so the alphabet check made here
     holds for as long as the dataset lives.
     """
 
-    alphabet: Alphabet
+    size: int
     traces: tuple
-    provenance: dict = field(default_factory=dict)
-    user_labels: Optional[tuple] = None
 
     def __post_init__(self):
         if not self.traces:
@@ -63,7 +60,7 @@ class TraceDataset:
         cleaned = []
         for i, t in enumerate(self.traces):
             try:
-                arr = np.array(alphabet_symbols(t, self.alphabet.size, "trace"))
+                arr = np.array(alphabet_symbols(t, self.size, "trace"))
             except ValueError as exc:
                 raise DataError(f"user {i} {exc}") from None
             if arr.size < 1:
@@ -77,49 +74,49 @@ class TraceDataset:
         return len(self.traces)
 
 
+def _csv_rows(path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(file line, fields) of each row of a CSV file whose first line is `header`, else
+    DataError; empty lines are skipped. Every CSV reader but the integer tables' uses it."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got != header:
+            raise DataError(f"expected header {','.join(header)}, got {got}")
+        for lineno, row in enumerate(reader, start=2):
+            if row:
+                yield lineno, row
+
+
 def ingest_checkins(path, min_events: int = 10) -> TraceDataset:
     """Load a check-in CSV `user_id,timestamp,poi_id` into per-user traces.
 
     Events are ordered by timestamp per user (stable on ties, so duplicate
     timestamps keep input order). A timestamp is a number when
     `_ascii_float` reads it; the others sort as text after every number.
-    Users with fewer than min_events events are dropped and counted in the
-    provenance. Any malformed row, such as one with an empty field, or a NaN
-    timestamp, aborts the ingest with its line number.
+    Users with fewer than min_events events are dropped; the others are
+    ordered by sorted id, and POI strings become dense ids in sorted order.
+    Empty lines are skipped; any other malformed row, such as one with an
+    empty field, or a NaN timestamp, aborts the ingest with its line number.
     """
     per_user: dict = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user_id", "timestamp", "poi_id"]:
-            raise DataError(f"expected header user_id,timestamp,poi_id, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3 or not all(row):
-                raise DataError(f"malformed row at line {lineno}: {row!r}")
-            user, ts, poi = row
-            try:
-                key = (0, _ascii_float(ts), "")
-            except ValueError:
-                key = (1, 0.0, ts)
-            if math.isnan(key[1]):
-                raise DataError(f"NaN timestamp at line {lineno}")
-            per_user.setdefault(user, []).append((key, poi))
+    for lineno, row in _csv_rows(path, ["user_id", "timestamp", "poi_id"]):
+        if len(row) != 3 or not all(row):
+            raise DataError(f"malformed row at line {lineno}: {row!r}")
+        user, ts, poi = row
+        try:
+            key = (0, _ascii_float(ts), "")
+        except ValueError:
+            key = (1, 0.0, ts)
+        if math.isnan(key[1]):
+            raise DataError(f"NaN timestamp at line {lineno}")
+        per_user.setdefault(user, []).append((key, poi))
     kept = {u: evs for u, evs in per_user.items() if len(evs) >= min_events}
-    dropped = len(per_user) - len(kept)
     if not kept:
         raise DataError(f"no user reaches the minimum of {min_events} events")
-    users = sorted(kept)
-    labels = sorted({poi for evs in kept.values() for _, poi in evs})
-    label_ids = {lab: i for i, lab in enumerate(labels)}
-    traces = []
-    for u in users:
-        evs = sorted(kept[u], key=lambda e: e[0])
-        traces.append(np.array([label_ids[poi] for _, poi in evs], dtype=np.int64))
-    return TraceDataset(alphabet=Alphabet(len(labels), tuple(labels)),
-                        traces=tuple(traces),
-                        provenance={"source": str(path), "kept_users": len(users),
-                                    "dropped_users": dropped, "min_events": min_events},
-                        user_labels=tuple(users))
+    ids = {poi: i for i, poi in enumerate(sorted({poi for evs in kept.values() for _, poi in evs}))}
+    traces = tuple([ids[poi] for _, poi in sorted(kept[u], key=lambda e: e[0])]
+                   for u in sorted(kept))
+    return TraceDataset(size=len(ids), traces=traces)
 
 
 def split_traces(dataset: TraceDataset) -> tuple[TraceDataset, TraceDataset]:
@@ -131,11 +128,7 @@ def split_traces(dataset: TraceDataset) -> tuple[TraceDataset, TraceDataset]:
         cut = (t.size + 1) // 2
         train.append(t[:cut])
         evaln.append(t[cut:])
-    prov = dict(dataset.provenance)
-    return (TraceDataset(dataset.alphabet, tuple(train), {**prov, "half": "train"},
-                         dataset.user_labels),
-            TraceDataset(dataset.alphabet, tuple(evaln), {**prov, "half": "eval"},
-                         dataset.user_labels))
+    return TraceDataset(dataset.size, tuple(train)), TraceDataset(dataset.size, tuple(evaln))
 
 
 @dataclass(frozen=True)
@@ -198,6 +191,9 @@ def synth_population(spec: SynthesisSpec, rng: np.random.Generator
                      ) -> tuple[PopulationModel, TraceDataset]:
     """Draw the population and one full trace per user, deterministically.
 
+    Returns the chains and the `TraceDataset` of what they emitted, train_len
+    + eval_len events a user; `synth` writes the spec to `synth_truth.json`.
+
     Each user's support is popularity-weighted sampling without replacement:
     the top `support_size` of Gumbel keys plus log popularity. The keys are
     drawn and cut to each user's top k one block of users at a time, of at
@@ -237,10 +233,7 @@ def synth_population(spec: SynthesisSpec, rng: np.random.Generator
         for i in range(n))
     population = PopulationModel(n=n, prior=CategoricalDistribution.uniform(n),
                                  models=models)
-    dataset = TraceDataset(alphabet=Alphabet(size),
-                           traces=tuple(traces),
-                           provenance={"synthesis": asdict(spec)})
-    return population, dataset
+    return population, TraceDataset(size=size, traces=tuple(traces))
 
 
 @dataclass(frozen=True)
@@ -430,7 +423,7 @@ def attack_setup(config: ExperimentConfig, rngs: Iterator[np.random.Generator],
         return data
 
     data = run_stage("dataset", dataset)
-    size = data.alphabet.size
+    size = data.size
     train_ds, eval_ds = run_stage("split", lambda: split_traces(data))
     source = eval_ds if config.knowledge == "max" else train_ds
     table = run_stage("profiles", lambda: reid.ProfileTable(
@@ -598,10 +591,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
 
 
 def write_synth_checkins(dataset: TraceDataset, path) -> None:
-    """Write a dataset in the check-in CSV format (timestamp = event index)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user_id", "timestamp", "poi_id"])
-        for u, trace in enumerate(dataset.traces):
-            for t, x in enumerate(trace):
-                w.writerow([f"u{u:06d}", t, dataset.alphabet.label_of(int(x))])
+    """Write a dataset in the check-in CSV format: user u as `u%06d`, the
+    event index as timestamp and the symbol id as POI."""
+    _write_csv(path, ["user_id", "timestamp", "poi_id"],
+               ((f"u{u:06d}", t, x) for u, trace in enumerate(dataset.traces)
+                for t, x in enumerate(trace.tolist())))

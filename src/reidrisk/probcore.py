@@ -39,40 +39,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Finite symbol set; symbols are dense ids 0..size-1.
-
-    `labels`, when present, maps external ids (strings) to dense ids and must
-    be a bijection onto 0..size-1.
-    """
-
-    size: int
-    labels: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {self.size}")
-        if self.labels is not None:
-            if len(self.labels) != self.size:
-                raise ValueError("label table must cover every symbol exactly once")
-            if len(set(self.labels)) != self.size:
-                raise ValueError("label table must be a bijection (duplicate labels)")
-
-    def index_of(self, label: str) -> int:
-        if self.labels is None:
-            raise ValueError("alphabet has no label table")
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(label) from None
-
-    def label_of(self, idx: int) -> str:
-        if self.labels is None:
-            return str(idx)
-        return self.labels[idx]
-
-
 def integer_symbols(values) -> np.ndarray:
     """values as an int64 array; ValueError for any value that is not an int64 integer.
 
@@ -171,9 +137,9 @@ class MarkovSource:
     `support` restricts the chain to a subset of symbols so large populations
     stay compact; `initial` and `transitions` are indexed by position within
     the support (identity support when None). Rows of `transitions` with any
-    mass must sum to 1; all-zero rows mean the state was never left and are
-    resolved at lookup time by the consumer's floor rule. The three arrays are
-    held as read-only copies, so the checks made here hold for the chain's life.
+    mass must sum to 1; an all-zero row is a state the chain must never leave,
+    as `step_chains` raises there. The three arrays are held as read-only
+    copies, so the checks made here hold for the chain's life.
     """
 
     initial: np.ndarray

@@ -59,6 +59,7 @@ class MarkovProfile:
     probabilities; the visit frequencies are the row of the start state
     src = size, and symbols never seen as a source simply have no row.
     `DEFAULT_FLOOR` is applied when a looked-up entry is zero or missing.
+    The keys are checked here, the probabilities by `ProfileTable`.
     """
 
     owner: int
@@ -78,8 +79,6 @@ class MarkovProfile:
         visits = self.size * self.size
         if keys.size and (keys[0] < 0 or keys[-1] >= visits + self.size):
             raise ValueError("profile entry outside the alphabet")
-        if abs(probs[keys.searchsorted(visits):].sum() - 1.0) > probcore.SUM_TOL:
-            raise ValueError("visit probabilities must sum to 1")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "probs", probs)
 
@@ -148,27 +147,52 @@ def train_profile(trace, alphabet: int, owner: int = 0) -> MarkovProfile:
     return MarkovProfile(owner=owner, size=size, keys=keys, probs=probs)
 
 
+def _check_rows(users, keys, probs, size: int, n: int) -> None:
+    """ValueError naming the first user and row (src = key // size, the visit row src = size
+    included) that is not a distribution within SUM_TOL; every user needs a visit row."""
+    src = keys // size
+
+    def row(i: int) -> str:
+        return f"user {users[i]} " + ("visit row" if src[i] == size else f"transition row {src[i]}")
+
+    bad = np.flatnonzero(~(np.isfinite(probs) & (probs >= 0)))
+    if bad.size:
+        raise ValueError(f"{row(bad[0])} entry {float(probs[bad[0]])!r} is negative or not finite")
+    has_visits = np.bincount(users[src == size], minlength=n) > 0
+    if not has_visits.all():
+        raise ValueError(f"user {int(np.argmin(has_visits))} has no visit row")
+    starts = np.flatnonzero((np.diff(users, prepend=-1) != 0) | (np.diff(src, prepend=-1) != 0))
+    mass = np.add.reduceat(probs, starts)
+    off = np.flatnonzero(np.abs(mass - 1.0) > probcore.SUM_TOL)
+    if off.size:
+        raise ValueError(f"{row(starts[off[0]])} mass {float(mass[off[0]])!r} deviates from 1 "
+                         f"by more than {probcore.SUM_TOL}")
+
+
 class ProfileTable:
     """Every profile's positive probabilities and their log2 values, packed for scoring.
 
     Entries are sorted by key, then by user. `keys` holds each distinct key
     once and `starts[k]:starts[k + 1]` is its run of (user, p, log2 p)
     entries. A profile without an entry for a key takes `DEFAULT_FLOOR`. The
-    start-row keys, size**2 and up, score single-datum releases.
+    start-row keys, size**2 and up, score single-datum releases. Profiles
+    whose rows are not distributions are refused by `_check_rows`.
     """
 
     def __init__(self, profiles: Sequence[MarkovProfile]):
         sizes = {p.size for p in profiles}
         if len(sizes) != 1:
             raise ValueError("need at least one profile, all over one alphabet")
+        size = sizes.pop()
         users = np.repeat(np.arange(len(profiles)), [p.keys.size for p in profiles])
         keys = np.concatenate([p.keys for p in profiles])
         probs = np.concatenate([p.probs for p in profiles])
+        _check_rows(users, keys, probs, size, len(profiles))
         keep = np.flatnonzero(probs > 0)
         order = keep[np.argsort(keys[keep], kind="stable")]  # users stay ascending within a key
         keys = keys[order]
         first = np.flatnonzero(np.diff(keys, prepend=-1))
-        self.size = sizes.pop()
+        self.size = size
         self.keys = keys[first]
         self.starts = np.append(first, keys.size)
         self.users = users[order]

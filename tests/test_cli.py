@@ -380,6 +380,60 @@ class TestDataErrors:
         lines = pathlib.Path(out.strip()).read_text().splitlines()
         assert lines[0] == "user_idx,y" and [l.split(",")[0] for l in lines[1:]] == ["0", "1"]
 
+    # each CSV reader: its file, the clean rows, and the run that reads them
+    EMPTY_LINE_READERS = {
+        "values": ("values.csv", "user_idx,x\n0,1\n1,2\n2,3\n",
+                   ["obfuscate", "--mechanism", "rr", "--epsilon", "1", "--size", "4",
+                    "--seed", "0", "--input"]),
+        "truth": ("truth.csv", "symbol,p_true\n0,0.25\n1,0.25\n2,0.5\n",
+                  ["estimate", "--epsilon", "1", "--size", "4", "--truth"]),
+        "scores": ("scores.csv", "label,score\ng,1.0\ng,2.5\ng,3.0\ni,0.0\ni,0.5\ni,-1.0\n",
+                   ["pse", "--k", "1", "--scores"]),
+        "checkins": ("checkins.csv",
+                     "user_id,timestamp,poi_id\na,0,w\na,1,x\nb,0,y\nb,1,w\nc,0,x\nc,1,y\n",
+                     ["reid", "--mechanism", "rr", "--epsilon", "1", "--seed", "0", "--config"]),
+    }
+
+    def read_with(self, capsys, tmp_path, reader, text):
+        """Exit code, stdout, stderr and output files of `reader`'s run on a file holding text."""
+        name, _, argv = self.EMPTY_LINE_READERS[reader]
+        path = tmp_path / name
+        path.write_text(text)
+        extra = []
+        if reader == "checkins":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"checkins_path": str(tmp_path / name),
+                                        "min_events": 1, "reid_trials": 5}))
+        if reader == "truth":
+            records = tmp_path / "records.csv"
+            records.write_text("user_idx,y\n0,0\n1,1\n2,2\n3,2\n")
+            extra = ["--records", str(records)]
+        out_dir = tmp_path / "o"
+        if reader in ("values", "truth"):
+            extra += ["--out", str(out_dir)]
+        code, out, err = run(capsys, *argv, str(path), *extra)
+        return code, out, err, sorted(p.read_bytes() for p in out_dir.glob("*"))
+
+    @pytest.mark.parametrize("reader", sorted(EMPTY_LINE_READERS))
+    def test_every_reader_skips_empty_lines(self, capsys, tmp_path, reader):
+        # an empty line in the middle and one at the end change nothing
+        clean = self.EMPTY_LINE_READERS[reader][1]
+        lines = clean.splitlines()
+        spaced = "\n".join(lines[:2] + [""] + lines[2:] + [""]) + "\n"
+        want = self.read_with(capsys, tmp_path, reader, clean)
+        assert want[0] == 0, want[2]
+        assert self.read_with(capsys, tmp_path, reader, spaced) == want
+
+    @pytest.mark.parametrize("reader,text,message", [
+        ("truth", "symbol,p_true\n0,0.5\n\nx,0.5\n", "bad truth row at line 4"),
+        ("scores", "label,score\ng,1.0\n\nq,1.0\n", "unknown label 'q' at line 4"),
+        ("checkins", "user_id,timestamp,poi_id\nu,0,a\n\nu,1\n", "malformed row at line 4"),
+    ])
+    def test_rows_after_an_empty_line_keep_their_file_line(self, capsys, tmp_path, reader,
+                                                            text, message):
+        code, out, err, _ = self.read_with(capsys, tmp_path, reader, text)
+        assert code == 2 and message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("config", [
         {"n_users": True}, {"threshold_level": False}, {"glh_g": True},
         {"epsilons": [1.0, True]},

@@ -4,10 +4,12 @@ end-to-end experiment runner (determinism, manifest, failure handling)."""
 import json
 import math
 import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reidrisk import mechanisms, pipeline, reid
 from reidrisk.pipeline import (
@@ -24,7 +26,7 @@ from reidrisk.pipeline import (
     write_synth_checkins,
     zipf_law,
 )
-from reidrisk.probcore import Alphabet, make_rng
+from reidrisk.probcore import make_rng
 
 
 def write_csv(path, rows, header="user_id,timestamp,poi_id"):
@@ -43,26 +45,23 @@ class TestIngest:
             ("alice", 3, "gym"),
         ])
         ds = ingest_checkins(p, min_events=2)
-        assert ds.user_labels == ("alice", "bob")
-        assert ds.alphabet.labels == ("cafe", "gym", "park")
+        # users in sorted order, alice then bob; POIs cafe, gym, park become 0, 1, 2
+        assert ds.n_users == 2 and ds.size == 3
         assert ds.traces[0].tolist() == [0, 2, 1]  # alice: cafe, park, gym
         assert ds.traces[1].tolist() == [1, 2, 0]  # bob: gym, park, cafe
-        assert ds.provenance["kept_users"] == 2
-        assert ds.provenance["dropped_users"] == 0
 
     def test_duplicate_timestamps_keep_input_order(self, tmp_path):
         p = tmp_path / "c.csv"
         write_csv(p, [("u", 5, "a"), ("u", 5, "b"), ("u", 5, "c")])
         ds = ingest_checkins(p, min_events=1)
-        assert [ds.alphabet.label_of(int(x)) for x in ds.traces[0]] == ["a", "b", "c"]
+        assert ds.traces[0].tolist() == [0, 1, 2]  # a, b, c
 
     def test_min_events_drops_and_counts(self, tmp_path):
         p = tmp_path / "c.csv"
-        write_csv(p, [("keep", t, "x") for t in range(4)] + [("drop", 0, "x")])
+        write_csv(p, [("keep", t, "x") for t in range(4)] + [("drop", 0, "y")])
         ds = ingest_checkins(p, min_events=3)
-        assert ds.user_labels == ("keep",)
-        assert ds.provenance["dropped_users"] == 1
-        assert ds.provenance["min_events"] == 3
+        assert ds.n_users == 1 and ds.size == 1  # the dropped user's POI y is gone too
+        assert ds.traces[0].tolist() == [0, 0, 0, 0]
 
     def test_nobody_qualifies(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -90,7 +89,7 @@ class TestIngest:
         write_csv(p, [("u", "1_0", "d"), ("u", "100", "c"), ("u", "\u0661\u0662", "e"),
                       ("u", " 3 ", "a"), ("u", "9", "b")])
         ds = ingest_checkins(p, min_events=1)
-        assert [ds.alphabet.label_of(int(x)) for x in ds.traces[0]] == ["a", "b", "c", "d", "e"]
+        assert ds.traces[0].tolist() == [0, 1, 2, 3, 4]  # a, b, c, d, e
 
     def test_nan_timestamp_rejected_with_line_number(self, tmp_path):
         # a NaN key breaks the sort: 3,c / nan,x / 1,a / 2,b came out as c,x,a,b
@@ -111,46 +110,45 @@ class TestIngest:
 class TestTraceDataset:
     def test_rejects_out_of_alphabet_symbols(self):
         with pytest.raises(DataError, match=r"^user 0 trace symbol 3 outside \[0, 3\)$"):
-            TraceDataset(Alphabet(3), (np.array([0, 3]),))
+            TraceDataset(3, (np.array([0, 3]),))
 
     def test_rejects_empty(self):
         with pytest.raises(DataError):
-            TraceDataset(Alphabet(3), ())
+            TraceDataset(3, ())
         with pytest.raises(DataError, match="empty trace"):
-            TraceDataset(Alphabet(3), (np.array([], dtype=np.int64),))
+            TraceDataset(3, (np.array([], dtype=np.int64),))
 
     @pytest.mark.parametrize("trace", [[0.7, 1.2, 2.9], [0.0, math.nan]], ids=["fraction", "nan"])
     def test_rejects_non_integer_symbols(self, trace):
         # a cast would read [0.7, 1.2, 2.9] as [0, 1, 2]
         with pytest.raises(DataError,
                            match="^user 1 trace symbols must be integers inside the 64-bit range$"):
-            TraceDataset(Alphabet(3), (np.array([0, 1]), np.array(trace)))
+            TraceDataset(3, (np.array([0, 1]), np.array(trace)))
 
     def test_holds_read_only_copies(self):
         # the alphabet check holds only if no later write reaches the stored traces
         t = np.array([0, 1, 2])
-        ds = TraceDataset(Alphabet(3), (t,))
+        ds = TraceDataset(3, (t,))
         t[0] = 99
         assert ds.traces[0].tolist() == [0, 1, 2]
         with pytest.raises(ValueError, match="read-only"):
             ds.traces[0][0] = 99
-        for half in split_traces(TraceDataset(Alphabet(3), (np.array([0, 1, 2, 1]),))):
+        for half in split_traces(TraceDataset(3, (np.array([0, 1, 2, 1]),))):
             assert not half.traces[0].flags.writeable
 
 
 class TestSplit:
     def test_first_half_rounds_up(self):
-        ds = TraceDataset(Alphabet(4), (np.arange(5) % 4, np.arange(2) % 4))
+        ds = TraceDataset(4, (np.arange(5) % 4, np.arange(2) % 4))
         train, evaln = split_traces(ds)
         assert train.traces[0].tolist() == [0, 1, 2]
         assert evaln.traces[0].tolist() == [3, 0]
         assert train.traces[1].tolist() == [0]
         assert evaln.traces[1].tolist() == [1]
-        assert train.provenance["half"] == "train"
-        assert evaln.provenance["half"] == "eval"
+        assert train.size == evaln.size == 4
 
     def test_needs_two_events(self):
-        ds = TraceDataset(Alphabet(4), (np.array([1]),))
+        ds = TraceDataset(4, (np.array([1]),))
         with pytest.raises(DataError, match="length 1"):
             split_traces(ds)
 
@@ -187,7 +185,7 @@ class TestSynthesis:
         spec = SynthesisSpec(7, 20, support_size=5, train_len=6, eval_len=4)
         pop, ds = synth_population(spec, make_rng(11))
         assert pop.n == 7 and ds.n_users == 7
-        assert ds.alphabet.size == 20
+        assert ds.size == 20
         for i, t in enumerate(ds.traces):
             assert t.size == 10
             support = set(pop.models[i].support.tolist())
@@ -250,23 +248,29 @@ class TestBlockSupportDraw:
         assert peak < 16 * 2 ** 20
 
 
+@st.composite
+def sized_traces(draw):
+    """(size, traces): 1 to 6 non-empty traces over [0, size), size up to 40 so
+    that ids such as 9 and 10 sort differently as strings and as numbers."""
+    size = draw(st.integers(1, 40))
+    return size, draw(st.lists(st.lists(st.integers(0, size - 1), min_size=1, max_size=8),
+                               min_size=1, max_size=6))
+
+
 class TestRoundTrip:
-    def test_write_then_ingest_recovers_traces(self, tmp_path):
-        labels = tuple(f"poi{i:03d}" for i in range(12))
-        rng = make_rng(2)
-        traces = tuple(rng.integers(0, 12, size=rng.integers(10, 15)) for _ in range(5))
-        ds = TraceDataset(Alphabet(12, labels), traces)
-        path = tmp_path / "synth.csv"
-        write_synth_checkins(ds, path)
-        back = ingest_checkins(path, min_events=1)
-        assert back.n_users == 5
-        # zero-padded labels keep lexicographic order == index order, but the
-        # ingested alphabet only holds labels that actually occur
-        seen = sorted({labels[int(x)] for t in traces for x in t})
-        assert list(back.alphabet.labels) == seen
-        for orig, got in zip(traces, back.traces):
-            assert [back.alphabet.label_of(int(x)) for x in got] == \
-                [labels[int(x)] for x in orig]
+    @settings(deadline=None, max_examples=100)
+    @given(sized_traces())
+    def test_write_then_ingest_recovers_traces(self, case):
+        # ingest relabels the used symbols by their sorted POI strings: "10" < "9"
+        size, traces = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "checkins.csv")
+            write_synth_checkins(TraceDataset(size, tuple(traces)), path)
+            back = ingest_checkins(path, min_events=1)
+        used = sorted({str(x) for t in traces for x in t})
+        relabel = {int(label): i for i, label in enumerate(used)}
+        assert back.size == len(used)
+        assert [t.tolist() for t in back.traces] == [[relabel[x] for x in t] for t in traces]
 
 
 class TestConfig:

@@ -1,4 +1,4 @@
-"""Tests for the probability core: alphabets, distributions, information
+"""Tests for the probability core: the symbol gate, distributions, information
 measures, Markov sources, population models, and seeded stream spawning."""
 
 import argparse
@@ -16,7 +16,6 @@ from reidrisk.oracle import SmallInstance
 from reidrisk.pipeline import DataError, TraceDataset
 from reidrisk.probcore import (
     SUM_TOL,
-    Alphabet,
     CategoricalDistribution,
     MarkovSource,
     PopulationModel,
@@ -40,37 +39,6 @@ def simplexes(min_size=2, max_size=8):
         st.lists(st.floats(0.01, 1.0), min_size=min_size, max_size=max_size)
         .map(lambda w: np.asarray(w) / np.sum(w))
     )
-
-
-class TestAlphabet:
-    def test_default_labels_render_indices(self):
-        a = Alphabet(3)
-        assert a.labels is None
-        assert a.label_of(2) == "2"
-        with pytest.raises(ValueError):
-            a.index_of("1")
-
-    def test_custom_labels_roundtrip(self):
-        a = Alphabet(3, labels=("cafe", "gym", "park"))
-        for i, lab in enumerate(("cafe", "gym", "park")):
-            assert a.index_of(lab) == i
-            assert a.label_of(i) == lab
-
-    def test_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            Alphabet(0)
-
-    def test_rejects_duplicate_labels(self):
-        with pytest.raises(ValueError):
-            Alphabet(2, labels=("a", "a"))
-
-    def test_rejects_label_count_mismatch(self):
-        with pytest.raises(ValueError):
-            Alphabet(3, labels=("a", "b"))
-
-    def test_unknown_label_raises(self):
-        with pytest.raises(KeyError):
-            Alphabet(2, labels=("a", "b")).index_of("zzz")
 
 
 class TestCategoricalDistribution:
@@ -351,7 +319,7 @@ class TestOneSymbolGate:
             RandomizedResponse(1.0, GATE_SIZE), xs, make_rng(0)),
         "glh_sample_batch": lambda xs, out: glh_sample_batch(  # the hash domain [0, P)
             GeneralLocalHash(1.0, CarterWegman(GATE_SIZE, 2)), xs, make_rng(0)),
-        "TraceDataset": lambda xs, out: TraceDataset(Alphabet(GATE_SIZE), (np.array([0]), xs)),
+        "TraceDataset": lambda xs, out: TraceDataset(GATE_SIZE, (np.array([0]), xs)),
         "train_profile": lambda xs, out: reid.train_profile(xs, GATE_SIZE),
         "ProfileTable.scores": lambda xs, out: GATE_TABLE.scores(xs),
         "ProfileTable.datum_scores": lambda xs, out: GATE_TABLE.datum_scores(xs),

@@ -2,6 +2,7 @@
 scoring, vectorized single-release attacks, trial simulation, and DET curves."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,17 +96,14 @@ class TestProfileTraining:
                 == train_profile([0, 1, 1], 3).probs.tobytes())
 
     def test_profile_validation(self):
-        # size 2: transition keys 0..3, start row keys 4 and 5
-        with pytest.raises(ValueError):
-            MarkovProfile(owner=0, size=2, keys=[4, 5], probs=[0.7, 0.7])
+        # size 2: transition keys 0..3, start row keys 4 and 5; the row masses
+        # are the table's to check (TestProfileTable::test_refuses_rows_that_are_not_distributions)
         for keys, probs in (([-1, 4, 5], [1.0, 0.5, 0.5]),  # key below the table
                             ([4, 5, 6], [0.5, 0.5, 1.0]),  # key past the start row
                             ([5, 4], [0.5, 0.5]),  # decreasing keys
                             ([0, 0, 4, 5], [0.5, 0.5, 0.5, 0.5]),  # repeated key
                             ([0, 4, 5], [1.0, 0.5]),  # fewer probabilities than keys
-                            ([[4, 5]], [[0.5, 0.5]]),  # not 1-d
-                            ([0, 1], [0.5, 0.5]),  # no start row
-                            ([0, 4], [1.0, 0.5])):  # start row sums to 0.5
+                            ([[4, 5]], [[0.5, 0.5]])):  # not 1-d
             with pytest.raises(ValueError):
                 MarkovProfile(owner=0, size=2, keys=keys, probs=probs)
 
@@ -122,8 +120,9 @@ class TestProfileTraining:
 
 class TestLogLikelihood:
     def test_hand_computed_chain(self):
-        # T(0,0) = 0.5, T(0,1) = 0.25 (keys 0, 1); pi = (0.5, 0.5) (keys 4, 5)
-        prof = MarkovProfile(owner=0, size=2, keys=[0, 1, 4, 5], probs=[0.5, 0.25, 0.5, 0.5])
+        # T(0,0) = 0.5, T(0,1) = T(0,2) = 0.25 (keys 0, 1, 2); pi = (0.5, 0.5, 0) (keys 9, 10)
+        prof = MarkovProfile(owner=0, size=3, keys=[0, 1, 2, 9, 10],
+                             probs=[0.5, 0.25, 0.25, 0.5, 0.5])
         # log2 0.5 + log2 T(0,0) + log2 T(0,1) = -1 - 1 - 2
         assert ProfileTable([prof]).scores([0, 0, 1])[0] == -4.0
 
@@ -828,6 +827,24 @@ class TestProfileTable:
                             ([0, 1, 4, 5], [1.0, 0.5, 0.5])):
             with pytest.raises(ValueError):
                 MarkovProfile(owner=0, size=2, keys=keys, probs=probs)
+
+    @pytest.mark.parametrize("keys,probs,message", [
+        ([4, 5], [math.nan, 1.0], "user 1 visit row entry nan is negative or not finite"),
+        ([4, 5], [-0.5, 1.5], "user 1 visit row entry -0.5 is negative or not finite"),
+        ([0, 1, 4, 5], [7.0, 0.5, 0.5, 0.5], "user 1 transition row 0 mass 7.5 deviates"),
+        ([4, 5], [0.7, 0.7], "user 1 visit row mass 1.4 deviates"),
+        ([0, 4], [1.0, 0.5], "user 1 visit row mass 0.5 deviates"),
+        ([0, 1], [0.5, 0.5], "user 1 has no visit row"),
+    ], ids=["nan", "negative", "transition_mass", "visit_mass_high", "visit_mass_low",
+            "no_visit_row"])
+    def test_refuses_rows_that_are_not_distributions(self, keys, probs, message):
+        # size 2: transition keys 0..3, start row keys 4 and 5. The first three
+        # used to score: NaN and -0.5 fell to the floor, pi(1) = 1.5 gave a datum
+        # score of +0.58 bits and T(0,0) = 7 gave scores([0, 0]) = +1.81 bits,
+        # likelihoods above 1
+        bad = MarkovProfile(owner=1, size=2, keys=keys, probs=probs)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            ProfileTable([train_profile([0, 1], 2), bad])
 
     def test_pair_keys_stay_inside_int64(self):
         # the largest key is the start row's last entry, (size + 1) * size - 1
